@@ -12,6 +12,7 @@ order) and report per-point failures without aborting the rest.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,10 +157,12 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepPoint]:
     """Evaluate every grid point, in grid order.
 
     Invalid points become SweepPoint.error entries; the rest of the grid
-    still runs.  workers > 1 distributes points over processes; the result
-    order (and content) is independent of scheduling.
+    still runs.  workers > 1 distributes points over processes, at most one
+    per grid point and per CPU; the result order (and content) is
+    independent of scheduling.
     """
     args = list(_grid_args(spec))
+    workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [_eval_point(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -82,59 +82,66 @@ def _as_budget(eps) -> Fraction:
     return eps
 
 
-def _mul_le(a: int, b: int, rhs: int) -> bool:
-    """a*b <= rhs for nonnegative ints, usually decided from bit lengths."""
+def _prod_le(a: int, b: int, c: int, d: int) -> bool:
+    """a*b <= c*d for a, b >= 0 and d > 0, usually decided from bit lengths."""
     if a == 0 or b == 0:
-        return rhs >= 0
-    if rhs <= 0:
+        return c >= 0
+    if c <= 0:
         return False
-    hi = a.bit_length() + b.bit_length()  # a*b < 2**hi
-    rb = rhs.bit_length()                 # 2**(rb-1) <= rhs < 2**rb
-    if hi < rb:
+    ab = a.bit_length() + b.bit_length()  # 2**(ab-2) <= a*b < 2**ab
+    cd = c.bit_length() + d.bit_length()  # 2**(cd-2) <= c*d < 2**cd
+    if ab <= cd - 2:
         return True
-    if hi - 2 >= rb:                      # a*b >= 2**(hi-2) >= 2**rb > rhs
+    if ab - 2 >= cd:
         return False
-    return a * b <= rhs
+    return a * b <= c * d
 
 
 def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     """Smoothed rank entropy: log2 of the smallest rank among spectra within
     removal budget eps.
 
-    Scans levels from the bottom, wholly removing levels while their
-    cumulative mass stays <= eps, then removes floor((eps - s_b)/lam_b)
-    further eigenvalues from the first kept level.  Zero levels are dropped
-    up front: removing them is free and they never count toward rank.
+    Wholly removes the lowest levels while their cumulative mass stays
+    <= eps, then removes floor((eps - s_b)/lam_b) further eigenvalues from
+    the first kept level.  Zero levels are dropped up front: removing them
+    is free and they never count toward rank.  When the mass sits in the
+    upper levels the boundary is found walking down from the top, through
+    the complements: mass below = den - mass kept, and likewise for counts.
     """
     eps = _as_budget(eps)
-    nums, mults, den = spec.value_nums, spec.mults, spec.den
-    nz = 0
-    while nums[nz] == 0:
-        nz += 1
-    rank = sum(mults[nz:])
+    den = spec.den
+    rank = spec.total_dim - spec.zero_mult
     en, ed = eps.numerator, eps.denominator
     target = en * den
-    last = len(nums) - 1
-    S = 0
-    removed = 0
-    b = 0
-    for i, w in enumerate(spec.iter_masses()):
-        if i < nz:
-            continue
-        if i == last:
-            break  # always keep the top level (unreachable while eps < 1)
-        if (S + w) * ed <= target:
+    # Both walks stop at the first kept level (multiplicity mult, mass w):
+    # the top level is always kept, since with eps < 1 no budget covers the
+    # whole mass.
+    if spec.heavy_top:
+        U = 0     # mass of the levels walked
+        kept = 0  # their count
+        b = spec.size - 1 - (1 if spec.zero_mult else 0)
+        for mult, w in spec.walk(spec.size - 1, reverse=True):
+            U += w
+            kept += mult
+            if (den - U) * ed <= target:
+                break
+            b -= 1
+        S = den - U
+    else:
+        S = 0
+        kept = rank
+        b = 0
+        for mult, w in spec.walk(1 if spec.zero_mult else 0):
+            if (S + w) * ed > target:
+                break
             S += w
-            removed += mults[i]
+            kept -= mult
             b += 1
-        else:
-            break
-    extra = (target - S * ed) // (ed * nums[nz + b])
-    k = removed + extra
-    remaining = rank - k
+    extra = (target - S * ed) // (ed * (w // mult))
+    remaining = kept - extra
     assert remaining >= 1
     return log2_bits(remaining), RankTrimResult(
-        b=b, k=k, remaining_rank=remaining, s_b=Fraction(S, den)
+        b=b, k=rank - remaining, remaining_rank=remaining, s_b=Fraction(S, den)
     )
 
 
@@ -147,64 +154,56 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     budget fixes the flat values x and y.  Exact rationals throughout.
     """
     eps = _as_budget(eps)
-    nums, mults, den = spec.value_nums, spec.mults, spec.den
-    m = len(nums)
+    den, m = spec.den, spec.size
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
         # can move; the ball contains no lower-purity spectrum
-        lam = Fraction(nums[0], den)
-        purity = mults[0] * lam * lam
+        mult, w = next(spec.walk(0))
+        lam = Fraction(w // mult, den)
+        purity = mult * lam * lam
         return -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)
     en, ed = eps.numerator, eps.denominator
-    target = en * den
+    tq = en * den // ed  # s*den <= tq iff s <= eps, for s*den an integer
 
-    # bottom scan; state while testing r: Ced = (count of levels < r) * ed,
-    # Wed = (mass of levels < r) * ed; s_r <= eps iff lam_r*Ced <= target+Wed
-    masses = spec.iter_masses()
-    Ced = mults[0] * ed
-    Wed = next(masses) * ed
+    # bottom scan: C and W are the count and mass (times den) of the levels
+    # below r, and raising them to lam_r = w/mult costs
+    # s_r = (lam_r*C - W)/den, so s_r <= eps iff w*C <= (tq + W)*mult
+    levels = spec.walk(0)
+    C, W = next(levels)
     b_minus = 0
-    at_b = (nums[0], 0, 0)  # (lam_b, Ced, Wed) prefixes at r = b
-    for r in range(1, m):
-        w_r = next(masses)
-        if _mul_le(nums[r], Ced, target + Wed):
-            b_minus = r
-            at_b = (nums[r], Ced, Wed)
-            Ced += mults[r] * ed
-            Wed += w_r * ed
-        else:
+    for mult, w in levels:
+        if not _prod_le(w, C, tq + W, mult):
             break
-    n_low = Ced // ed
-    s_minus = Fraction(at_b[0] * at_b[1] - at_b[2], den * ed)
-    x = Fraction(nums[b_minus], den) + (eps - s_minus) / n_low
+        b_minus += 1
+        C += mult
+        W += w
 
-    # top scan, mirrored: s_r^+ = T_{r-1} - lam_{m-1-r} * Ct_{r-1}
-    masses = spec.iter_masses(reverse=True)
-    Cted = mults[m - 1] * ed
-    Ted = next(masses) * ed
+    # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
+    # costs (T - lam*Ct)/den
+    levels = spec.walk(m - 1, reverse=True)
+    Ct, T = next(levels)
     b_plus = 0
-    at_t = (nums[m - 1], 0, 0)
-    for r in range(1, m):
-        w_r = next(masses)
-        lam_num = nums[m - 1 - r]
-        if not _mul_le(lam_num, Cted, Ted - target - 1):  # lam*Ct >= Ted-target
-            b_plus = r
-            at_t = (lam_num, Cted, Ted)
-            Cted += mults[m - 1 - r] * ed
-            Ted += w_r * ed
-        else:
+    for mult, w in levels:
+        if _prod_le(w, Ct, T - tq - 1, mult):  # lam*Ct < T - tq
             break
-    n_top = Cted // ed
-    s_plus = Fraction(at_t[2] - at_t[0] * at_t[1], den * ed)
-    y = Fraction(nums[m - 1 - b_plus], den) - (eps - s_plus) / n_top
+        b_plus += 1
+        Ct += mult
+        T += w
 
+    # the leftover budget sets the flat values: x = (W/den + eps)/C and
+    # y = (T/den - eps)/Ct, here over the common factor ed*den
+    X, Y = en * den + ed * W, ed * T - en * den
+    x, y = Fraction(X, ed * den * C), Fraction(Y, ed * den * Ct)
     if x >= y:
         raise EpsilonTooLargeError(
             f"epsilon too large for spectrum: raised floor {x} meets "
             f"lowered ceiling {y}"
         )
     mid = spec.squared_mass_sum(b_minus + 1, m - 2 - b_plus)
-    purity = n_low * x * x + Fraction(mid, den * den) + n_top * y * y
+    # C*x^2 + mid/den^2 + Ct*y^2, normalised once
+    purity = Fraction(
+        X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, (ed * den) ** 2 * C * Ct
+    )
     return -log2_bits(purity), WaterfillSolution(
         b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=purity
     )
@@ -219,20 +218,19 @@ def h0_smooth(spec: ProbSpectrum, eps) -> tuple[float, SupportCutResult]:
     (smallest) included probability.
     """
     eps = _as_budget(eps)
-    nums, counts, den = spec.prob_nums, spec.counts, spec.den
-    m = len(nums)
+    den = spec.den
     en, ed = eps.numerator, eps.denominator
     target = (ed - en) * den  # S/den >= 1-eps  iff  S*ed >= target
     S = 0
     cnt = 0
     b = 0
-    for w in spec.iter_masses(reverse=True):
+    for count, w in spec.walk(spec.size - 1, reverse=True):
         S += w
         b += 1
-        cnt += counts[m - b]
+        cnt += count
         if S * ed >= target:
             break
-    k = cnt - (S * ed - target) // (ed * nums[m - b])
+    k = cnt - (S * ed - target) // (ed * (w // count))
     if k < 1:
         k = 1
     return log2_bits(k), SupportCutResult(b=b, k=k, s_b=Fraction(S, den))

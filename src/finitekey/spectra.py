@@ -9,21 +9,28 @@ distribution P(X|Y) all have Pascal-triangle structure: n + 1 (plus possibly
 a zero level) distinct eigenvalues with binomial multiplicities.  This module
 builds those spectra in compressed (value, multiplicity) form.
 
-Internally a spectrum keeps integer level numerators over one common
-denominator so the entropy scans downstream run on plain integers; values
-only become `Fraction`s when `levels` is read.  Constructors also attach the
-exact step ratios of the geometric level family (`_GeomHint`), letting level
-masses (mult*value) and squared masses (mult*value^2) stream through exact
-small-factor recurrences instead of per-level big multiplications.
+A spectrum keeps integer level numerators over one common denominator so the
+entropy scans downstream run on plain integers.  The three protocol spectra
+are closed-form level families (`_Family`): above an optional zero level,
+level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
+scale * C(n, l) * div^(n-l).  Nothing of size O(n) is stored.  A scan asks
+for a walk from the level it starts at (`walk`): the first level is seeded
+with `pow` and `math.comb`, and each further step applies exact small-factor
+recurrences to (multiplicity, mass), so a scan costs only the levels it
+touches.  Normalisation and the dimension count are proved in O(1)
+by the binomial theorem.  Spectra built from explicit levels (`from_levels`,
+the positional constructors) store their lists and are checked level by
+level.  For both, the list attributes (`value_nums`, `mults`, ...) and
+`levels` stay readable; a family builds them on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = [
     "ProtocolParams",
@@ -78,84 +85,138 @@ class ProtocolParams:
         return (self.epsilon / 8) ** 2
 
 
-@dataclass(frozen=True)
-class _GeomHint:
-    """Exact step ratios of a geometric level block.
+# A walk yields (multiplicity, mass) per level index; the mass is
+# multiplicity * numerator, so a level's numerator is mass // multiplicity.
+Level = tuple[int, int]
 
-    For level indices start+j, j = 0..n:
-        num[j+1] = num[j] * val_num // val_den
-        mult[j+1] = mult[j] * (n-j) // ((j+1) * mult_div)
-    Both divisions are exact at every step.  Indices below `start` are zero
-    levels.
+
+class _Listed:
+    """Explicit ascending levels held as two lists."""
+
+    def __init__(self, nums: list[int], mults: list[int]):
+        self.nums, self.mults = nums, mults
+        self.size = len(nums)
+        self.zero_mult = mults[0] if nums[0] == 0 else 0
+        self.heavy_top = False  # short lists: walk from the bottom
+
+    def walk(self, i: int, reverse: bool = False) -> Iterator[Level]:
+        nums, mults = self.nums, self.mults
+        for j in range(i, -1, -1) if reverse else range(i, self.size):
+            yield mults[j], mults[j] * nums[j]
+
+    def squared_mass_sum(self, lo: int, hi: int) -> int:
+        nums, mults = self.nums, self.mults
+        return sum(mults[j] * nums[j] * nums[j] for j in range(lo, hi + 1))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Closed-form levels: an optional zero level of multiplicity zero_mult
+    (index 0 when present), then for l = 0..n numerator alpha^l beta^(n-l)
+    and multiplicity scale * C(n, l) * div^(n-l).
+
+    With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
+    one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
+    (n-l)*alpha/((l+1)*div*beta); every such division is exact.
     """
 
-    start: int
     n: int
-    val_num: int
-    val_den: int
-    mult_div: int
+    alpha: int
+    beta: int
+    div: int
+    scale: int
+    zero_mult: int = 0
+
+    def check(self, den: int, total: int, what: str) -> None:
+        """The binomial theorem gives the level sums in O(1):
+        masses sum to scale*(alpha + div*beta)^n, multiplicities to
+        scale*(1 + div)^n (plus the zero level)."""
+        n, a, b, div, scale = self.n, self.alpha, self.beta, self.div, self.scale
+        if n < 0 or not a > b >= 1 or div < 1 or scale < 1 or self.zero_mult < 0:
+            raise ValueError(f"{what}: malformed level family")
+        if scale * (1 + div) ** n + self.zero_mult != total:
+            raise ValueError(f"{what}: multiplicities do not sum to {total}")
+        if scale * (a + div * b) ** n != den:
+            raise ValueError(f"{what}: spectrum does not sum to 1 exactly")
+
+    @property
+    def zeros(self) -> int:
+        return 1 if self.zero_mult else 0
+
+    @property
+    def size(self) -> int:
+        return self.zeros + self.n + 1
+
+    @property
+    def heavy_top(self) -> bool:
+        """Whether the mass mean lies above the middle level: the masses are
+        binomial in l with success ratio alpha : div*beta."""
+        return self.alpha > self.div * self.beta
+
+    def _seed(self, l: int) -> tuple[int, int]:
+        """(numerator, multiplicity) of family level l."""
+        n = self.n
+        num = self.alpha**l * self.beta ** (n - l)
+        return num, self.scale * math.comb(n, l) * self.div ** (n - l)
+
+    def walk(self, i: int, reverse: bool = False) -> Iterator[Level]:
+        z = self.zeros
+        if not reverse and i < z:
+            yield self.zero_mult, 0
+            i = z
+        if i >= z:
+            n, a, b, div = self.n, self.alpha, self.beta, self.div
+            l = i - z
+            num, mult = self._seed(l)
+            w = mult * num
+            yield mult, w
+            if reverse:
+                for l in range(l, 0, -1):
+                    mult = mult * (l * div) // (n - l + 1)
+                    w = w * (l * div * b) // ((n - l + 1) * a)
+                    yield mult, w
+            else:
+                for l in range(l, n):
+                    mult = mult * (n - l) // ((l + 1) * div)
+                    w = w * ((n - l) * a) // ((l + 1) * div * b)
+                    yield mult, w
+        if reverse and z:
+            yield self.zero_mult, 0
+
+    def squared_mass_sum(self, lo: int, hi: int) -> int:
+        """Sum of mult*num^2 over level indices lo..hi.
+
+        With r_l = (n-l)*alpha^2 / ((l+1)*div*beta^2) the ratio of
+        consecutive squared masses, the sum is s_lo*(1 + r_lo*(1 + ...)).
+        Folding that from the inside out as one fraction P/Q multiplies by
+        small factors only; the one division at the end is exact.
+        """
+        z = self.zeros
+        lo = max(lo, z)  # the zero level contributes nothing
+        if hi < lo:
+            return 0
+        n, div = self.n, self.div
+        a2, b2 = self.alpha**2, self.beta**2
+        P = Q = 1
+        for l in range(hi - z - 1, lo - z - 1, -1):
+            dQ = (l + 1) * div * b2 * Q
+            P, Q = dQ + (n - l) * a2 * P, dQ
+        num, mult = self._seed(lo - z)
+        return mult * num * num * P // Q
+
+    @cached_property
+    def nums(self) -> list[int]:
+        nums = [0] * self.zeros + [self.beta**self.n]
+        for _ in range(self.n):
+            nums.append(nums[-1] * self.alpha // self.beta)
+        return nums
+
+    @cached_property
+    def mults(self) -> list[int]:
+        return [mult for mult, _ in self.walk(0)]
 
 
-def _geometric_levels(n: int, alpha: int, beta: int, mult0: int, mult_div: int):
-    nums = [beta**n]
-    for l in range(n):
-        nums.append(nums[-1] * alpha // beta)
-    mults = [mult0]
-    for l in range(n):
-        mults.append(mults[-1] * (n - l) // ((l + 1) * mult_div))
-    return nums, mults
-
-
-def _iter_masses(nums, mults, geom, reverse=False) -> Iterator[int]:
-    """Yield mult*num per level (masses scaled by the common denominator)."""
-    m = len(nums)
-    if geom is None:
-        order = range(m - 1, -1, -1) if reverse else range(m)
-        for i in order:
-            yield mults[i] * nums[i]
-        return
-    s, n = geom.start, geom.n
-    up, dn, div = geom.val_num, geom.val_den, geom.mult_div
-    if not reverse:
-        for _ in range(s):
-            yield 0
-        w = mults[s] * nums[s]
-        yield w
-        for j in range(n):
-            w = w * ((n - j) * up) // ((j + 1) * div * dn)
-            yield w
-    else:
-        w = mults[s + n] * nums[s + n]
-        yield w
-        for j in range(n, 0, -1):
-            w = w * (j * div * dn) // ((n - j + 1) * up)
-            yield w
-        for _ in range(s):
-            yield 0
-
-
-def _squared_mass_between(nums, mults, geom, lo: int, hi: int) -> int:
-    """Sum of mult*num^2 over level indices lo..hi inclusive."""
-    lo = max(lo, 0)
-    hi = min(hi, len(nums) - 1)
-    if hi < lo:
-        return 0
-    if geom is None:
-        return sum(mults[i] * nums[i] * nums[i] for i in range(lo, hi + 1))
-    lo = max(lo, geom.start)  # zero levels contribute nothing
-    if hi < lo:
-        return 0
-    n, div = geom.n, geom.mult_div
-    up2, dn2 = geom.val_num**2, geom.val_den**2
-    sig = mults[lo] * nums[lo] * nums[lo]
-    total = sig
-    for j in range(lo - geom.start, hi - geom.start):
-        sig = sig * ((n - j) * up2) // ((j + 1) * div * dn2)
-        total += sig
-    return total
-
-
-def _check_levels(nums, mults, den, total, masses, what):
+def _check_levels(nums, mults, den, total, what):
     if not nums or len(nums) != len(mults):
         raise ValueError(f"{what}: malformed level lists")
     if den < 1:
@@ -171,26 +232,40 @@ def _check_levels(nums, mults, den, total, masses, what):
         raise ValueError(f"{what}: multiplicities must be >= 1")
     if sum(mults) != total:
         raise ValueError(f"{what}: multiplicities do not sum to {total}")
-    if sum(masses) != den:
+    if sum(m * v for v, m in zip(nums, mults)) != den:
         raise ValueError(f"{what}: spectrum does not sum to 1 exactly")
 
 
-@dataclass(eq=False)
 class CompressedSpectrum:
     """Density-operator spectrum as strictly ascending (value, multiplicity)
-    levels; values are stored as `value_nums[i] / den`."""
+    levels; values are `value_nums[i] / den`.
 
-    value_nums: list[int]
-    mults: list[int]
-    den: int
-    total_dim: int
-    geom: Optional[_GeomHint] = field(default=None, repr=False)
+    Scans read levels through `walk(i, reverse)`, which yields
+    (multiplicity, mass) from level index i upward (or downward); a level's
+    numerator is mass // multiplicity.
+    `size` is the number of levels, `zero_mult` the multiplicity of a zero
+    level at index 0 (0 when there is none), and `heavy_top` tells whether
+    most of the mass sits in the upper levels, so that a scan for a bottom
+    boundary is shorter from the top.
+    """
 
-    def __post_init__(self):
-        _check_levels(
-            self.value_nums, self.mults, self.den, self.total_dim,
-            self.iter_masses(), "CompressedSpectrum",
-        )
+    def __init__(self, value_nums, mults, den: int, total_dim: int):
+        nums, mults = list(value_nums), list(mults)
+        _check_levels(nums, mults, den, total_dim, type(self).__name__)
+        self._init(_Listed(nums, mults), den, total_dim)
+
+    @classmethod
+    def _of_family(cls, family: _Family, den: int, total_dim: int):
+        family.check(den, total_dim, cls.__name__)
+        self = cls.__new__(cls)
+        self._init(family, den, total_dim)
+        return self
+
+    def _init(self, source, den: int, total_dim: int) -> None:
+        self._source, self.den, self.total_dim = source, den, total_dim
+        self.size, self.zero_mult = source.size, source.zero_mult
+        self.heavy_top = source.heavy_top
+        self.walk = source.walk
 
     @classmethod
     def from_levels(cls, levels, total_dim: int) -> "CompressedSpectrum":
@@ -200,6 +275,14 @@ class CompressedSpectrum:
         nums = [v.numerator * (den // v.denominator) for v in vals]
         return cls(nums, [int(m) for _, m in levels], den, total_dim)
 
+    @property
+    def value_nums(self) -> list[int]:
+        return self._source.nums
+
+    @property
+    def mults(self) -> list[int]:
+        return self._source.mults
+
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
         return [
@@ -208,42 +291,29 @@ class CompressedSpectrum:
         ]
 
     def iter_masses(self, reverse: bool = False) -> Iterator[int]:
-        return _iter_masses(self.value_nums, self.mults, self.geom, reverse)
+        """Yield mult*num per level (masses scaled by the common denominator)."""
+        start = self.size - 1 if reverse else 0
+        return (w for _, w in self.walk(start, reverse))
 
     def squared_mass_sum(self, lo: int, hi: int) -> int:
         """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
-        return _squared_mass_between(self.value_nums, self.mults, self.geom, lo, hi)
+        lo, hi = max(lo, 0), min(hi, self.size - 1)
+        return self._source.squared_mass_sum(lo, hi) if lo <= hi else 0
 
 
-@dataclass(eq=False)
-class ProbSpectrum:
+class ProbSpectrum(CompressedSpectrum):
     """Grouped probability distribution: ascending (probability, count)
     levels with probabilities stored as `prob_nums[i] / den`; `support` is
     the number of strings carrying the distribution."""
 
-    prob_nums: list[int]
-    counts: list[int]
-    den: int
-    support: int
-    geom: Optional[_GeomHint] = field(default=None, repr=False)
+    prob_nums = CompressedSpectrum.value_nums
+    counts = CompressedSpectrum.mults
+    support = property(lambda self: self.total_dim)
 
-    def __post_init__(self):
-        _check_levels(
-            self.prob_nums, self.counts, self.den, self.support,
-            self.iter_masses(), "ProbSpectrum",
-        )
-        if self.prob_nums[0] == 0:
+    def _init(self, source, den: int, support: int) -> None:
+        if source.zero_mult:
             raise ValueError("ProbSpectrum: zero-probability level stored")
-
-    @cached_property
-    def levels(self) -> list[tuple[Fraction, int]]:
-        return [
-            (Fraction(p, self.den), c)
-            for p, c in zip(self.prob_nums, self.counts)
-        ]
-
-    def iter_masses(self, reverse: bool = False) -> Iterator[int]:
-        return _iter_masses(self.prob_nums, self.counts, self.geom, reverse)
+        super()._init(source, den, support)
 
 
 def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -251,21 +321,16 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
 
     Levels l = 0..n: value A^l * B^(n-l) with A = (beta0(d+1)-1)/d and
     B = (1-beta0)/(d(d-1)), multiplicity C(n,l)*(d^2-1)^(n-l); total
-    dimension d^(2n).  All eigenvalues are nonzero, so the stored levels
-    carry the full rank.  At beta0 = 1 the state is pure: single level
+    dimension d^(2n).  All eigenvalues are nonzero, so the levels carry the
+    full rank.  At beta0 = 1 the state is pure: single level
     (1, x1) on an effectively one-dimensional support.
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
         return CompressedSpectrum([1], [1], 1, 1)
-    alpha = (p * (d + 1) - q) * (d - 1)
-    beta = q - p
-    nums, mults = _geometric_levels(n, alpha, beta, (d * d - 1) ** n, d * d - 1)
-    return CompressedSpectrum(
-        nums, mults, (q * d * (d - 1)) ** n, d ** (2 * n),
-        geom=_GeomHint(0, n, alpha, beta, d * d - 1),
-    )
+    family = _Family(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, 1)
+    return CompressedSpectrum._of_family(family, (q * d * (d - 1)) ** n, d ** (2 * n))
 
 
 def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -283,18 +348,8 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
         return CompressedSpectrum(
             [0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)
         )
-    alpha = p * (d - 1)
-    beta = q - p
-    nums, mults = _geometric_levels(
-        n, alpha, beta, d**n * (d - 1) ** n, d - 1
-    )
-    return CompressedSpectrum(
-        [0] + nums,
-        [d ** (3 * n) - d ** (2 * n)] + mults,
-        (q * d * (d - 1)) ** n,
-        d ** (3 * n),
-        geom=_GeomHint(1, n, alpha, beta, d - 1),
-    )
+    family = _Family(n, p * (d - 1), q - p, d - 1, d**n, d ** (3 * n) - d ** (2 * n))
+    return CompressedSpectrum._of_family(family, (q * d * (d - 1)) ** n, d ** (3 * n))
 
 
 def conditional_spectrum(params: ProtocolParams) -> ProbSpectrum:
@@ -309,10 +364,5 @@ def conditional_spectrum(params: ProtocolParams) -> ProbSpectrum:
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
         return ProbSpectrum([1], [1], 1, 1)
-    alpha = p * (d - 1)
-    beta = q - p
-    nums, counts = _geometric_levels(n, alpha, beta, (d - 1) ** n, d - 1)
-    return ProbSpectrum(
-        nums, counts, (q * (d - 1)) ** n, d**n,
-        geom=_GeomHint(0, n, alpha, beta, d - 1),
-    )
+    family = _Family(n, p * (d - 1), q - p, d - 1, 1)
+    return ProbSpectrum._of_family(family, (q * (d - 1)) ** n, d**n)

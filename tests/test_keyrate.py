@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from finitekey import keyrate
 from finitekey.kernel import log2_bits
 from finitekey.keyrate import (
     SweepPoint,
@@ -106,6 +108,48 @@ def test_sweep_fixed_ntilde_floors_n():
 def test_sweep_parallel_matches_serial():
     spec = SweepSpec(axis="epsilon", grid=[F(1, 10), F(1, 2)], n=3, beta0=F(9, 10))
     assert sweep(spec, workers=2) == sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, pool_sizes",
+    [(2, 10000, [2]), (8, 10000, [3]), (8, 2, [2]), (None, 4, []), (8, 1, [])],
+)
+def test_sweep_pool_is_bounded(monkeypatch, cpus, workers, pool_sizes):
+    """The pool never exceeds the grid length or the CPU count; the size is
+    recorded through a stand-in executor, so no oversized pool starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(keyrate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(keyrate.os, "cpu_count", lambda: cpus)
+    spec = SweepSpec(axis="epsilon", grid=[F(1, 10), F(1, 4), F(1, 2)], n=3, beta0=F(9, 10))
+    assert sweep(spec, workers=workers) == sweep(spec)
+    assert sizes == pool_sizes
+
+
+def test_key_length_memory_stays_small():
+    """The spectra are closed-form families, so no list of n + 1 big
+    integers is built (the eager lists peaked at about 62 MB here)."""
+    params = ProtocolParams(d=2, n=10000, beta0=F(49, 50), epsilon=F(1, 100))
+    tracemalloc.start()
+    try:
+        key_length(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sweep_spec_validation():

@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finitekey.oracle import brute_s0, expand, waterfill_scan
 from finitekey.smooth import (
     EpsilonTooLargeError,
+    _prod_le,
     h0_smooth,
     s0_smooth,
     s2_smooth,
@@ -24,6 +26,22 @@ from finitekey.spectra import (
 
 def params(d=2, n=1, beta0=F(9, 10), epsilon=F(1, 2)):
     return ProtocolParams(d=d, n=n, beta0=beta0, epsilon=epsilon)
+
+
+# --- comparison shortcut -----------------------------------------------------
+
+def _near_powers(bits):
+    # values around powers of two, where bit-length bounds are tightest
+    return st.integers(0, bits).flatmap(
+        lambda k: st.integers(max(0, 2**k - 3), 2**k + 3)
+    )
+
+
+@given(_near_powers(200), _near_powers(200), st.integers(-5, 2**200), _near_powers(200))
+@settings(max_examples=300, deadline=None)
+def test_prod_le_matches_exact_products(a, b, c, d):
+    d = max(d, 1)
+    assert _prod_le(a, b, c, d) == (a * b <= c * d)
 
 
 # --- s0 ---------------------------------------------------------------------
@@ -224,6 +242,50 @@ def test_s0_matches_brute_force(spec, eps_num):
     eps = F(eps_num, 100)
     _, tr = s0_smooth(spec, eps)
     assert tr.remaining_rank == brute_s0(expand(spec), eps)
+
+
+# --- closed-form families against explicit rebuilds --------------------------
+
+@st.composite
+def family_params(draw, max_n=12):
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, max_n))
+    q = draw(st.integers(3, 40))
+    p = draw(st.integers(q // d + 1, q - 1))
+    return ProtocolParams(d=d, n=n, beta0=F(p, q), epsilon=F(1, 2))
+
+
+def _scan(fn, spec, eps):
+    try:
+        return fn(spec, eps)
+    except EpsilonTooLargeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("heavy_top", [True, False])
+@given(
+    family_params(),
+    st.one_of(
+        st.integers(0, 99).map(lambda k: F(k, 100)),
+        st.sampled_from([F(1, 10**6), F(1, 640000)]),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_family_scans_match_explicit_rebuilds(heavy_top, p, eps):
+    """Every scan over a closed-form family gives the witness it gives over
+    the same levels stored as explicit lists (which s0 always walks from
+    the bottom); s0 runs each family in both walk directions."""
+    eve = eve_spectrum(p)
+    assume(eve.heavy_top == heavy_top)
+    for spec in (eve, xe_spectrum(p), conditional_spectrum(p)):
+        plain = type(spec).from_levels(spec.levels, spec.total_dim)
+        assert not plain.heavy_top
+        for fn in (s0_smooth, s2_smooth, h0_smooth):
+            assert _scan(fn, spec, eps) == _scan(fn, plain, eps)
+        want = s0_smooth(plain, eps)
+        for forced in (True, False):
+            with patch.object(spec, "heavy_top", forced):
+                assert s0_smooth(spec, eps) == want
 
 
 # --- randomized commuting-perturbation sanity --------------------------------

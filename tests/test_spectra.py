@@ -9,6 +9,7 @@ from finitekey.spectra import (
     CompressedSpectrum,
     ProbSpectrum,
     ProtocolParams,
+    _Family,
     conditional_spectrum,
     eve_spectrum,
     xe_spectrum,
@@ -195,12 +196,11 @@ def test_squared_mass_window(p, lo, hi):
 
 @given(valid_params())
 @settings(max_examples=30, deadline=None)
-def test_geom_hint_agrees_with_generic(p):
-    """Rebuilding through from_levels drops the recurrence hint; streams must
-    not care."""
+def test_family_streams_match_explicit_levels(p):
+    """Rebuilding through from_levels stores explicit level lists; their
+    streams must agree with the closed-form family's recurrences."""
     spec = eve_spectrum(p)
     plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
-    assert plain.geom is None
 
     def masses(s, reverse=False):
         return [F(w, s.den) for w in s.iter_masses(reverse)]
@@ -216,7 +216,81 @@ def test_geom_hint_agrees_with_generic(p):
             )
 
 
+def _eager_levels(p):
+    """(nums, mults, den, total) of eve, xe and cond, built as complete lists
+    the way the eager constructors did before the spectra became lazy."""
+    d, n = p.d, p.n
+    a, q = p.beta0.numerator, p.beta0.denominator
+
+    def geometric(alpha, beta, mult0, div):
+        nums, mults = [beta**n], [mult0]
+        for l in range(n):
+            nums.append(nums[-1] * alpha // beta)
+            mults.append(mults[-1] * (n - l) // ((l + 1) * div))
+        return nums, mults
+
+    eve = geometric((a * (d + 1) - q) * (d - 1), q - a, (d * d - 1) ** n, d * d - 1)
+    nums, mults = geometric(a * (d - 1), q - a, d**n * (d - 1) ** n, d - 1)
+    xe = [0] + nums, [d ** (3 * n) - d ** (2 * n)] + mults
+    cond = geometric(a * (d - 1), q - a, (d - 1) ** n, d - 1)
+    return (
+        (*eve, (q * d * (d - 1)) ** n, d ** (2 * n)),
+        (*xe, (q * d * (d - 1)) ** n, d ** (3 * n)),
+        (*cond, (q * (d - 1)) ** n, d**n),
+    )
+
+
+@given(valid_params(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_lazy_lists_match_eager_construction(p):
+    eve, xe, cond = eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)
+    if p.beta0 == 1:
+        return  # explicit single-level spectra, no family
+    want_eve, want_xe, want_cond = _eager_levels(p)
+    assert (eve.value_nums, eve.mults, eve.den, eve.total_dim) == want_eve
+    assert (xe.value_nums, xe.mults, xe.den, xe.total_dim) == want_xe
+    assert (cond.prob_nums, cond.counts, cond.den, cond.support) == want_cond
+    # a walk seeded at any level continues the same lists, either way
+    for spec, (nums, mults, _, _) in ((eve, want_eve), (xe, want_xe), (cond, want_cond)):
+        rows = [(m, m * v) for v, m in zip(nums, mults)]
+        for i in range(len(rows)):
+            assert list(spec.walk(i)) == rows[i:]
+            assert list(spec.walk(i, reverse=True)) == rows[i::-1]
+
+
 # --- constructor validation -------------------------------------------------
+
+# eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3
+EVE_FAMILY = _Family(3, 97, 1, 3, 1)
+
+
+def test_family_accepts_consistent_den_and_total():
+    spec = CompressedSpectrum._of_family(EVE_FAMILY, 100**3, 4**3)
+    assert spec.levels == eve_spectrum(params(n=3, beta0=F(49, 50))).levels
+
+
+@pytest.mark.parametrize(
+    "family, den, total, match",
+    [
+        (EVE_FAMILY, 100**3 + 1, 4**3, "sum to 1"),
+        (EVE_FAMILY, 100**3 - 1, 4**3, "sum to 1"),
+        (EVE_FAMILY, 100**3, 4**3 + 1, "multiplicities do not sum"),
+        (_Family(3, 97, 1, 3, 1, zero_mult=1), 100**3, 4**3, "multiplicities do not sum"),
+        (_Family(3, 1, 1, 3, 1), 4**3, 4**3, "malformed"),
+        (_Family(3, 97, 0, 3, 1), 97**3, 4**3, "malformed"),
+        (_Family(3, 97, 1, 3, 0), 0, 0, "malformed"),
+    ],
+)
+def test_family_rejects_inconsistent_identities(family, den, total, match):
+    with pytest.raises(ValueError, match=match):
+        CompressedSpectrum._of_family(family, den, total)
+
+
+def test_prob_family_rejects_zero_level():
+    family = _Family(3, 97, 1, 3, 1, zero_mult=5)
+    with pytest.raises(ValueError, match="zero-probability"):
+        ProbSpectrum._of_family(family, 100**3, 4**3 + 5)
+
 
 def test_rejects_unsorted_levels():
     with pytest.raises(ValueError):
@@ -235,4 +309,4 @@ def test_rejects_unnormalized():
 
 def test_prob_spectrum_rejects_zero_level():
     with pytest.raises(ValueError):
-        ProbSpectrum([0, 1], [1, 1], 1, 2, None)
+        ProbSpectrum([0, 1], [1, 1], 1, 2)
