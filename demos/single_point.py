@@ -31,9 +31,8 @@ def main() -> None:
         ("rho_E ", eve_spectrum(params)),
         ("X|Y   ", conditional_spectrum(params)),
     ]:
-        dim = getattr(spec, "total_dim", None) or spec.support
         print(f"{name}: {len(spec.levels)} distinct levels, "
-              f"total dimension ~ 2^{dim.bit_length() - 1}")
+              f"total dimension ~ 2^{spec.total_dim.bit_length() - 1}")
 
     res = key_length(params)
     print()

@@ -8,7 +8,7 @@ ProtocolParams and key_length, or the `finitekey` command-line tool.
 """
 
 from .asymptotic import AsymptoticRate, asymptotic_rate
-from .kernel import Rational, binomial, log2_bits, rational_from_decimal
+from .kernel import log2_bits, rational_from_decimal
 from .keyrate import (
     KeyRateResult,
     SweepPoint,
@@ -28,7 +28,6 @@ from .smooth import (
 )
 from .spectra import (
     CompressedSpectrum,
-    ProbSpectrum,
     ProtocolParams,
     conditional_spectrum,
     eve_spectrum,
@@ -42,16 +41,13 @@ __all__ = [
     "CompressedSpectrum",
     "EpsilonTooLargeError",
     "KeyRateResult",
-    "ProbSpectrum",
     "ProtocolParams",
-    "Rational",
     "RankTrimResult",
     "SupportCutResult",
     "SweepPoint",
     "SweepSpec",
     "WaterfillSolution",
     "asymptotic_rate",
-    "binomial",
     "conditional_spectrum",
     "eve_spectrum",
     "h0_smooth",

@@ -27,6 +27,12 @@ HEADER = [
 ]
 THRESHOLD_HEADER = ["d", "n", "epsilon", "threshold_error_rate"]
 
+# Longest grid a sweep accepts, in steps: a linear grid takes one step per
+# point, a log grid at least one.  One point at n >= 1e3 already costs tens
+# of milliseconds, so a longer grid is a typo, and expanding it could exhaust
+# memory (or, for a log ratio near 1, time) before the first point runs.
+MAX_GRID_POINTS = 10**5
+
 
 def _g(x: float) -> str:
     return f"{x:.12g}"
@@ -54,6 +60,12 @@ def _decimal_list(text: str) -> list[Fraction]:
     return [_decimal(part) for part in text.split(",") if part]
 
 
+def _too_long(text: str) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(
+        f"grid {text!r} is too long: more than {MAX_GRID_POINTS} steps"
+    )
+
+
 def _n_grid(text: str) -> list[int]:
     """a:b:step for linear grids, a:b:ratio:log for geometric ones."""
     parts = text.split(":")
@@ -62,20 +74,26 @@ def _n_grid(text: str) -> list[int]:
             a, b, step = int(parts[0]), int(parts[1]), int(parts[2])
             if step <= 0 or a > b:
                 raise ValueError
-            return list(range(a, b + 1, step))
+            grid = range(a, b + 1, step)
+            if len(grid) > MAX_GRID_POINTS:
+                raise _too_long(text)
+            return list(grid)
         if len(parts) == 4 and parts[3] == "log":
             a, b, ratio = int(parts[0]), int(parts[1]), float(parts[2])
             if a < 1 or a > b or ratio <= 1:
                 raise ValueError
             out = []
             x = float(a)
-            while x <= b + 0.5:
+            # a ratio near 1 takes many steps per point: bound the steps
+            for _ in range(MAX_GRID_POINTS + 1):
+                if x > b + 0.5:
+                    return out
                 v = round(x)
                 if not out or v > out[-1]:
                     out.append(v)
                 x *= ratio
-            return out
-    except ValueError:
+            raise _too_long(text)
+    except (ValueError, OverflowError):  # b too large for a float
         pass
     raise argparse.ArgumentTypeError(
         f"expected a:b:step or a:b:ratio:log, got {text!r}"
@@ -89,6 +107,8 @@ def _decimal_grid(text: str) -> list[Fraction]:
     a, b, step = (_decimal(p) for p in parts)
     if step <= 0 or a > b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if (b - a) // step + 1 > MAX_GRID_POINTS:
+        raise _too_long(text)
     out = []
     v = a
     while v <= b:

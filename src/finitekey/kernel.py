@@ -14,10 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["Rational", "rational_from_decimal", "binomial", "log2_bits"]
-
-# Exact scalar type used throughout the package.
-Rational = Fraction
+__all__ = ["rational_from_decimal", "log2_bits"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -37,13 +34,6 @@ def rational_from_decimal(text: str) -> Fraction:
     if not _DECIMAL_RE.match(text):
         raise ValueError(f"not a decimal literal: {text!r}")
     return Fraction(text)
-
-
-def binomial(n: int, l: int) -> int:
-    """Exact binomial coefficient with explicit domain checking."""
-    if n < 0 or l < 0 or l > n:
-        raise ValueError(f"binomial({n}, {l}) is outside 0 <= l <= n")
-    return math.comb(n, l)
 
 
 def _log2_int(v: int) -> float:

@@ -9,6 +9,10 @@ to a one-dimensional scan over the compressed levels; every threshold,
 floor, and tie-break below is an exact integer comparison (ties s_r = eps
 include r, matching the non-strict max/min definitions).
 
+S0 and H0 are one smoothed max-entropy: log2 of the fewest eigenvalues (or
+strings) whose mass reaches 1-eps, which is what removing mass at most eps
+from the bottom keeps.  Both read one support cut walked from the top.
+
 The scans use prefix-sum identities instead of accumulating per-level
 differences, e.g. for the raise side of the water fill
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import log2_bits
-from .spectra import CompressedSpectrum, ProbSpectrum
+from .spectra import CompressedSpectrum
 
 __all__ = [
     "RankTrimResult",
@@ -97,51 +101,46 @@ def _prod_le(a: int, b: int, c: int, d: int) -> bool:
     return a * b <= c * d
 
 
+def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int]:
+    """(b, kept, U): the top b levels reach mass U/den >= 1 - eps, and kept
+    is their count less floor((U/den - (1-eps))/lam_b) given back from the
+    last (smallest) one.  The walk stops at a nonzero level, since those
+    carry mass 1."""
+    den = spec.den
+    en, ed = eps.numerator, eps.denominator
+    target = (ed - en) * den  # U/den >= 1-eps  iff  U*ed >= target
+    U = 0
+    cnt = 0
+    b = 0
+    for mult, w in spec.walk(spec.size - 1, reverse=True):
+        U += w
+        cnt += mult
+        b += 1
+        if U * ed >= target:
+            break
+    kept = cnt - (U * ed - target) // (ed * (w // mult))
+    assert kept >= 1
+    return b, kept, U
+
+
 def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     """Smoothed rank entropy: log2 of the smallest rank among spectra within
     removal budget eps.
 
     Wholly removes the lowest levels while their cumulative mass stays
     <= eps, then removes floor((eps - s_b)/lam_b) further eigenvalues from
-    the first kept level.  Zero levels are dropped up front: removing them
-    is free and they never count toward rank.  When the mass sits in the
-    upper levels the boundary is found walking down from the top, through
-    the complements: mass below = den - mass kept, and likewise for counts.
+    the first kept level.  Zero levels are removed for free and never count
+    toward rank.  What stays is h0_smooth's support cut, walked from the
+    top: the removed levels are the nonzero ones it does not reach.
     """
     eps = _as_budget(eps)
-    den = spec.den
-    rank = spec.total_dim - spec.zero_mult
-    en, ed = eps.numerator, eps.denominator
-    target = en * den
-    # Both walks stop at the first kept level (multiplicity mult, mass w):
-    # the top level is always kept, since with eps < 1 no budget covers the
-    # whole mass.
-    if spec.heavy_top:
-        U = 0     # mass of the levels walked
-        kept = 0  # their count
-        b = spec.size - 1 - (1 if spec.zero_mult else 0)
-        for mult, w in spec.walk(spec.size - 1, reverse=True):
-            U += w
-            kept += mult
-            if (den - U) * ed <= target:
-                break
-            b -= 1
-        S = den - U
-    else:
-        S = 0
-        kept = rank
-        b = 0
-        for mult, w in spec.walk(1 if spec.zero_mult else 0):
-            if (S + w) * ed > target:
-                break
-            S += w
-            kept -= mult
-            b += 1
-    extra = (target - S * ed) // (ed * (w // mult))
-    remaining = kept - extra
-    assert remaining >= 1
+    included, remaining, U = _support_cut(spec, eps)
+    nonzero = spec.size - (1 if spec.zero_mult else 0)
     return log2_bits(remaining), RankTrimResult(
-        b=b, k=rank - remaining, remaining_rank=remaining, s_b=Fraction(S, den)
+        b=nonzero - included,
+        k=spec.total_dim - spec.zero_mult - remaining,
+        remaining_rank=remaining,
+        s_b=Fraction(spec.den - U, spec.den),
     )
 
 
@@ -209,28 +208,15 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     )
 
 
-def h0_smooth(spec: ProbSpectrum, eps) -> tuple[float, SupportCutResult]:
+def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     """Smoothed conditional support: log2 of the smallest number of strings
     whose total conditional probability reaches 1 - eps.
 
     Accumulates distinct probabilities from the top until their mass reaches
     1 - eps, then gives back floor((s_b - (1-eps))/p_b) strings of the last
-    (smallest) included probability.
+    (smallest) included probability: the support cut that s0_smooth
+    mirrors, H0 and S0 being one smoothed max-entropy.
     """
     eps = _as_budget(eps)
-    den = spec.den
-    en, ed = eps.numerator, eps.denominator
-    target = (ed - en) * den  # S/den >= 1-eps  iff  S*ed >= target
-    S = 0
-    cnt = 0
-    b = 0
-    for count, w in spec.walk(spec.size - 1, reverse=True):
-        S += w
-        b += 1
-        cnt += count
-        if S * ed >= target:
-            break
-    k = cnt - (S * ed - target) // (ed * (w // count))
-    if k < 1:
-        k = 1
-    return log2_bits(k), SupportCutResult(b=b, k=k, s_b=Fraction(S, den))
+    b, k, U = _support_cut(spec, eps)
+    return log2_bits(k), SupportCutResult(b=b, k=k, s_b=Fraction(U, spec.den))

@@ -7,7 +7,8 @@ probability beta1 each).  Over n sifted signals the adversary's marginal
 rho_E, the joint classical-quantum state rho_XE, and the conditional outcome
 distribution P(X|Y) all have Pascal-triangle structure: n + 1 (plus possibly
 a zero level) distinct eigenvalues with binomial multiplicities.  This module
-builds those spectra in compressed (value, multiplicity) form.
+builds all three in compressed (value, multiplicity) form as one type,
+`CompressedSpectrum`.
 
 A spectrum keeps integer level numerators over one common denominator so the
 entropy scans downstream run on plain integers.  The three protocol spectra
@@ -20,7 +21,7 @@ recurrences to (multiplicity, mass), so a scan costs only the levels it
 touches.  Normalisation and the dimension count are proved in O(1)
 by the binomial theorem.  Spectra built from explicit levels (`from_levels`,
 the positional constructors) store their lists and are checked level by
-level.  For both, the list attributes (`value_nums`, `mults`, ...) and
+level.  For both, the lists `value_nums` and `mults` and the pairs
 `levels` stay readable; a family builds them on first read.
 """
 
@@ -35,7 +36,6 @@ from typing import Iterator
 __all__ = [
     "ProtocolParams",
     "CompressedSpectrum",
-    "ProbSpectrum",
     "eve_spectrum",
     "xe_spectrum",
     "conditional_spectrum",
@@ -97,7 +97,6 @@ class _Listed:
         self.nums, self.mults = nums, mults
         self.size = len(nums)
         self.zero_mult = mults[0] if nums[0] == 0 else 0
-        self.heavy_top = False  # short lists: walk from the bottom
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[Level]:
         nums, mults = self.nums, self.mults
@@ -146,12 +145,6 @@ class _Family:
     @property
     def size(self) -> int:
         return self.zeros + self.n + 1
-
-    @property
-    def heavy_top(self) -> bool:
-        """Whether the mass mean lies above the middle level: the masses are
-        binomial in l with success ratio alpha : div*beta."""
-        return self.alpha > self.div * self.beta
 
     def _seed(self, l: int) -> tuple[int, int]:
         """(numerator, multiplicity) of family level l."""
@@ -243,10 +236,10 @@ class CompressedSpectrum:
     Scans read levels through `walk(i, reverse)`, which yields
     (multiplicity, mass) from level index i upward (or downward); a level's
     numerator is mass // multiplicity.
-    `size` is the number of levels, `zero_mult` the multiplicity of a zero
-    level at index 0 (0 when there is none), and `heavy_top` tells whether
-    most of the mass sits in the upper levels, so that a scan for a bottom
-    boundary is shorter from the top.
+    `size` is the number of levels and `zero_mult` the multiplicity of a
+    zero level at index 0 (0 when there is none).  A grouped probability
+    distribution is the same object: `mults` count strings and `total_dim`
+    is the number of strings.
     """
 
     def __init__(self, value_nums, mults, den: int, total_dim: int):
@@ -264,7 +257,6 @@ class CompressedSpectrum:
     def _init(self, source, den: int, total_dim: int) -> None:
         self._source, self.den, self.total_dim = source, den, total_dim
         self.size, self.zero_mult = source.size, source.zero_mult
-        self.heavy_top = source.heavy_top
         self.walk = source.walk
 
     @classmethod
@@ -290,30 +282,10 @@ class CompressedSpectrum:
             for v, m in zip(self.value_nums, self.mults)
         ]
 
-    def iter_masses(self, reverse: bool = False) -> Iterator[int]:
-        """Yield mult*num per level (masses scaled by the common denominator)."""
-        start = self.size - 1 if reverse else 0
-        return (w for _, w in self.walk(start, reverse))
-
     def squared_mass_sum(self, lo: int, hi: int) -> int:
         """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
         lo, hi = max(lo, 0), min(hi, self.size - 1)
         return self._source.squared_mass_sum(lo, hi) if lo <= hi else 0
-
-
-class ProbSpectrum(CompressedSpectrum):
-    """Grouped probability distribution: ascending (probability, count)
-    levels with probabilities stored as `prob_nums[i] / den`; `support` is
-    the number of strings carrying the distribution."""
-
-    prob_nums = CompressedSpectrum.value_nums
-    counts = CompressedSpectrum.mults
-    support = property(lambda self: self.total_dim)
-
-    def _init(self, source, den: int, support: int) -> None:
-        if source.zero_mult:
-            raise ValueError("ProbSpectrum: zero-probability level stored")
-        super()._init(source, den, support)
 
 
 def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -352,7 +324,7 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     return CompressedSpectrum._of_family(family, (q * d * (d - 1)) ** n, d ** (3 * n))
 
 
-def conditional_spectrum(params: ProtocolParams) -> ProbSpectrum:
+def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     """Grouped conditional distribution P(X | Y=y) over n signals.
 
     The distribution is the same for every y: a string agreeing with y in l
@@ -363,6 +335,6 @@ def conditional_spectrum(params: ProtocolParams) -> ProbSpectrum:
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
-        return ProbSpectrum([1], [1], 1, 1)
+        return CompressedSpectrum([1], [1], 1, 1)
     family = _Family(n, p * (d - 1), q - p, d - 1, 1)
-    return ProbSpectrum._of_family(family, (q * (d - 1)) ** n, d**n)
+    return CompressedSpectrum._of_family(family, (q * (d - 1)) ** n, d**n)

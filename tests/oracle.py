@@ -6,8 +6,9 @@ collision entropy is minimized numerically as a constrained convex program
 (and exhaustively over the two-sided flat family), and the single-copy
 states are assembled as explicit matrices from the purification's
 inner-product data and diagonalized numerically.  Floating point is used on
-purpose -- this is the independent check, not the product.  Intended to run
-only inside the test suite.
+purpose -- this is the independent check, not the product, so it lives
+with the tests (imported as ``from oracle import ...``) and the installed
+package never imports it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 
 from finitekey.asymptotic import asymptotic_rate
 from finitekey.keyrate import key_length, threshold_error_rate
-from finitekey.oracle import (
+from oracle import (
     brute_h0,
     brute_s0,
     brute_s2,

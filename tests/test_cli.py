@@ -1,5 +1,8 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -164,7 +167,7 @@ def test_n_grid_parsers():
     assert cli._n_grid("10:30:10") == [10, 20, 30]
     assert cli._n_grid("1:100:10:log") == [1, 10, 100]
     assert cli._n_grid("1:4:1.5:log") == [1, 2, 3]  # rounded, deduped
-    for bad in ("1:2", "1:2:3:4:5", "a:b:c", "1:10:2:linear"):
+    for bad in ("1:2", "1:2:3:4:5", "a:b:c", "1:10:2:linear", f"1:{10**400}:2:log"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._n_grid(bad)
 
@@ -176,3 +179,52 @@ def test_decimal_parsers():
     assert cli._decimal_grid("0.01:0.03:0.01") == [F(1, 100), F(1, 50), F(3, 100)]
     assert cli._decimal_list("0.1,0.5") == [F(1, 10), F(1, 2)]
     assert cli._int_list("2,3,4") == [2, 3, 4]
+
+
+# --- grid length cap ---------------------------------------------------------
+
+CAP = cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("axis", [
+    ["--sweep-n", "1:1000000000000:1"],
+    ["--sweep-n", f"1:{CAP + 1}:1"],
+    ["--sweep-n", "1:1000000000000:1.0000001:log"],
+    ["--sweep-error", "0:0.5:0.000000001"],
+    ["--sweep-error", f"0:{CAP}:1"],
+])
+def test_oversized_grids_exit_2(capsys, axis):
+    """Grids past the cap are refused while parsing, before any expansion."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["sweep", *axis])
+    assert exc.value.code == 2
+    assert "too long" in capsys.readouterr().err
+
+
+def test_grids_at_the_cap_are_accepted():
+    parse = cli.build_parser().parse_args
+    assert len(parse(["sweep", "--sweep-n", f"1:{CAP}:1"]).sweep_n) == CAP
+    assert len(parse(["sweep", "--sweep-error", f"1:{CAP}:1"]).sweep_error) == CAP
+
+
+# --- runtime dependencies ----------------------------------------------------
+
+def test_package_runs_without_numpy():
+    """numpy is a test dependency only: every module of the package imports,
+    and the CLI computes a point, with numpy unavailable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "\n".join([
+        "import importlib, pkgutil, sys",
+        "sys.modules['numpy'] = None",
+        "import finitekey, finitekey.cli",
+        "for mod in pkgutil.iter_modules(finitekey.__path__):",
+        "    importlib.import_module('finitekey.' + mod.name)",
+        "raise SystemExit(finitekey.cli.main(['compute', '--n', '100',",
+        "    '--beta0', '0.98', '--epsilon', '0.01']))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(cli.HEADER)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitekey.kernel import binomial, log2_bits, rational_from_decimal
+from finitekey.kernel import log2_bits, rational_from_decimal
 
 
 def test_decimal_parsing_exact():
@@ -22,18 +22,6 @@ def test_decimal_parsing_rejects(bad):
         rational_from_decimal(bad)
 
 
-def test_binomial_values():
-    assert binomial(0, 0) == 1
-    assert binomial(10, 3) == 120
-    assert binomial(52, 5) == 2598960
-
-
-@pytest.mark.parametrize("n,l", [(-1, 0), (3, 4), (5, -1)])
-def test_binomial_domain(n, l):
-    with pytest.raises(ValueError):
-        binomial(n, l)
-
-
 def test_log2_powers_of_two_exact():
     assert log2_bits(1) == 0.0
     assert log2_bits(2**20000) == 20000.0
@@ -43,7 +31,7 @@ def test_log2_powers_of_two_exact():
 
 def test_log2_huge_binomial():
     # independent size reference through lgamma
-    v = binomial(10000, 5000)
+    v = math.comb(10000, 5000)
     got = log2_bits(v)
     ref = (math.lgamma(10001) - 2 * math.lgamma(5001)) / math.log(2)
     assert got == pytest.approx(ref, abs=1e-7)

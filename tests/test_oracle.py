@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from finitekey.oracle import (
+from oracle import (
     brute_h0,
     brute_s0,
     brute_s2,

@@ -1,13 +1,13 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
-from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finitekey.oracle import brute_s0, expand, waterfill_scan
+from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from finitekey.smooth import (
     EpsilonTooLargeError,
     _prod_le,
@@ -262,7 +262,13 @@ def _scan(fn, spec, eps):
         return str(exc)
 
 
-@pytest.mark.parametrize("heavy_top", [True, False])
+def _mass_on_top(p):
+    # eve's level masses are binomial in l; their mean lies above the middle
+    # level iff beta0 > (d+2)/(2(d+1))
+    return p.beta0 > F(p.d + 2, 2 * (p.d + 1))
+
+
+@pytest.mark.parametrize("mass_on_top", [True, False])
 @given(
     family_params(),
     st.one_of(
@@ -271,21 +277,50 @@ def _scan(fn, spec, eps):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_family_scans_match_explicit_rebuilds(heavy_top, p, eps):
+def test_family_scans_match_explicit_rebuilds(mass_on_top, p, eps):
     """Every scan over a closed-form family gives the witness it gives over
-    the same levels stored as explicit lists (which s0 always walks from
-    the bottom); s0 runs each family in both walk directions."""
-    eve = eve_spectrum(p)
-    assume(eve.heavy_top == heavy_top)
-    for spec in (eve, xe_spectrum(p), conditional_spectrum(p)):
-        plain = type(spec).from_levels(spec.levels, spec.total_dim)
-        assert not plain.heavy_top
+    the same levels stored as explicit lists, with the family's mass on
+    either side of its middle level."""
+    assume(_mass_on_top(p) == mass_on_top)
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
         for fn in (s0_smooth, s2_smooth, h0_smooth):
             assert _scan(fn, spec, eps) == _scan(fn, plain, eps)
-        want = s0_smooth(plain, eps)
-        for forced in (True, False):
-            with patch.object(spec, "heavy_top", forced):
-                assert s0_smooth(spec, eps) == want
+
+
+@st.composite
+def spectrum_and_budget(draw):
+    """A random explicit or family spectrum, and a budget that is often
+    exactly the mass of its lowest levels (a tie at a level boundary)."""
+    spec = draw(st.one_of(
+        small_spectrum(),
+        st.tuples(family_params(max_n=6), st.sampled_from(
+            [eve_spectrum, xe_spectrum, conditional_spectrum]
+        )).map(lambda pb: pb[1](pb[0])),
+    ))
+    lows = itertools.accumulate(v * m for v, m in spec.levels)
+    cuts = [F(0)] + [c for c in lows if c < 1]
+    eps = draw(st.one_of(
+        st.sampled_from(cuts), st.integers(0, 99).map(lambda k: F(k, 100))
+    ))
+    return spec, eps
+
+
+@given(spectrum_and_budget())
+@settings(max_examples=200, deadline=None)
+def test_s0_and_h0_are_one_support_cut(spec_eps):
+    """The smallest rank after removing mass <= eps is the smallest count of
+    eigenvalues with mass >= 1 - eps: the s0 and h0 witnesses mirror each
+    other on every spectrum, zero levels included."""
+    spec, eps = spec_eps
+    bits0, rank = s0_smooth(spec, eps)
+    bitsh, cut = h0_smooth(spec, eps)
+    assert cut.k == rank.remaining_rank
+    assert cut.b + rank.b == spec.size - (1 if spec.zero_mult else 0)
+    assert cut.s_b + rank.s_b == 1
+    assert bitsh.hex() == bits0.hex()
+    if spec.total_dim <= 4096:
+        assert cut.k == brute_h0(expand(spec), eps)
 
 
 # --- randomized commuting-perturbation sanity --------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from finitekey.spectra import (
     CompressedSpectrum,
-    ProbSpectrum,
     ProtocolParams,
     _Family,
     conditional_spectrum,
@@ -104,13 +103,13 @@ def test_xe_beta0_one():
 def test_conditional_n2():
     s = conditional_spectrum(params(n=2))
     assert s.levels == [(F(1, 100), 1), (F(9, 100), 2), (F(81, 100), 1)]
-    assert s.support == 4
+    assert s.total_dim == 4
 
 
 def test_conditional_beta0_one():
     s = conditional_spectrum(params(beta0=F(1)))
     assert s.levels == [(F(1), 1)]
-    assert s.support == 1
+    assert s.total_dim == 1
 
 
 # --- invariants -------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_normalization_and_dims(p):
     assert sum(v * m for v, m in cond.levels) == 1
     if p.beta0 != 1:
         assert ev.total_dim == p.d ** (2 * p.n)
-        assert cond.support == p.d ** p.n
+        assert cond.total_dim == p.d ** p.n
     assert xe.total_dim == p.d ** (3 * p.n)
 
 
@@ -170,16 +169,12 @@ def test_tensor_consistency(d, n, beta0):
 @given(valid_params())
 @settings(max_examples=40, deadline=None)
 def test_mass_streams_match_levels(p):
-    for spec in (eve_spectrum(p), xe_spectrum(p)):
-        direct = [m * v.numerator * (spec.den // v.denominator)
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        direct = [(m, m * v.numerator * (spec.den // v.denominator))
                   for v, m in spec.levels]
-        assert list(spec.iter_masses()) == [m * n_ for n_, m in zip(spec.value_nums, spec.mults)]
-        assert list(spec.iter_masses()) == direct
-        assert list(spec.iter_masses(reverse=True)) == direct[::-1]
-    cond = conditional_spectrum(p)
-    masses = [c * n_ for n_, c in zip(cond.prob_nums, cond.counts)]
-    assert list(cond.iter_masses()) == masses
-    assert list(cond.iter_masses(reverse=True)) == masses[::-1]
+        assert direct == [(m, m * n_) for n_, m in zip(spec.value_nums, spec.mults)]
+        assert list(spec.walk(0)) == direct
+        assert list(spec.walk(spec.size - 1, reverse=True)) == direct[::-1]
 
 
 @given(valid_params(), st.integers(-1, 7), st.integers(-1, 7))
@@ -203,7 +198,8 @@ def test_family_streams_match_explicit_levels(p):
     plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
 
     def masses(s, reverse=False):
-        return [F(w, s.den) for w in s.iter_masses(reverse)]
+        start = s.size - 1 if reverse else 0
+        return [(m, F(w, s.den)) for m, w in s.walk(start, reverse)]
 
     assert masses(plain) == masses(spec)
     assert masses(plain, reverse=True) == masses(spec, reverse=True)
@@ -249,7 +245,7 @@ def test_lazy_lists_match_eager_construction(p):
     want_eve, want_xe, want_cond = _eager_levels(p)
     assert (eve.value_nums, eve.mults, eve.den, eve.total_dim) == want_eve
     assert (xe.value_nums, xe.mults, xe.den, xe.total_dim) == want_xe
-    assert (cond.prob_nums, cond.counts, cond.den, cond.support) == want_cond
+    assert (cond.value_nums, cond.mults, cond.den, cond.total_dim) == want_cond
     # a walk seeded at any level continues the same lists, either way
     for spec, (nums, mults, _, _) in ((eve, want_eve), (xe, want_xe), (cond, want_cond)):
         rows = [(m, m * v) for v, m in zip(nums, mults)]
@@ -286,12 +282,6 @@ def test_family_rejects_inconsistent_identities(family, den, total, match):
         CompressedSpectrum._of_family(family, den, total)
 
 
-def test_prob_family_rejects_zero_level():
-    family = _Family(3, 97, 1, 3, 1, zero_mult=5)
-    with pytest.raises(ValueError, match="zero-probability"):
-        ProbSpectrum._of_family(family, 100**3, 4**3 + 5)
-
-
 def test_rejects_unsorted_levels():
     with pytest.raises(ValueError):
         CompressedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)], 3)
@@ -306,7 +296,3 @@ def test_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         CompressedSpectrum.from_levels([(F(1, 4), 1), (F(1, 2), 1)], 2)
 
-
-def test_prob_spectrum_rejects_zero_level():
-    with pytest.raises(ValueError):
-        ProbSpectrum([0, 1], [1, 1], 1, 2)
