@@ -31,7 +31,7 @@ def main() -> None:
         ("rho_E ", eve_spectrum(params)),
         ("X|Y   ", conditional_spectrum(params)),
     ]:
-        print(f"{name}: {len(spec.levels)} distinct levels, "
+        print(f"{name}: {spec.size} distinct levels, "
               f"total dimension ~ 2^{spec.total_dim.bit_length() - 1}")
 
     res = key_length(params)

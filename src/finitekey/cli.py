@@ -181,6 +181,10 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
     d = args.d if args.d is not None else 2
     if axis != "n" and args.n is None and args.fixed_ntilde is None:
         parser.error("need --n or --fixed-ntilde")
+    if axis != "error_rate" and beta0 is None:
+        parser.error("need --beta0 or --error-rate")
+    if axis != "epsilon" and args.epsilon is None:
+        parser.error("need --epsilon")
     spec = SweepSpec(
         axis=axis, grid=grid, d=d, n=args.n, beta0=beta0,
         epsilon=args.epsilon, fixed_ntilde=args.fixed_ntilde,
@@ -272,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(s)
 
     t = sub.add_parser("threshold", help="bisect the zero of the raw key length")
-    t.add_argument("--d", type=int, default=None)
-    t.add_argument("--sweep-d", type=_int_list, metavar="d1,d2,...")
+    dims = t.add_mutually_exclusive_group()
+    dims.add_argument("--d", type=int, default=None)
+    dims.add_argument("--sweep-d", type=_int_list, metavar="d1,d2,...")
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--fixed-ntilde", type=int, default=None)
     t.add_argument("--epsilon", type=_decimal, required=True)

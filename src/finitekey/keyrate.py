@@ -179,43 +179,47 @@ def threshold_error_rate(
 ) -> float:
     """Error rate at which the raw key length crosses zero, to within tol.
 
-    Brackets the first sign change of ell on a coarse grid (ell oscillates
-    near threshold, so bisecting blindly can catch a false root), then
-    bisects with midpoints snapped to the tol lattice so the exact spectra
-    keep small denominators.
+    Every error rate tried lies on the lattice e = k*tol, which keeps the
+    exact spectra's denominators small.  Brackets the first sign change of
+    ell on a coarse grid (ell oscillates near threshold, so bisecting
+    blindly can catch a false root), then bisects lattice indices, rounding
+    each midpoint half to even.  coarse_step must be a positive multiple of
+    tol.
     """
-    epsilon = Fraction(epsilon)
+    epsilon, coarse_step, tol = Fraction(epsilon), Fraction(coarse_step), Fraction(tol)
+    if tol <= 0 or coarse_step <= 0 or (coarse_step / tol).denominator != 1:
+        raise ValueError(
+            f"coarse_step must be a positive multiple of tol, got {coarse_step} and {tol}"
+        )
+    step = int(coarse_step / tol)
 
-    def ell(e: Fraction) -> float:
-        params = ProtocolParams(d=d, n=n, beta0=1 - e, epsilon=epsilon)
+    def ell(k: int) -> float:
+        params = ProtocolParams(d=d, n=n, beta0=1 - k * tol, epsilon=epsilon)
         return key_length(params).ell_bits
 
     e_max = Fraction(d - 1, d)
     lo = hi = None
-    prev_e = None
+    prev_k = None
     prev_val = 0.0
-    e = coarse_step
-    while e < e_max:
-        v = ell(e)
-        if prev_e is None and v <= 0:
+    k = step
+    while k * tol < e_max:
+        v = ell(k)
+        if prev_k is None and v <= 0:
             raise ValueError(
-                f"key length is already nonpositive at error rate {float(e):g}; "
+                f"key length is already nonpositive at error rate {float(k * tol):g}; "
                 "threshold lies below the coarse grid"
             )
-        if prev_e is not None and prev_val > 0 >= v:
-            lo, hi = prev_e, e
+        if prev_k is not None and prev_val > 0 >= v:
+            lo, hi = prev_k, k
             break
-        prev_e, prev_val = e, v
-        e += coarse_step
+        prev_k, prev_val = k, v
+        k += step
     if lo is None:
         raise ValueError("key length never changes sign on the coarse grid")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        snapped = Fraction(round(mid / tol)) * tol
-        if lo < snapped < hi:
-            mid = snapped
+    while hi - lo > 1:
+        mid = round(Fraction(lo + hi, 2))
         if ell(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return float((lo + hi) * tol / 2)

@@ -11,18 +11,18 @@ builds all three in compressed (value, multiplicity) form as one type,
 `CompressedSpectrum`.
 
 A spectrum keeps integer level numerators over one common denominator so the
-entropy scans downstream run on plain integers.  The three protocol spectra
-are closed-form level families (`_Family`): above an optional zero level,
-level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
+entropy scans downstream run on plain integers.  `CompressedSpectrum` holds
+explicit levels as two lists (`from_levels`, the positional constructor),
+checked level by level.  The three protocol spectra are its subclass
+`_Family`, which computes its levels in closed form: above an optional zero
+level, level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
 scale * C(n, l) * div^(n-l).  Nothing of size O(n) is stored.  A scan asks
 for a walk from the level it starts at (`walk`): the first level is seeded
 with `pow` and `math.comb`, and each further step applies exact small-factor
 recurrences to (multiplicity, mass), so a scan costs only the levels it
-touches.  Normalisation and the dimension count are proved in O(1)
-by the binomial theorem.  Spectra built from explicit levels (`from_levels`,
-the positional constructors) store their lists and are checked level by
-level.  For both, the lists `value_nums` and `mults` and the pairs
-`levels` stay readable; a family builds them on first read.
+touches.  Normalisation and the dimension count are proved in O(1) by the
+binomial theorem.  A family's lists `value_nums` and `mults`, and for every
+spectrum the pairs `levels`, are built on first read.
 """
 
 from __future__ import annotations
@@ -85,66 +85,97 @@ class ProtocolParams:
         return (self.epsilon / 8) ** 2
 
 
-# A walk yields (multiplicity, mass) per level index; the mass is
-# multiplicity * numerator, so a level's numerator is mass // multiplicity.
-Level = tuple[int, int]
+def _check_levels(nums, mults, den, total):
+    if not nums or len(nums) != len(mults):
+        raise ValueError("CompressedSpectrum: malformed level lists")
+    if den < 1:
+        raise ValueError("CompressedSpectrum: denominator must be positive")
+    prev = -1
+    for v in nums:
+        if v <= prev:
+            raise ValueError("CompressedSpectrum: level values must be strictly ascending")
+        prev = v
+    if nums[0] < 0:
+        raise ValueError("CompressedSpectrum: negative level value")
+    if any(c < 1 for c in mults):
+        raise ValueError("CompressedSpectrum: multiplicities must be >= 1")
+    if sum(mults) != total:
+        raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total}")
+    if sum(m * v for v, m in zip(nums, mults)) != den:
+        raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
 
 
-class _Listed:
-    """Explicit ascending levels held as two lists."""
+class CompressedSpectrum:
+    """Density-operator spectrum as strictly ascending (value, multiplicity)
+    levels; values are `value_nums[i] / den`.
 
-    def __init__(self, nums: list[int], mults: list[int]):
-        self.nums, self.mults = nums, mults
+    Scans read levels through `walk(i, reverse)`, which yields
+    (multiplicity, mass) from level index i upward (or downward); the mass
+    is multiplicity * numerator, so a level's numerator is
+    mass // multiplicity.  `size` is the number of levels and `zero_mult`
+    the multiplicity of a zero level at index 0 (0 when there is none).  A
+    grouped probability distribution is the same object: `mults` count
+    strings and `total_dim` is the number of strings.
+    """
+
+    def __init__(self, value_nums, mults, den: int, total_dim: int):
+        nums, mults = list(value_nums), list(mults)
+        _check_levels(nums, mults, den, total_dim)
+        self.value_nums, self.mults = nums, mults
+        self.den, self.total_dim = den, total_dim
         self.size = len(nums)
         self.zero_mult = mults[0] if nums[0] == 0 else 0
 
-    def walk(self, i: int, reverse: bool = False) -> Iterator[Level]:
-        nums, mults = self.nums, self.mults
+    @staticmethod
+    def from_levels(levels, total_dim: int) -> "CompressedSpectrum":
+        """Build from explicit (Fraction, multiplicity) pairs (ascending)."""
+        vals = [Fraction(v) for v, _ in levels]
+        den = math.lcm(*(v.denominator for v in vals)) if vals else 1
+        nums = [v.numerator * (den // v.denominator) for v in vals]
+        return CompressedSpectrum(nums, [int(m) for _, m in levels], den, total_dim)
+
+    @cached_property
+    def levels(self) -> list[tuple[Fraction, int]]:
+        return [
+            (Fraction(v, self.den), m)
+            for v, m in zip(self.value_nums, self.mults)
+        ]
+
+    def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
+        nums, mults = self.value_nums, self.mults
         for j in range(i, -1, -1) if reverse else range(i, self.size):
             yield mults[j], mults[j] * nums[j]
 
     def squared_mass_sum(self, lo: int, hi: int) -> int:
-        nums, mults = self.nums, self.mults
+        """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
+        nums, mults = self.value_nums, self.mults
+        lo, hi = max(lo, 0), min(hi, self.size - 1)
         return sum(mults[j] * nums[j] * nums[j] for j in range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(CompressedSpectrum):
     """Closed-form levels: an optional zero level of multiplicity zero_mult
     (index 0 when present), then for l = 0..n numerator alpha^l beta^(n-l)
     and multiplicity scale * C(n, l) * div^(n-l).
 
     With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
     one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
-    (n-l)*alpha/((l+1)*div*beta); every such division is exact.
+    (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The
+    binomial theorem checks the level sums in O(1): masses sum to
+    scale*(alpha + div*beta)^n = den, multiplicities to scale*(1 + div)^n
+    plus the zero level = total_dim.
     """
 
-    n: int
-    alpha: int
-    beta: int
-    div: int
-    scale: int
-    zero_mult: int = 0
-
-    def check(self, den: int, total: int, what: str) -> None:
-        """The binomial theorem gives the level sums in O(1):
-        masses sum to scale*(alpha + div*beta)^n, multiplicities to
-        scale*(1 + div)^n (plus the zero level)."""
-        n, a, b, div, scale = self.n, self.alpha, self.beta, self.div, self.scale
-        if n < 0 or not a > b >= 1 or div < 1 or scale < 1 or self.zero_mult < 0:
-            raise ValueError(f"{what}: malformed level family")
-        if scale * (1 + div) ** n + self.zero_mult != total:
-            raise ValueError(f"{what}: multiplicities do not sum to {total}")
-        if scale * (a + div * b) ** n != den:
-            raise ValueError(f"{what}: spectrum does not sum to 1 exactly")
-
-    @property
-    def zeros(self) -> int:
-        return 1 if self.zero_mult else 0
-
-    @property
-    def size(self) -> int:
-        return self.zeros + self.n + 1
+    def __init__(self, n, alpha, beta, div, scale, den, total_dim, zero_mult=0):
+        if n < 0 or not alpha > beta >= 1 or div < 1 or scale < 1 or zero_mult < 0:
+            raise ValueError("CompressedSpectrum: malformed level family")
+        if scale * (1 + div) ** n + zero_mult != total_dim:
+            raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total_dim}")
+        if scale * (alpha + div * beta) ** n != den:
+            raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
+        self.n, self.alpha, self.beta, self.div, self.scale = n, alpha, beta, div, scale
+        self.den, self.total_dim, self.zero_mult = den, total_dim, zero_mult
+        self.size = (1 if zero_mult else 0) + n + 1
 
     def _seed(self, l: int) -> tuple[int, int]:
         """(numerator, multiplicity) of family level l."""
@@ -152,8 +183,8 @@ class _Family:
         num = self.alpha**l * self.beta ** (n - l)
         return num, self.scale * math.comb(n, l) * self.div ** (n - l)
 
-    def walk(self, i: int, reverse: bool = False) -> Iterator[Level]:
-        z = self.zeros
+    def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
+        z = self.size - self.n - 1  # 1 with a zero level, else 0
         if not reverse and i < z:
             yield self.zero_mult, 0
             i = z
@@ -184,8 +215,8 @@ class _Family:
         Folding that from the inside out as one fraction P/Q multiplies by
         small factors only; the one division at the end is exact.
         """
-        z = self.zeros
-        lo = max(lo, z)  # the zero level contributes nothing
+        z = self.size - self.n - 1
+        lo, hi = max(lo, z), min(hi, self.size - 1)  # a zero level adds nothing
         if hi < lo:
             return 0
         n, div = self.n, self.div
@@ -198,8 +229,8 @@ class _Family:
         return mult * num * num * P // Q
 
     @cached_property
-    def nums(self) -> list[int]:
-        nums = [0] * self.zeros + [self.beta**self.n]
+    def value_nums(self) -> list[int]:
+        nums = [0] * (self.size - self.n - 1) + [self.beta**self.n]
         for _ in range(self.n):
             nums.append(nums[-1] * self.alpha // self.beta)
         return nums
@@ -207,85 +238,6 @@ class _Family:
     @cached_property
     def mults(self) -> list[int]:
         return [mult for mult, _ in self.walk(0)]
-
-
-def _check_levels(nums, mults, den, total, what):
-    if not nums or len(nums) != len(mults):
-        raise ValueError(f"{what}: malformed level lists")
-    if den < 1:
-        raise ValueError(f"{what}: denominator must be positive")
-    prev = -1
-    for v in nums:
-        if v <= prev:
-            raise ValueError(f"{what}: level values must be strictly ascending")
-        prev = v
-    if nums[0] < 0:
-        raise ValueError(f"{what}: negative level value")
-    if any(c < 1 for c in mults):
-        raise ValueError(f"{what}: multiplicities must be >= 1")
-    if sum(mults) != total:
-        raise ValueError(f"{what}: multiplicities do not sum to {total}")
-    if sum(m * v for v, m in zip(nums, mults)) != den:
-        raise ValueError(f"{what}: spectrum does not sum to 1 exactly")
-
-
-class CompressedSpectrum:
-    """Density-operator spectrum as strictly ascending (value, multiplicity)
-    levels; values are `value_nums[i] / den`.
-
-    Scans read levels through `walk(i, reverse)`, which yields
-    (multiplicity, mass) from level index i upward (or downward); a level's
-    numerator is mass // multiplicity.
-    `size` is the number of levels and `zero_mult` the multiplicity of a
-    zero level at index 0 (0 when there is none).  A grouped probability
-    distribution is the same object: `mults` count strings and `total_dim`
-    is the number of strings.
-    """
-
-    def __init__(self, value_nums, mults, den: int, total_dim: int):
-        nums, mults = list(value_nums), list(mults)
-        _check_levels(nums, mults, den, total_dim, type(self).__name__)
-        self._init(_Listed(nums, mults), den, total_dim)
-
-    @classmethod
-    def _of_family(cls, family: _Family, den: int, total_dim: int):
-        family.check(den, total_dim, cls.__name__)
-        self = cls.__new__(cls)
-        self._init(family, den, total_dim)
-        return self
-
-    def _init(self, source, den: int, total_dim: int) -> None:
-        self._source, self.den, self.total_dim = source, den, total_dim
-        self.size, self.zero_mult = source.size, source.zero_mult
-        self.walk = source.walk
-
-    @classmethod
-    def from_levels(cls, levels, total_dim: int) -> "CompressedSpectrum":
-        """Build from explicit (Fraction, multiplicity) pairs (ascending)."""
-        vals = [Fraction(v) for v, _ in levels]
-        den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-        nums = [v.numerator * (den // v.denominator) for v in vals]
-        return cls(nums, [int(m) for _, m in levels], den, total_dim)
-
-    @property
-    def value_nums(self) -> list[int]:
-        return self._source.nums
-
-    @property
-    def mults(self) -> list[int]:
-        return self._source.mults
-
-    @cached_property
-    def levels(self) -> list[tuple[Fraction, int]]:
-        return [
-            (Fraction(v, self.den), m)
-            for v, m in zip(self.value_nums, self.mults)
-        ]
-
-    def squared_mass_sum(self, lo: int, hi: int) -> int:
-        """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
-        lo, hi = max(lo, 0), min(hi, self.size - 1)
-        return self._source.squared_mass_sum(lo, hi) if lo <= hi else 0
 
 
 def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -301,8 +253,10 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
         return CompressedSpectrum([1], [1], 1, 1)
-    family = _Family(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, 1)
-    return CompressedSpectrum._of_family(family, (q * d * (d - 1)) ** n, d ** (2 * n))
+    return _Family(
+        n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, 1,
+        (q * d * (d - 1)) ** n, d ** (2 * n),
+    )
 
 
 def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -320,8 +274,10 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
         return CompressedSpectrum(
             [0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)
         )
-    family = _Family(n, p * (d - 1), q - p, d - 1, d**n, d ** (3 * n) - d ** (2 * n))
-    return CompressedSpectrum._of_family(family, (q * d * (d - 1)) ** n, d ** (3 * n))
+    return _Family(
+        n, p * (d - 1), q - p, d - 1, d**n,
+        (q * d * (d - 1)) ** n, d ** (3 * n), d ** (3 * n) - d ** (2 * n),
+    )
 
 
 def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -336,5 +292,4 @@ def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
         return CompressedSpectrum([1], [1], 1, 1)
-    family = _Family(n, p * (d - 1), q - p, d - 1, 1)
-    return CompressedSpectrum._of_family(family, (q * (d - 1)) ** n, d**n)
+    return _Family(n, p * (d - 1), q - p, d - 1, 1, (q * (d - 1)) ** n, d**n)

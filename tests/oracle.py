@@ -128,12 +128,17 @@ def _project_feasible(v: np.ndarray, lam: np.ndarray, radius: float) -> np.ndarr
     """Euclidean projection onto {w >= 0, sum w = 1, sum |w-lam| <= radius}.
 
     KKT structure: w_i = max(0, lam_i + soft(v_i - mu - lam_i, t)) with mu
-    the trace multiplier and t >= 0 the l1 multiplier.  sum w is monotone in
-    mu and the l1 deviation is monotone in t, so two nested bisections pin
-    both multipliers to machine precision.
+    the trace multiplier and t >= 0 the l1 multiplier.  For fixed t, sum w
+    is continuous, non-increasing and piecewise linear in mu, so mu is
+    solved exactly on the segment where it crosses 1; the l1 deviation is
+    monotone in t, so a bisection pins t to machine precision.
     """
     if radius <= 0:
         return lam.copy()
+    size = v.size
+    # each w_i has slope -1 below v_i - lam_i - t, 0 up to v_i - lam_i + t,
+    # -1 up to v_i + t and 0 beyond: the slope changes by +1, -1, +1
+    kinks = np.repeat([1.0, -1.0, 1.0], size)
 
     def w_of(mu: float, t: float) -> np.ndarray:
         z = v - mu - lam
@@ -141,14 +146,17 @@ def _project_feasible(v: np.ndarray, lam: np.ndarray, radius: float) -> np.ndarr
         return np.maximum(0.0, lam + soft)
 
     def solve_mu(t: float) -> float:
-        lo, hi = v.min() - 2.0 - t, v.max() + 2.0 + t
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            if w_of(mid, t).sum() >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        x = np.concatenate([v - lam - t, v - lam + t, v + t])
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        slope = np.cumsum(kinks[order]) - size  # on [x_k, x_k+1]
+        f = w_of(x[0], t).sum() + np.concatenate(
+            ([0.0], np.cumsum(slope[:-1] * np.diff(x)))
+        )
+        if f[0] < 1.0:  # every w_i is on its first slope-(-1) piece
+            return x[0] - (1.0 - f[0]) / size
+        k = int(np.argmax(f < 1.0))  # f falls to 0 at the last breakpoint
+        return x[k - 1] + (f[k - 1] - 1.0) / -slope[k - 1]
 
     w = w_of(solve_mu(0.0), 0.0)  # t = 0: plain simplex projection
     if np.abs(w - lam).sum() <= radius:

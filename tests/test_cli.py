@@ -64,6 +64,10 @@ def test_compute_domain_error_row(capsys):
     ["threshold", "--d", "2", "--epsilon", "0.01"],        # neither n nor ntilde
     ["threshold", "--d", "2", "--n", "5", "--fixed-ntilde", "60",
      "--epsilon", "0.01"],                                 # both
+    ["threshold", "--d", "3", "--sweep-d", "2", "--n", "200",
+     "--epsilon", "0.1"],                                  # --d conflicts with --sweep-d
+    ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9"],     # missing epsilon
+    ["sweep", "--sweep-n", "1:3:1", "--epsilon", "0.5"],   # missing beta group
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -180,3 +180,7 @@ def test_threshold_below_grid():
 def test_threshold_no_sign_change():
     with pytest.raises(ValueError, match="never changes sign"):
         threshold_error_rate(2, 500, F(1, 100), coarse_step=F(1, 2))
+    # a coarse grid off the tol lattice is refused before any evaluation
+    for step in (F(1, 300), F(0), F(-1, 100)):
+        with pytest.raises(ValueError, match="positive multiple of tol"):
+            threshold_error_rate(2, 500, F(1, 100), coarse_step=step)

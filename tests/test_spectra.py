@@ -118,6 +118,7 @@ def test_conditional_beta0_one():
 @settings(max_examples=60, deadline=None)
 def test_normalization_and_dims(p):
     ev, xe, cond = eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)
+    assert all(isinstance(s, CompressedSpectrum) for s in (ev, xe, cond))
     assert sum(v * m for v, m in ev.levels) == 1
     assert sum(v * m for v, m in xe.levels) == 1
     assert sum(v * m for v, m in cond.levels) == 1
@@ -180,13 +181,16 @@ def test_mass_streams_match_levels(p):
 @given(valid_params(), st.integers(-1, 7), st.integers(-1, 7))
 @settings(max_examples=60, deadline=None)
 def test_squared_mass_window(p, lo, hi):
-    spec = xe_spectrum(p)
-    direct = sum(
-        m * n_ * n_
-        for i, (n_, m) in enumerate(zip(spec.value_nums, spec.mults))
-        if lo <= i <= hi
-    )
-    assert spec.squared_mass_sum(lo, hi) == direct
+    """Both classes clamp a window reaching past either end themselves."""
+    family = xe_spectrum(p)
+    plain = CompressedSpectrum.from_levels(family.levels, family.total_dim)
+    for spec in (family, plain):
+        direct = sum(
+            m * n_ * n_
+            for i, (n_, m) in enumerate(zip(spec.value_nums, spec.mults))
+            if lo <= i <= hi
+        )
+        assert spec.squared_mass_sum(lo, hi) == direct
 
 
 @given(valid_params())
@@ -256,12 +260,12 @@ def test_lazy_lists_match_eager_construction(p):
 
 # --- constructor validation -------------------------------------------------
 
-# eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3
-EVE_FAMILY = _Family(3, 97, 1, 3, 1)
+# eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3, scale=1
+EVE_FAMILY = dict(n=3, alpha=97, beta=1, div=3, scale=1)
 
 
 def test_family_accepts_consistent_den_and_total():
-    spec = CompressedSpectrum._of_family(EVE_FAMILY, 100**3, 4**3)
+    spec = _Family(**EVE_FAMILY, den=100**3, total_dim=4**3)
     assert spec.levels == eve_spectrum(params(n=3, beta0=F(49, 50))).levels
 
 
@@ -271,15 +275,15 @@ def test_family_accepts_consistent_den_and_total():
         (EVE_FAMILY, 100**3 + 1, 4**3, "sum to 1"),
         (EVE_FAMILY, 100**3 - 1, 4**3, "sum to 1"),
         (EVE_FAMILY, 100**3, 4**3 + 1, "multiplicities do not sum"),
-        (_Family(3, 97, 1, 3, 1, zero_mult=1), 100**3, 4**3, "multiplicities do not sum"),
-        (_Family(3, 1, 1, 3, 1), 4**3, 4**3, "malformed"),
-        (_Family(3, 97, 0, 3, 1), 97**3, 4**3, "malformed"),
-        (_Family(3, 97, 1, 3, 0), 0, 0, "malformed"),
+        (dict(EVE_FAMILY, zero_mult=1), 100**3, 4**3, "multiplicities do not sum"),
+        (dict(EVE_FAMILY, alpha=1), 4**3, 4**3, "malformed"),
+        (dict(EVE_FAMILY, beta=0), 97**3, 4**3, "malformed"),
+        (dict(EVE_FAMILY, scale=0), 0, 0, "malformed"),
     ],
 )
 def test_family_rejects_inconsistent_identities(family, den, total, match):
     with pytest.raises(ValueError, match=match):
-        CompressedSpectrum._of_family(family, den, total)
+        _Family(**family, den=den, total_dim=total)
 
 
 def test_rejects_unsorted_levels():
