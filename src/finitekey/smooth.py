@@ -20,12 +20,23 @@ differences, e.g. for the raise side of the water fill
 
 so the only big*big products are the handful of comparisons whose outcome
 bit-length bounds cannot already decide.
+
+The support cut and the top of the water fill start next to their
+boundaries and walk level by level.  The bottom of the water fill lies
+about 0.65n levels up, so it is not walked: the same scan run in floats on
+logarithms (`log_walk`; every term is a sum of positives, so nothing
+cancels) predicts b_minus, one exact prefix sum (`sums`) gives the count and
+mass below it, and exact single-level steps move it until level b_minus
+fits the budget and the level above it does not.  Since s_r grows with r,
+those two comparisons certify the boundary the full walk would find.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .kernel import log2_bits
 from .spectra import CompressedSpectrum
@@ -123,6 +134,29 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
     return b, kept, U
 
 
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b), with -inf for ln 0."""
+    if a < b:
+        a, b = b, a
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+
+
+def _predict_b_minus(spec: CompressedSpectrum, tq: int) -> int:
+    """s2_smooth's bottom scan run on `log_walk` floats: a guess at b_minus,
+    which s2_smooth certifies exactly.  The running count and mass are sums
+    of positive terms, so nothing cancels; only near-ties can be missed."""
+    levels = spec.log_walk(0)
+    log_c, log_w = next(levels)
+    log_tq = math.log(tq) if tq else -math.inf
+    b = 0
+    for log_mult, log_mass in levels:
+        if log_mass + log_c > _log_add(log_tq, log_w) + log_mult:
+            break
+        b += 1
+        log_c, log_w = _log_add(log_c, log_mult), _log_add(log_w, log_mass)
+    return b
+
+
 def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     """Smoothed rank entropy: log2 of the smallest rank among spectra within
     removal budget eps.
@@ -148,9 +182,10 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     """Smoothed collision entropy: -log2 of the smallest purity within the
     ball of total-variation radius 2*eps (budget eps on each side).
 
-    Two scans locate b_minus = max{r : s_r^- <= eps} (cost of raising the
-    r lowest levels) and b_plus analogously from the top; the leftover
-    budget fixes the flat values x and y.  Exact rationals throughout.
+    b_minus = max{r : s_r^- <= eps} (cost of raising the r lowest levels)
+    is predicted in floats and certified exactly; b_plus is scanned
+    analogously from the top.  The leftover budget fixes the flat values x
+    and y.  Exact rationals throughout.
     """
     eps = _as_budget(eps)
     den, m = spec.den, spec.size
@@ -164,18 +199,20 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     en, ed = eps.numerator, eps.denominator
     tq = en * den // ed  # s*den <= tq iff s <= eps, for s*den an integer
 
-    # bottom scan: C and W are the count and mass (times den) of the levels
-    # below r, and raising them to lam_r = w/mult costs
-    # s_r = (lam_r*C - W)/den, so s_r <= eps iff w*C <= (tq + W)*mult
-    levels = spec.walk(0)
-    C, W = next(levels)
-    b_minus = 0
-    for mult, w in levels:
+    # bottom boundary: raising the levels below r (count C_r, mass W_r times
+    # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
+    # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits.
+    # C and W below cover levels 0..b_minus.
+    b_minus = _predict_b_minus(spec, tq)
+    C, W = spec.sums(0, b_minus + 1)
+    for mult, w in spec.walk(b_minus, reverse=True):  # guessed too high
+        if _prod_le(w, C - mult, tq + W - w, mult):
+            break
+        C, W, b_minus = C - mult, W - w, b_minus - 1
+    for mult, w in islice(spec.walk(b_minus), 1, None):  # guessed too low
         if not _prod_le(w, C, tq + W, mult):
             break
-        b_minus += 1
-        C += mult
-        W += w
+        C, W, b_minus = C + mult, W + w, b_minus + 1
 
     # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
     # costs (T - lam*Ct)/den

@@ -20,14 +20,20 @@ scale * C(n, l) * div^(n-l).  Nothing of size O(n) is stored.  A scan asks
 for a walk from the level it starts at (`walk`): the first level is seeded
 with `pow` and `math.comb`, and each further step applies exact small-factor
 recurrences to (multiplicity, mass), so a scan costs only the levels it
-touches.  Normalisation and the dimension count are proved in O(1) by the
-binomial theorem.  A family's lists `value_nums` and `mults`, and for every
-spectrum the pairs `levels`, are built on first read.
+touches.  `log_walk` is the same stream in floats (natural logs, seeded with
+`math.lgamma`), for guessing where a scan would stop.  Sums over a window of
+levels do not walk: the exact count and mass (`sums`) and the squared mass
+(`squared_mass_sum`) are hypergeometric series in the level index, which
+`_series` evaluates by binary splitting with one exact division at the end.
+Normalisation and the dimension count are proved in O(1) by the binomial
+theorem.  A family's lists `value_nums` and `mults`, and for every spectrum
+the pairs `levels`, are built on first read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -85,18 +91,48 @@ class ProtocolParams:
         return (self.epsilon / 8) ** 2
 
 
+def _series(lo: int, hi: int, n: int, a: int, b: int) -> tuple[int, int]:
+    """(Q, T) with T/Q = sum over l = lo..hi-1 of the product over
+    k = lo..l-1 of p(k)/q(k), where p(k) = (n-k)*a and q(k) = (k+1)*b: the
+    ratio of consecutive level terms in every sum over a level family.
+
+    Binary splitting (Haible & Papanikolaou 1998): a range [i, j) is summed
+    as (P, Q, T) with P, Q the products of p and q over it and T/Q its sum,
+    and two halves combine as (P1*P2, Q1*Q2, T1*Q2 + P1*T2).  The operands
+    stay balanced, so the cost is a few big multiplications instead of one
+    per term.  Short ranges are folded term by term on small integers.
+    """
+
+    def split(i: int, j: int) -> tuple[int, int, int]:
+        if j - i <= 16:
+            P, Q, T = 1, 1, 0
+            for k in range(i, j):
+                q = (k + 1) * b
+                P, Q, T = P * (n - k) * a, Q * q, (T + P) * q
+            return P, Q, T
+        mid = (i + j) // 2
+        P1, Q1, T1 = split(i, mid)
+        P2, Q2, T2 = split(mid, j)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    if hi <= lo:
+        return 1, 0
+    _, Q, T = split(lo, hi)
+    return Q, T
+
+
 def _check_levels(nums, mults, den, total):
     if not nums or len(nums) != len(mults):
         raise ValueError("CompressedSpectrum: malformed level lists")
     if den < 1:
         raise ValueError("CompressedSpectrum: denominator must be positive")
+    if nums[0] < 0:
+        raise ValueError("CompressedSpectrum: negative level value")
     prev = -1
     for v in nums:
         if v <= prev:
             raise ValueError("CompressedSpectrum: level values must be strictly ascending")
         prev = v
-    if nums[0] < 0:
-        raise ValueError("CompressedSpectrum: negative level value")
     if any(c < 1 for c in mults):
         raise ValueError("CompressedSpectrum: multiplicities must be >= 1")
     if sum(mults) != total:
@@ -112,7 +148,8 @@ class CompressedSpectrum:
     Scans read levels through `walk(i, reverse)`, which yields
     (multiplicity, mass) from level index i upward (or downward); the mass
     is multiplicity * numerator, so a level's numerator is
-    mass // multiplicity.  `size` is the number of levels and `zero_mult`
+    mass // multiplicity.  `sums(lo, hi)` gives the count and mass of a
+    window of levels at once.  `size` is the number of levels and `zero_mult`
     the multiplicity of a zero level at index 0 (0 when there is none).  A
     grouped probability distribution is the same object: `mults` count
     strings and `total_dim` is the number of strings.
@@ -145,6 +182,19 @@ class CompressedSpectrum:
         nums, mults = self.value_nums, self.mults
         for j in range(i, -1, -1) if reverse else range(i, self.size):
             yield mults[j], mults[j] * nums[j]
+
+    def log_walk(self, i: int) -> Iterator[tuple[float, float]]:
+        """(ln multiplicity, ln mass) from level index i upward, the float
+        image of `walk`; a zero level has ln mass -inf."""
+        for m, v in zip(self.mults[i:], self.value_nums[i:]):
+            log_m = math.log(m)
+            yield log_m, log_m + math.log(v) if v else -math.inf
+
+    def sums(self, lo: int, hi: int) -> tuple[int, int]:
+        """(count, mass) of level indices lo..hi-1, the mass scaled by den."""
+        lo, hi = max(lo, 0), max(hi, 0)
+        mults, nums = self.mults[lo:hi], self.value_nums[lo:hi]
+        return sum(mults), sum(map(operator.mul, mults, nums))
 
     def squared_mass_sum(self, lo: int, hi: int) -> int:
         """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
@@ -207,26 +257,51 @@ class _Family(CompressedSpectrum):
         if reverse and z:
             yield self.zero_mult, 0
 
-    def squared_mass_sum(self, lo: int, hi: int) -> int:
-        """Sum of mult*num^2 over level indices lo..hi.
-
-        With r_l = (n-l)*alpha^2 / ((l+1)*div*beta^2) the ratio of
-        consecutive squared masses, the sum is s_lo*(1 + r_lo*(1 + ...)).
-        Folding that from the inside out as one fraction P/Q multiplies by
-        small factors only; the one division at the end is exact.
-        """
+    def log_walk(self, i: int) -> Iterator[tuple[float, float]]:
         z = self.size - self.n - 1
-        lo, hi = max(lo, z), min(hi, self.size - 1)  # a zero level adds nothing
+        if i < z:
+            yield math.log(self.zero_mult), -math.inf
+            i = z
+        n, log, lgamma = self.n, math.log, math.lgamma
+        l = i - z
+        lm = (
+            log(self.scale) + lgamma(n + 1) - lgamma(l + 1) - lgamma(n - l + 1)
+            + (n - l) * log(self.div)
+        )
+        lw = lm + l * log(self.alpha) + (n - l) * log(self.beta)
+        yield lm, lw
+        ldiv, lratio = log(self.div), log(self.alpha) - log(self.beta)
+        for l in range(l, n):
+            step = log((n - l) / (l + 1)) - ldiv
+            lm, lw = lm + step, lw + step + lratio
+            yield lm, lw
+
+    def sums(self, lo: int, hi: int) -> tuple[int, int]:
+        """Each sum is mult_lo (or mass_lo) times a `_series` in the
+        multiplicity ratio (n-l)/((l+1)*div) (or the mass ratio
+        (n-l)*alpha/((l+1)*div*beta)), closed by one exact division."""
+        z = self.size - self.n - 1
+        count = self.zero_mult if lo <= 0 < hi else 0
+        lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
+        if hi <= lo:
+            return count, 0
+        n, div = self.n, self.div
+        num, mult = self._seed(lo)
+        Q, T = _series(lo, hi, n, 1, div)
+        Qw, Tw = _series(lo, hi, n, self.alpha, div * self.beta)
+        return count + mult * T // Q, mult * num * Tw // Qw
+
+    def squared_mass_sum(self, lo: int, hi: int) -> int:
+        """Sum of mult*num^2 over level indices lo..hi: the squared mass at lo
+        times a `_series` in r_l = (n-l)*alpha^2 / ((l+1)*div*beta^2), the
+        ratio of consecutive squared masses; a zero level adds nothing."""
+        z = self.size - self.n - 1
+        lo, hi = max(lo, z) - z, min(hi, self.size - 1) - z
         if hi < lo:
             return 0
-        n, div = self.n, self.div
-        a2, b2 = self.alpha**2, self.beta**2
-        P = Q = 1
-        for l in range(hi - z - 1, lo - z - 1, -1):
-            dQ = (l + 1) * div * b2 * Q
-            P, Q = dQ + (n - l) * a2 * P, dQ
-        num, mult = self._seed(lo - z)
-        return mult * num * num * P // Q
+        Q, T = _series(lo, hi + 1, self.n, self.alpha**2, self.div * self.beta**2)
+        num, mult = self._seed(lo)
+        return mult * num * num * T // Q
 
     @cached_property
     def value_nums(self) -> list[int]:

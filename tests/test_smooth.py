@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
+from finitekey import smooth
 from finitekey.smooth import (
     EpsilonTooLargeError,
     _prod_le,
@@ -286,6 +287,98 @@ def test_family_scans_match_explicit_rebuilds(mass_on_top, p, eps):
         plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
         for fn in (s0_smooth, s2_smooth, h0_smooth):
             assert _scan(fn, spec, eps) == _scan(fn, plain, eps)
+
+
+# --- the predicted and certified bottom boundary of s2 ----------------------
+
+def _reference_bottom_walk(spec, eps):
+    """(b_minus, x) from s2's bottom scan walked level by level from the
+    bottom: an independent route to the boundary s2_smooth certifies."""
+    den = spec.den
+    en, ed = eps.numerator, eps.denominator
+    tq = en * den // ed
+    levels = spec.walk(0)
+    C, W = next(levels)
+    b_minus = 0
+    for mult, w in levels:
+        if not _prod_le(w, C, tq + W, mult):
+            break
+        b_minus += 1
+        C += mult
+        W += w
+    return b_minus, F(en * den + ed * W, ed * den * C)
+
+
+def _bottom_budgets(levels):
+    """Budgets that tie the bottom scan: every raise cost s_r < 1 and every
+    cumulative bottom mass below 1, plus 0 and 10^-30."""
+    out, C, W = [F(0), F(1, 10**30)], 0, F(0)
+    for v, m in levels:
+        out += [s for s in (v * C - W, W) if s < 1]
+        C, W = C + m, W + v * m
+    return out
+
+
+@given(family_params(max_n=30), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_s2_matches_reference_bottom_walk(p, rebuild, data):
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        if rebuild:
+            spec = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
+        eps = data.draw(st.sampled_from(_bottom_budgets(spec.levels)))
+        b_minus, x = _reference_bottom_walk(spec, eps)
+        try:
+            _, sol = s2_smooth(spec, eps)
+        except EpsilonTooLargeError as exc:
+            assert f"raised floor {x} meets" in str(exc)
+        else:
+            assert (sol.b_minus, sol.x) == (b_minus, x)
+
+
+@pytest.mark.parametrize("guess", ["bottom", "top", "below", "above"])
+def test_s2_corrects_forced_misses(monkeypatch, guess):
+    """A wrong float guess, too low or too high, is corrected exactly."""
+    family = xe_spectrum(params(n=120, beta0=F(49, 50)))
+    cases = []
+    for spec in (family, CompressedSpectrum.from_levels(family.levels, family.total_dim)):
+        b = s2_smooth(spec, F(1, 640000))[1].b_minus
+        below = spec.levels[:b]
+        tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
+        for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
+            cases.append((spec, eps, s2_smooth(spec, eps)))
+    for spec, eps, want in cases:
+        b, m = want[1].b_minus, spec.size
+        assert 3 <= b <= m - 4
+        forced = {"bottom": 0, "top": m - 1, "below": b - 3, "above": b + 3}[guess]
+        guesses = []
+
+        def predict(_spec, _tq):
+            guesses.append(forced)
+            return forced
+
+        monkeypatch.setattr(smooth, "_predict_b_minus", predict)
+        assert s2_smooth(spec, eps) == want
+        assert guesses == [forced]
+
+
+def test_s2_bottom_boundary_walks_a_handful_of_levels():
+    """Cost guard: the bottom boundary of the n=1e4 anchor point (about
+    6,500 levels up) is found without walking to it."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    spec = xe_spectrum(p)
+    walks, walk = [], spec.walk
+
+    def counted(i, reverse=False):
+        walks.append([(i, reverse), 0])
+        for level in walk(i, reverse):
+            walks[-1][1] += 1
+            yield level
+
+    spec.walk = counted
+    _, sol = s2_smooth(spec, p.epsilon_prime)
+    assert sol.b_minus == 6487
+    top = (spec.size - 1, True)
+    assert sum(count for start, count in walks if start != top) <= 5
 
 
 @st.composite

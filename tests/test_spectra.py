@@ -1,3 +1,4 @@
+import math
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from finitekey.spectra import (
     CompressedSpectrum,
     ProtocolParams,
     _Family,
+    _series,
     conditional_spectrum,
     eve_spectrum,
     xe_spectrum,
@@ -216,6 +218,65 @@ def test_family_streams_match_explicit_levels(p):
             )
 
 
+@given(
+    st.integers(0, 40), st.integers(0, 60), st.integers(0, 80),
+    st.integers(1, 9), st.integers(1, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_series_matches_fraction_sum(lo, length, n, a, b):
+    """Binary splitting (ranges longer than one leaf included) equals the
+    term-by-term sum of the products of p(k)/q(k)."""
+    Q, T = _series(lo, lo + length, n, a, b)
+    want, term = F(0), F(1)
+    for k in range(lo, lo + length):
+        want += term
+        term *= F((n - k) * a, (k + 1) * b)
+    assert F(T, Q) == want
+
+
+def _both_classes(p):
+    for family in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        yield family
+        yield CompressedSpectrum.from_levels(family.levels, family.total_dim)
+
+
+@given(valid_params(max_n=40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sums_match_direct_sums(p, data):
+    """sums(lo, hi) is the count and mass of levels lo..hi-1 on both classes:
+    empty, one-level, zero-level and out-of-range windows included."""
+    for spec in _both_classes(p):
+        size = spec.size
+        windows = [(0, size), (0, 0), (size, size), (0, 1), (size - 1, size), (-2, size + 2)]
+        windows += [
+            (data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
+            for _ in range(4)
+        ]
+        for lo, hi in windows:
+            inside = range(max(lo, 0), min(hi, size))
+            want = (
+                sum(spec.mults[i] for i in inside),
+                sum(spec.mults[i] * spec.value_nums[i] for i in inside),
+            )
+            assert spec.sums(lo, hi) == want
+
+
+@given(valid_params(max_n=40))
+@settings(max_examples=40, deadline=None)
+def test_log_walk_matches_walk(p):
+    """The float stream is the log of the exact one, from any start."""
+    for spec in _both_classes(p):
+        for i in {0, spec.size // 2, spec.size - 1}:
+            logs, exact = list(spec.log_walk(i)), list(spec.walk(i))
+            assert len(logs) == len(exact)
+            for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
+                assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
+                if mass:
+                    assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
+                else:
+                    assert log_mass == -math.inf
+
+
 def _eager_levels(p):
     """(nums, mults, den, total) of eve, xe and cond, built as complete lists
     the way the eager constructors did before the spectra became lazy."""
@@ -289,6 +350,11 @@ def test_family_rejects_inconsistent_identities(family, den, total, match):
 def test_rejects_unsorted_levels():
     with pytest.raises(ValueError):
         CompressedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)], 3)
+
+
+def test_rejects_negative_level_value():
+    with pytest.raises(ValueError, match="negative level value"):
+        CompressedSpectrum([-1, 3], [1, 1], 2, 2)
 
 
 def test_rejects_bad_total():
