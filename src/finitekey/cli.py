@@ -17,7 +17,7 @@ from typing import Optional
 
 from .asymptotic import asymptotic_rate
 from .kernel import rational_from_decimal
-from .keyrate import SweepSpec, key_length, sweep, threshold_error_rate
+from .keyrate import SweepSpec, key_length, n_for_ntilde, sweep, threshold_error_rate
 from .spectra import ProtocolParams
 
 HEADER = [
@@ -49,15 +49,25 @@ def _decimal(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _error_rate(text: str) -> Fraction:
+    return 1 - _decimal(text)
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        out = [int(part) for part in text.split(",") if part]
     except ValueError:
+        out = []
+    if not out:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return out
 
 
 def _decimal_list(text: str) -> list[Fraction]:
-    return [_decimal(part) for part in text.split(",") if part]
+    out = [_decimal(part) for part in text.split(",") if part]
+    if not out:
+        raise argparse.ArgumentTypeError(f"expected comma-separated decimals, got {text!r}")
+    return out
 
 
 def _too_long(text: str) -> argparse.ArgumentTypeError:
@@ -117,49 +127,33 @@ def _decimal_grid(text: str) -> list[Fraction]:
     return out
 
 
+def _row(d, n, beta0, epsilon, values) -> list[str]:
+    """A HEADER row: the parameter columns (blank where unset), then the
+    value cells, padded with blanks to the full width."""
+    eps_p = None if epsilon is None else (Fraction(epsilon) / 8) ** 2
+    row = ["" if d is None else str(d), "" if n is None else str(n), _frac(beta0),
+           _frac(None if beta0 is None else 1 - beta0), _frac(epsilon), _frac(eps_p)]
+    row += values
+    return row + [""] * (len(HEADER) - len(row))
+
+
 def _result_row(res) -> list[str]:
     p = res.params
-    return [
-        str(p.d), str(p.n), _frac(p.beta0), _frac(1 - p.beta0),
-        _frac(p.epsilon), _frac(p.epsilon_prime),
-        _g(res.s2_bits), _g(res.s0_bits), _g(res.h0_bits), _g(res.ell_bits),
-        _g(res.rate), _g(res.rate_clamped), _g(res.effective_rate),
-        _g(res.asymptotic_rate),
-    ]
-
-
-def _error_row(d, n, beta0, epsilon, message: str) -> list[str]:
-    eps_p = (Fraction(epsilon) / 8) ** 2 if epsilon is not None else None
-    return [
-        "" if d is None else str(d),
-        "" if n is None else str(n),
-        _frac(beta0),
-        _frac(1 - beta0) if beta0 is not None else "",
-        _frac(epsilon),
-        _frac(eps_p),
-        f"ERROR:{message}",
-    ] + [""] * 7
-
-
-def _beta0_of(args) -> Optional[Fraction]:
-    if getattr(args, "beta0", None) is not None:
-        return args.beta0
-    if getattr(args, "error_rate", None) is not None:
-        return 1 - args.error_rate
-    return None
+    return _row(p.d, p.n, p.beta0, p.epsilon, map(_g, (
+        res.s2_bits, res.s0_bits, res.h0_bits, res.ell_bits,
+        res.rate, res.rate_clamped, res.effective_rate, res.asymptotic_rate,
+    )))
 
 
 def _run_compute(args) -> tuple[list[list[str]], int]:
-    beta0 = _beta0_of(args)
     try:
-        params = ProtocolParams(d=args.d, n=args.n, beta0=beta0, epsilon=args.epsilon)
+        params = ProtocolParams(d=args.d, n=args.n, beta0=args.beta0, epsilon=args.epsilon)
         return [_result_row(key_length(params))], 0
     except ValueError as exc:
-        return [_error_row(args.d, args.n, beta0, args.epsilon, str(exc))], 1
+        return [_row(args.d, args.n, args.beta0, args.epsilon, [f"ERROR:{exc}"])], 1
 
 
 def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
-    beta0 = _beta0_of(args)
     if args.sweep_n is not None:
         axis, grid = "n", args.sweep_n
         if args.n is not None:
@@ -168,7 +162,7 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
             parser.error("--fixed-ntilde conflicts with --sweep-n")
     elif args.sweep_error is not None:
         axis, grid = "error_rate", args.sweep_error
-        if beta0 is not None:
+        if args.beta0 is not None:
             parser.error("--beta0/--error-rate conflict with --sweep-error")
     elif args.sweep_epsilon is not None:
         axis, grid = "epsilon", args.sweep_epsilon
@@ -181,12 +175,12 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
     d = args.d if args.d is not None else 2
     if axis != "n" and args.n is None and args.fixed_ntilde is None:
         parser.error("need --n or --fixed-ntilde")
-    if axis != "error_rate" and beta0 is None:
+    if axis != "error_rate" and args.beta0 is None:
         parser.error("need --beta0 or --error-rate")
     if axis != "epsilon" and args.epsilon is None:
         parser.error("need --epsilon")
     spec = SweepSpec(
-        axis=axis, grid=grid, d=d, n=args.n, beta0=beta0,
+        axis=axis, grid=grid, d=d, n=args.n, beta0=args.beta0,
         epsilon=args.epsilon, fixed_ntilde=args.fixed_ntilde,
     )
     rows = []
@@ -195,7 +189,7 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
         if pt.error is None:
             rows.append(_result_row(pt.result))
         else:
-            rows.append(_error_row(pt.d, pt.n, pt.beta0, pt.epsilon, pt.error))
+            rows.append(_row(pt.d, pt.n, pt.beta0, pt.epsilon, [f"ERROR:{pt.error}"]))
             status = 1
     return rows, status
 
@@ -203,11 +197,11 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
 def _run_threshold(args, parser) -> tuple[list[list[str]], int]:
     if (args.n is None) == (args.fixed_ntilde is None):
         parser.error("need exactly one of --n or --fixed-ntilde")
-    dims = args.sweep_d if args.sweep_d is not None else [args.d if args.d is not None else 2]
+    dims = args.sweep_d if args.sweep_d is not None else [args.d]
     rows = []
     status = 0
     for d in dims:
-        n = args.fixed_ntilde // (d * (d + 1)) if args.fixed_ntilde is not None else args.n
+        n = n_for_ntilde(args.fixed_ntilde, d) if args.fixed_ntilde is not None else args.n
         try:
             thr = threshold_error_rate(d, n, args.epsilon)
             rows.append([str(d), str(n), _frac(args.epsilon), f"{thr:.4f}"])
@@ -218,19 +212,15 @@ def _run_threshold(args, parser) -> tuple[list[list[str]], int]:
 
 
 def _run_asymptotic(args) -> tuple[list[list[str]], int]:
-    beta0 = _beta0_of(args)
-    d = args.d if args.d is not None else 2
+    d, beta0 = args.d, args.beta0
     try:
         ar = asymptotic_rate(d, beta0)
     except ValueError as exc:
-        return [_error_row(d, None, beta0, None, str(exc))], 1
-    row = [
-        str(d), "", _frac(beta0), _frac(1 - beta0), "", "",
+        return [_row(d, None, beta0, None, [f"ERROR:{exc}"])], 1
+    return [_row(d, None, beta0, None, [
         _g(ar.s_xe), _g(ar.s_e), _g(ar.h_xy), "",
-        _g(ar.rate), _g(max(ar.rate, 0.0)), _g(ar.rate / (d * (d + 1))),
-        _g(ar.rate),
-    ]
-    return [row], 0
+        _g(ar.rate), _g(max(ar.rate, 0.0)), _g(ar.rate / (d * (d + 1))), _g(ar.rate),
+    ])], 0
 
 
 def _add_output_flags(sp) -> None:
@@ -241,7 +231,8 @@ def _add_output_flags(sp) -> None:
 def _add_beta_flags(sp, required: bool) -> None:
     grp = sp.add_mutually_exclusive_group(required=required)
     grp.add_argument("--beta0", type=_decimal, help="agreement probability")
-    grp.add_argument("--error-rate", type=_decimal, help="error rate 1 - beta0")
+    grp.add_argument("--error-rate", dest="beta0", type=_error_rate,
+                     metavar="ERROR_RATE", help="error rate 1 - beta0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("threshold", help="bisect the zero of the raw key length")
     dims = t.add_mutually_exclusive_group()
-    dims.add_argument("--d", type=int, default=None)
+    # a str default passes through type=int; an int one hides --d 2 from the conflict
+    dims.add_argument("--d", type=int, default="2")
     dims.add_argument("--sweep-d", type=_int_list, metavar="d1,d2,...")
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--fixed-ntilde", type=int, default=None)
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(t)
 
     a = sub.add_parser("asymptotic", help="n -> infinity reference rate")
-    a.add_argument("--d", type=int, default=None)
+    a.add_argument("--d", type=int, default=2)
     _add_beta_flags(a, required=True)
     _add_output_flags(a)
 

@@ -106,7 +106,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {_AXES}")
-        if not list(self.grid):
+        self.grid = list(self.grid)  # read once: the grid may be an iterator
+        if not self.grid:
             raise ValueError("sweep grid is empty")
 
 
@@ -122,6 +123,11 @@ class SweepPoint:
     error: Optional[str] = None
 
 
+def n_for_ntilde(ntilde: int, d: int) -> int:
+    """Sifted-key length that holds the resource budget n*(d+1)*d at ntilde."""
+    return ntilde // (d * (d + 1))
+
+
 def _grid_args(spec: SweepSpec):
     for v in spec.grid:
         d, n, beta0, epsilon = spec.d, spec.n, spec.beta0, spec.epsilon
@@ -134,7 +140,7 @@ def _grid_args(spec: SweepSpec):
         else:
             d = int(v)
         if spec.fixed_ntilde is not None:
-            n = spec.fixed_ntilde // (d * (d + 1))
+            n = n_for_ntilde(spec.fixed_ntilde, d)
         yield d, n, beta0, epsilon
 
 
@@ -197,25 +203,17 @@ def threshold_error_rate(
         params = ProtocolParams(d=d, n=n, beta0=1 - k * tol, epsilon=epsilon)
         return key_length(params).ell_bits
 
-    e_max = Fraction(d - 1, d)
-    lo = hi = None
-    prev_k = None
-    prev_val = 0.0
-    k = step
-    while k * tol < e_max:
-        v = ell(k)
-        if prev_k is None and v <= 0:
-            raise ValueError(
-                f"key length is already nonpositive at error rate {float(k * tol):g}; "
-                "threshold lies below the coarse grid"
-            )
-        if prev_k is not None and prev_val > 0 >= v:
-            lo, hi = prev_k, k
+    for k in range(step, math.ceil(Fraction(d - 1, d) / tol), step):
+        if ell(k) <= 0:
             break
-        prev_k, prev_val = k, v
-        k += step
-    if lo is None:
+    else:
         raise ValueError("key length never changes sign on the coarse grid")
+    if k == step:
+        raise ValueError(
+            f"key length is already nonpositive at error rate {float(k * tol):g}; "
+            "threshold lies below the coarse grid"
+        )
+    lo, hi = k - step, k
     while hi - lo > 1:
         mid = round(Fraction(lo + hi, 2))
         if ell(mid) > 0:

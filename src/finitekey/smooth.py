@@ -25,10 +25,10 @@ The support cut and the top of the water fill start next to their
 boundaries and walk level by level.  The bottom of the water fill lies
 about 0.65n levels up, so it is not walked: the same scan run in floats on
 logarithms (`log_walk`; every term is a sum of positives, so nothing
-cancels) predicts b_minus, one exact prefix sum (`sums`) gives the count and
-mass below it, and exact single-level steps move it until level b_minus
-fits the budget and the level above it does not.  Since s_r grows with r,
-those two comparisons certify the boundary the full walk would find.
+cancels) predicts b_minus, the window sum `moment` at k = 0, 1 gives the
+count and mass below it, and exact single-level steps move it until level
+b_minus fits the budget and the level above it does not.  Since s_r grows
+with r, those two comparisons certify the boundary the full walk would find.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits.
     # C and W below cover levels 0..b_minus.
     b_minus = _predict_b_minus(spec, tq)
-    C, W = spec.sums(0, b_minus + 1)
+    C, W = spec.moment(0, b_minus + 1, 0), spec.moment(0, b_minus + 1, 1)
     for mult, w in spec.walk(b_minus, reverse=True):  # guessed too high
         if _prod_le(w, C - mult, tq + W - w, mult):
             break
@@ -235,7 +235,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
             f"epsilon too large for spectrum: raised floor {x} meets "
             f"lowered ceiling {y}"
         )
-    mid = spec.squared_mass_sum(b_minus + 1, m - 2 - b_plus)
+    mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
     # C*x^2 + mid/den^2 + Ct*y^2, normalised once
     purity = Fraction(
         X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, (ed * den) ** 2 * C * Ct

@@ -22,8 +22,9 @@ with `pow` and `math.comb`, and each further step applies exact small-factor
 recurrences to (multiplicity, mass), so a scan costs only the levels it
 touches.  `log_walk` is the same stream in floats (natural logs, seeded with
 `math.lgamma`), for guessing where a scan would stop.  Sums over a window of
-levels do not walk: the exact count and mass (`sums`) and the squared mass
-(`squared_mass_sum`) are hypergeometric series in the level index, which
+levels do not walk: `moment(lo, hi, k)` is the k-th moment sum of mult *
+num^k over the window, so k = 0, 1, 2 give its count, mass and squared mass.
+On a family it is a hypergeometric series in the level index, which
 `_series` evaluates by binary splitting with one exact division at the end.
 Normalisation and the dimension count are proved in O(1) by the binomial
 theorem.  A family's lists `value_nums` and `mults`, and for every spectrum
@@ -33,7 +34,6 @@ the pairs `levels`, are built on first read.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,7 +148,7 @@ class CompressedSpectrum:
     Scans read levels through `walk(i, reverse)`, which yields
     (multiplicity, mass) from level index i upward (or downward); the mass
     is multiplicity * numerator, so a level's numerator is
-    mass // multiplicity.  `sums(lo, hi)` gives the count and mass of a
+    mass // multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a
     window of levels at once.  `size` is the number of levels and `zero_mult`
     the multiplicity of a zero level at index 0 (0 when there is none).  A
     grouped probability distribution is the same object: `mults` count
@@ -190,17 +190,12 @@ class CompressedSpectrum:
             log_m = math.log(m)
             yield log_m, log_m + math.log(v) if v else -math.inf
 
-    def sums(self, lo: int, hi: int) -> tuple[int, int]:
-        """(count, mass) of level indices lo..hi-1, the mass scaled by den."""
+    def moment(self, lo: int, hi: int, k: int) -> int:
+        """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
+        levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
+        mass.  A zero level counts toward k = 0 only."""
         lo, hi = max(lo, 0), max(hi, 0)
-        mults, nums = self.mults[lo:hi], self.value_nums[lo:hi]
-        return sum(mults), sum(map(operator.mul, mults, nums))
-
-    def squared_mass_sum(self, lo: int, hi: int) -> int:
-        """Sum of mult*value^2 over level indices lo..hi, scaled by den^2."""
-        nums, mults = self.value_nums, self.mults
-        lo, hi = max(lo, 0), min(hi, self.size - 1)
-        return sum(mults[j] * nums[j] * nums[j] for j in range(lo, hi + 1))
+        return sum(m * v**k for m, v in zip(self.mults[lo:hi], self.value_nums[lo:hi]))
 
 
 class _Family(CompressedSpectrum):
@@ -276,32 +271,18 @@ class _Family(CompressedSpectrum):
             lm, lw = lm + step, lw + step + lratio
             yield lm, lw
 
-    def sums(self, lo: int, hi: int) -> tuple[int, int]:
-        """Each sum is mult_lo (or mass_lo) times a `_series` in the
-        multiplicity ratio (n-l)/((l+1)*div) (or the mass ratio
-        (n-l)*alpha/((l+1)*div*beta)), closed by one exact division."""
-        z = self.size - self.n - 1
-        count = self.zero_mult if lo <= 0 < hi else 0
+    def moment(self, lo: int, hi: int, k: int) -> int:
+        """mult_lo * num_lo^k times a `_series` in the ratio of consecutive
+        terms, (n-l)*alpha^k / ((l+1)*div*beta^k), closed by one exact
+        division."""
+        z = self.size - self.n - 1  # 1 with a zero level, else 0
+        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
         if hi <= lo:
-            return count, 0
-        n, div = self.n, self.div
+            return zero
         num, mult = self._seed(lo)
-        Q, T = _series(lo, hi, n, 1, div)
-        Qw, Tw = _series(lo, hi, n, self.alpha, div * self.beta)
-        return count + mult * T // Q, mult * num * Tw // Qw
-
-    def squared_mass_sum(self, lo: int, hi: int) -> int:
-        """Sum of mult*num^2 over level indices lo..hi: the squared mass at lo
-        times a `_series` in r_l = (n-l)*alpha^2 / ((l+1)*div*beta^2), the
-        ratio of consecutive squared masses; a zero level adds nothing."""
-        z = self.size - self.n - 1
-        lo, hi = max(lo, z) - z, min(hi, self.size - 1) - z
-        if hi < lo:
-            return 0
-        Q, T = _series(lo, hi + 1, self.n, self.alpha**2, self.div * self.beta**2)
-        num, mult = self._seed(lo)
-        return mult * num * num * T // Q
+        Q, T = _series(lo, hi, self.n, self.alpha**k, self.div * self.beta**k)
+        return zero + mult * num**k * T // Q
 
     @cached_property
     def value_nums(self) -> list[int]:

@@ -68,6 +68,27 @@ def test_compute_domain_error_row(capsys):
      "--epsilon", "0.1"],                                  # --d conflicts with --sweep-d
     ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9"],     # missing epsilon
     ["sweep", "--sweep-n", "1:3:1", "--epsilon", "0.5"],   # missing beta group
+    ["threshold", "--d", "2", "--sweep-d", "3", "--n", "200",
+     "--epsilon", "0.1"],                                  # --d at its default value too
+    ["sweep", "--sweep-d", ",", "--n", "10", "--beta0", "0.9",
+     "--epsilon", "0.5"],                                  # empty integer list
+    ["sweep", "--sweep-epsilon", "", "--n", "10", "--beta0", "0.9"],  # empty decimals
+    ["threshold", "--sweep-d", ",", "--n", "500",
+     "--epsilon", "0.01"],                                 # empty threshold dimensions
+    ["sweep", "--sweep-d", "2,x", "--n", "10", "--beta0", "0.9",
+     "--epsilon", "0.5"],                                  # not an integer list
+    ["sweep", "--sweep-n", "10:30:10", "--fixed-ntilde", "600",
+     "--beta0", "0.9", "--epsilon", "0.5"],                # ntilde conflicts with axis n
+    ["sweep", "--sweep-error", "0.01:0.02:0.01", "--n", "10",
+     "--error-rate", "0.1", "--epsilon", "0.5"],           # beta flag vs error axis
+    ["sweep", "--sweep-epsilon", "0.1,0.5", "--epsilon", "0.5",
+     "--n", "10", "--beta0", "0.9"],                       # epsilon vs epsilon axis
+    ["sweep", "--sweep-d", "2,3", "--d", "2", "--n", "10",
+     "--beta0", "0.9", "--epsilon", "0.5"],                # --d vs dimension axis
+    ["sweep", "--sweep-d", "2,3", "--beta0", "0.9",
+     "--epsilon", "0.5"],                                  # need --n or --fixed-ntilde
+    ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5",
+     "--workers", "0"],                                    # no workers
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -82,6 +103,15 @@ def test_asymptotic_anchor_row(capsys):
     assert row[1] == "" and row[4] == "" and row[9] == ""
     assert row[10] == "0.758059267147"
     assert row[13] == row[10]
+
+
+def test_asymptotic_error_row(capsys):
+    rc, lines = run(capsys, ["asymptotic", "--beta0", "0.4"])
+    assert rc == 1
+    row = cells(lines[1])
+    assert len(row) == len(cli.HEADER)
+    assert row[:6] == ["2", "", "0.4", "0.6", "", ""]
+    assert row[6].startswith("ERROR:") and row[7:] == [""] * 7
 
 
 def test_sweep_linear_grid(capsys):
@@ -171,7 +201,10 @@ def test_n_grid_parsers():
     assert cli._n_grid("10:30:10") == [10, 20, 30]
     assert cli._n_grid("1:100:10:log") == [1, 10, 100]
     assert cli._n_grid("1:4:1.5:log") == [1, 2, 3]  # rounded, deduped
-    for bad in ("1:2", "1:2:3:4:5", "a:b:c", "1:10:2:linear", f"1:{10**400}:2:log"):
+    for bad in (
+        "1:2", "1:2:3:4:5", "a:b:c", "1:10:2:linear", f"1:{10**400}:2:log",
+        "1:3:0", "3:1:1", "0:10:2:log", "1:10:1:log", "10:1:2:log",
+    ):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._n_grid(bad)
 
@@ -183,6 +216,13 @@ def test_decimal_parsers():
     assert cli._decimal_grid("0.01:0.03:0.01") == [F(1, 100), F(1, 50), F(3, 100)]
     assert cli._decimal_list("0.1,0.5") == [F(1, 10), F(1, 2)]
     assert cli._int_list("2,3,4") == [2, 3, 4]
+    for bad in ("0.1:0.2", "0.1:0.2:0.3:0.4", "0.2:0.1:0.01", "0.1:0.2:0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._decimal_grid(bad)
+    for parse, bad in ((cli._int_list, ""), (cli._int_list, ",,"), (cli._int_list, "2,x"),
+                       (cli._decimal_list, ""), (cli._decimal_list, ",")):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(bad)
 
 
 # --- grid length cap ---------------------------------------------------------

@@ -92,6 +92,10 @@ def test_sweep_error_axis_continues_past_failures():
 def test_sweep_reports_missing_fixed_parameters():
     pts = sweep(SweepSpec(axis="n", grid=[1], epsilon=F(1, 2)))
     assert pts[0].error == "beta0 is not set"
+    pts = sweep(SweepSpec(axis="error_rate", grid=[F(1, 100)], epsilon=F(1, 2)))
+    assert pts[0].error == "n is not set (missing fixed n or fixed_ntilde)"
+    pts = sweep(SweepSpec(axis="n", grid=[1], beta0=F(9, 10)))
+    assert pts[0].error == "epsilon is not set"
     pts = sweep(SweepSpec(axis="error_rate", grid=[F(1, 100)], n=1, epsilon=F(1, 2)))
     assert pts == [sweep(SweepSpec(axis="error_rate", grid=[F(1, 100)], n=1, epsilon=F(1, 2)))[0]]
 
@@ -157,6 +161,13 @@ def test_sweep_spec_validation():
         SweepSpec(axis="noise", grid=[1])
     with pytest.raises(ValueError, match="sweep grid is empty"):
         SweepSpec(axis="n", grid=[])
+
+
+def test_sweep_reads_an_iterator_grid_once():
+    """The emptiness check must not consume a one-shot grid."""
+    spec = SweepSpec(axis="n", grid=(n for n in [10, 20]), beta0=F(9, 10), epsilon=F(1, 2))
+    assert [p.n for p in sweep(spec)] == [10, 20]
+    assert [p.n for p in sweep(spec)] == [10, 20]
 
 
 # --- threshold ---------------------------------------------------------------

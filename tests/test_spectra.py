@@ -183,16 +183,18 @@ def test_mass_streams_match_levels(p):
 @given(valid_params(), st.integers(-1, 7), st.integers(-1, 7))
 @settings(max_examples=60, deadline=None)
 def test_squared_mass_window(p, lo, hi):
-    """Both classes clamp a window reaching past either end themselves."""
+    """Both classes clamp a window reaching past either end themselves; the
+    inclusive window lo..hi is moment(lo, hi + 1, k)."""
     family = xe_spectrum(p)
     plain = CompressedSpectrum.from_levels(family.levels, family.total_dim)
     for spec in (family, plain):
-        direct = sum(
-            m * n_ * n_
-            for i, (n_, m) in enumerate(zip(spec.value_nums, spec.mults))
-            if lo <= i <= hi
-        )
-        assert spec.squared_mass_sum(lo, hi) == direct
+        for k in (0, 1, 2):
+            direct = sum(
+                m * n_**k
+                for i, (n_, m) in enumerate(zip(spec.value_nums, spec.mults))
+                if lo <= i <= hi
+            )
+            assert spec.moment(lo, hi + 1, k) == direct
 
 
 @given(valid_params())
@@ -212,10 +214,11 @@ def test_family_streams_match_explicit_levels(p):
     m = len(spec.value_nums)
     for lo in range(m):
         for hi in range(lo, m):
-            assert (
-                F(plain.squared_mass_sum(lo, hi), plain.den**2)
-                == F(spec.squared_mass_sum(lo, hi), spec.den**2)
-            )
+            for k in (0, 1, 2):
+                assert (
+                    F(plain.moment(lo, hi + 1, k), plain.den**k)
+                    == F(spec.moment(lo, hi + 1, k), spec.den**k)
+                )
 
 
 @given(
@@ -243,8 +246,9 @@ def _both_classes(p):
 @given(valid_params(max_n=40), st.data())
 @settings(max_examples=60, deadline=None)
 def test_sums_match_direct_sums(p, data):
-    """sums(lo, hi) is the count and mass of levels lo..hi-1 on both classes:
-    empty, one-level, zero-level and out-of-range windows included."""
+    """moment(lo, hi, k) is the count, mass and squared mass of levels
+    lo..hi-1 for k = 0, 1, 2 on both classes: empty, one-level, zero-level
+    and out-of-range windows included."""
     for spec in _both_classes(p):
         size = spec.size
         windows = [(0, size), (0, 0), (size, size), (0, 1), (size - 1, size), (-2, size + 2)]
@@ -254,11 +258,9 @@ def test_sums_match_direct_sums(p, data):
         ]
         for lo, hi in windows:
             inside = range(max(lo, 0), min(hi, size))
-            want = (
-                sum(spec.mults[i] for i in inside),
-                sum(spec.mults[i] * spec.value_nums[i] for i in inside),
-            )
-            assert spec.sums(lo, hi) == want
+            for k in (0, 1, 2):
+                want = sum(spec.mults[i] * spec.value_nums[i] ** k for i in inside)
+                assert spec.moment(lo, hi, k) == want
 
 
 @given(valid_params(max_n=40))
@@ -345,6 +347,20 @@ def test_family_accepts_consistent_den_and_total():
 def test_family_rejects_inconsistent_identities(family, den, total, match):
     with pytest.raises(ValueError, match=match):
         _Family(**family, den=den, total_dim=total)
+
+
+@pytest.mark.parametrize(
+    "nums, mults, den, total, match",
+    [
+        ([], [], 1, 0, "malformed"),
+        ([1], [1, 1], 1, 2, "malformed"),
+        ([1], [1], 0, 1, "denominator must be positive"),
+        ([0, 1], [0, 1], 1, 1, "multiplicities must be >= 1"),
+    ],
+)
+def test_rejects_malformed_levels(nums, mults, den, total, match):
+    with pytest.raises(ValueError, match=match):
+        CompressedSpectrum(nums, mults, den, total)
 
 
 def test_rejects_unsorted_levels():
