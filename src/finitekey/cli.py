@@ -153,7 +153,10 @@ def _run_compute(args) -> tuple[list[list[str]], int]:
         return [_row(args.d, args.n, args.beta0, args.epsilon, [f"ERROR:{exc}"])], 1
 
 
-def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
+def _sweep_spec(args, parser) -> SweepSpec:
+    """The sweep the flags ask for; a usage error if they conflict."""
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     if args.sweep_n is not None:
         axis, grid = "n", args.sweep_n
         if args.n is not None:
@@ -179,13 +182,16 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
         parser.error("need --beta0 or --error-rate")
     if axis != "epsilon" and args.epsilon is None:
         parser.error("need --epsilon")
-    spec = SweepSpec(
+    return SweepSpec(
         axis=axis, grid=grid, d=d, n=args.n, beta0=args.beta0,
         epsilon=args.epsilon, fixed_ntilde=args.fixed_ntilde,
     )
+
+
+def _run_sweep(spec: SweepSpec, workers: int) -> tuple[list[list[str]], int]:
     rows = []
     status = 0
-    for pt in sweep(spec, workers=args.workers):
+    for pt in sweep(spec, workers=workers):
         if pt.error is None:
             rows.append(_result_row(pt.result))
         else:
@@ -194,9 +200,7 @@ def _run_sweep(args, parser) -> tuple[list[list[str]], int]:
     return rows, status
 
 
-def _run_threshold(args, parser) -> tuple[list[list[str]], int]:
-    if (args.n is None) == (args.fixed_ntilde is None):
-        parser.error("need exactly one of --n or --fixed-ntilde")
+def _run_threshold(args) -> tuple[list[list[str]], int]:
     dims = args.sweep_d if args.sweep_d is not None else [args.d]
     rows = []
     status = 0
@@ -287,23 +291,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every usage error, an unwritable --out included, comes before the
+    # first point is computed
     if args.mode == "compute":
-        header, (rows, status) = HEADER, _run_compute(args)
+        header, run = HEADER, lambda: _run_compute(args)
     elif args.mode == "sweep":
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        header, (rows, status) = HEADER, _run_sweep(args, parser)
+        spec = _sweep_spec(args, parser)
+        header, run = HEADER, lambda: _run_sweep(spec, args.workers)
     elif args.mode == "threshold":
-        header, (rows, status) = THRESHOLD_HEADER, _run_threshold(args, parser)
+        if (args.n is None) == (args.fixed_ntilde is None):
+            parser.error("need exactly one of --n or --fixed-ntilde")
+        header, run = THRESHOLD_HEADER, lambda: _run_threshold(args)
     else:
-        header, (rows, status) = HEADER, _run_asymptotic(args)
+        header, run = HEADER, lambda: _run_asymptotic(args)
 
     delim = "," if args.format == "csv" else "\t"
     if args.out:
-        handle = open(args.out, "w", newline="", encoding="utf-8")
+        try:
+            handle = open(args.out, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         handle = sys.stdout
     try:
+        rows, status = run()
         writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -1,11 +1,15 @@
 """Exact-arithmetic helpers shared by the spectrum and entropy code.
 
 Rationals are `fractions.Fraction` and unbounded counts are plain `int`: both
-are exact, arbitrary precision, and reduce/normalize eagerly.  The only
+are exact and of arbitrary precision.  A `Fraction` is put in lowest terms
+when it is built, by a gcd whose cost grows as the square of the operands'
+width, so the scans keep their large rationals as integer pairs and reduce
+them through the primes they know (`small_factors`, and `smooth`).  The only
 deliberate loss of precision in the whole package happens here, in
-`log2_bits`, which turns an exact positive quantity into a float number of
-bits.  Everything upstream of that call (thresholds, floors, tie-breaks) is
-integer or rational comparison, never floating point.
+`log2_bits` and `log2_ratio`, which turn an exact positive quantity into a
+float number of bits.  Everything upstream of that call (thresholds,
+floors, tie-breaks) is integer or rational comparison, never floating
+point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["rational_from_decimal", "log2_bits"]
+__all__ = ["rational_from_decimal", "log2_bits", "log2_ratio", "small_factors"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -23,6 +27,11 @@ _LN2 = math.log(2)
 # Mantissa window for huge-integer logarithms: 53 float bits plus slack, so
 # the window truncation error (2^-96 relative) stays far below float rounding.
 _WINDOW = 96
+
+# Trial-division bound of `small_factors`.  The integers it factors are
+# protocol denominators such as q*d*(d-1) or that of eps', whose primes are
+# almost always tiny; a cofactor with no prime below the bound is kept whole.
+_TRIAL = 1 << 10
 
 
 def rational_from_decimal(text: str) -> Fraction:
@@ -45,23 +54,50 @@ def _log2_int(v: int) -> float:
     return shift + math.log2(v >> shift)
 
 
-def log2_bits(value: int | Fraction) -> float:
-    """log2 of a positive int or Fraction, any magnitude, ~1e-12 relative.
+def small_factors(m: int) -> tuple[dict[int, int], int]:
+    """(primes, rest) with m = rest * prod(p**e for p, e in primes), m >= 1:
+    the prime factorisation of m by trial division up to 2**10.  rest is 1
+    unless what is left after the primes below the bound is too large to
+    be proved prime by them; then it is that cofactor, prime or not."""
+    primes = {}
+    p = 2
+    while p < _TRIAL and p * p <= m:
+        while m % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1 and p * p > m:  # no factor up to sqrt(m): m is prime
+        primes[m] = 1
+        m = 1
+    return primes, m
 
-    Never converts the argument to a fixed-width float (which would overflow
-    for values like d**(3n)); instead uses bit lengths plus a mantissa
-    window.  Near 1 the numerator/denominator logs cancel, so that region is
-    routed through log1p on the exact ratio to keep relative accuracy.
+
+def log2_ratio(num: int, den: int) -> float:
+    """log2(num / den) for positive integers in lowest terms.
+
+    The windows are taken of num and den separately, so an unreduced pair
+    can give other bits; `log2_bits` of a Fraction is this on its pair.
+    Near 1 the two logs cancel, so that region is routed through log1p on
+    the exact ratio to keep relative accuracy.
     """
-    if isinstance(value, int):
-        if value <= 0:
-            raise ValueError("log2_bits requires a positive value")
-        return _log2_int(value)
-    num, den = value.numerator, value.denominator
-    if num <= 0:
+    if num <= 0 or den <= 0:
         raise ValueError("log2_bits requires a positive value")
     if den < 2 * num and num < 2 * den:
         # 1/2 < value < 2: big-int true division is correctly rounded, and
         # log1p keeps full relative accuracy for results near 0.
         return math.log1p((num - den) / den) / _LN2
     return _log2_int(num) - _log2_int(den)
+
+
+def log2_bits(value: int | Fraction) -> float:
+    """log2 of a positive int or Fraction, any magnitude, ~1e-12 relative.
+
+    Never converts the argument to a fixed-width float (which would overflow
+    for values like d**(3n)); instead uses bit lengths plus a mantissa
+    window, through `log2_ratio` for a Fraction.
+    """
+    if isinstance(value, int):
+        if value <= 0:
+            raise ValueError("log2_bits requires a positive value")
+        return _log2_int(value)
+    return log2_ratio(value.numerator, value.denominator)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -171,6 +170,10 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepPoint]:
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [_eval_point(a) for a in args]
+    # imported here: the process pool's modules take about 2 MB and 25 ms
+    # to load, which a process that never starts one need not pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_eval_point, args))
 

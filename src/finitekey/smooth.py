@@ -29,16 +29,32 @@ cancels) predicts b_minus, the window sum `moment` at k = 0, 1 gives the
 count and mass below it, and exact single-level steps move it until level
 b_minus fits the budget and the level above it does not.  Since s_r grows
 with r, those two comparisons certify the boundary the full walk would find.
+
+No full-width gcd runs on the way to the floats.  The witness rationals
+(s_b, and the water fill's x and y) are handed over as integer pairs and
+reduced only when a field is first read, and s2's test x >= y is the
+integer test X*Ct >= Y*C.  The purity must be in lowest terms, since its
+float windows the top bits of its numerator and denominator.  Its
+denominator (ed*den)^2 * C * Ct is mostly known primes: den is the n-th
+power of a small integer whose factors the spectrum states (`den_factors`),
+and eps' has a small denominator ed.  `_lowest_terms` takes each known
+prime's exponent from those factors plus its valuation in C * Ct, strips
+the common power from the numerator by doubling powers (a bit trick for 2;
+every mass is a multiple of the family's scale^n, so that power is tried
+first), and runs one gcd on what is left of C * Ct.  An explicit spectrum
+states no primes, and the same code is then one gcd, as in `Fraction`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
-from .kernel import log2_bits
+from .kernel import log2_bits, log2_ratio, small_factors
 from .spectra import CompressedSpectrum
 
 __all__ = [
@@ -57,6 +73,96 @@ class EpsilonTooLargeError(ValueError):
     ceiling (x >= y); the two-sided water-fill solution does not exist."""
 
 
+def _strip(v: int, p: int, cap, guess: int = 0) -> tuple[int, int]:
+    """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  A guess at k
+    is tried first, in one division.  Then the powers p**(2**i) are divided
+    out while they divide, i going up, and tried again going down, so the
+    rest of k costs O(log k) divisions rather than one per factor.  For
+    p = 2 the lowest set bit gives k at once."""
+    if p == 2:
+        k = min((v & -v).bit_length() - 1, cap) if v else cap
+        return k, v >> k
+    k, powers = 0, [p]
+    if 0 < guess <= cap:
+        q, r = divmod(v, p**guess)
+        if not r:
+            v, k = q, guess
+    while k + (step := 1 << (len(powers) - 1)) <= cap:
+        q, r = divmod(v, powers[-1])
+        if r:
+            break
+        v, k = q, k + step
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if k + (1 << i) <= cap:
+            q, r = divmod(v, powers[i])
+            if not r:
+                v, k = q, k + (1 << i)
+    return k, v
+
+
+def _lowest_terms(
+    num: int, primes: dict[int, int], rest: int, guess: dict[int, int]
+) -> tuple[int, int]:
+    """num / den in lowest terms, as a pair, for den = rest * prod(p**e).
+
+    Each known prime p has exponent e + v_p(rest) in den, and `_strip`
+    takes min(v_p(num), that) out of num, trying guess[p] first (every
+    mass is a multiple of the spectrum's `mass_factors`, so num's exponent
+    is rarely far above a multiple of theirs).  What is left of rest, free
+    of the known primes, meets num in one gcd on its own width, since
+    gcd(num, A*B) = gcd(num, A) * gcd(num, B) for coprime A and B.  With no
+    known primes this is one gcd, as in `Fraction`.
+    """
+    den = 1
+    for p, e in primes.items():
+        v, rest = _strip(rest, p, math.inf)
+        k, num = _strip(num, p, e + v, guess.get(p, 0))
+        den *= p ** (e + v - k)
+    g = math.gcd(num % rest, rest)
+    return num // g, den * (rest // g)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for a pair already in lowest terms (den > 0),
+    skipping the constructor's gcd; relies on Fraction's two slots."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
+class _Ratio(NamedTuple):
+    """num / (rest * prod(p**e for p, e in primes)), not yet reduced;
+    guess holds the exponents to try first in num (see `_lowest_terms`)."""
+
+    num: int
+    primes: dict
+    rest: int
+    guess: dict
+
+
+class _LowestTerms:
+    """Type of a witness field holding an exact rational, which the scans
+    may hand over as a `_Ratio`: it is put in lowest terms on first read, so
+    a witness nobody reads costs no gcd.  Reads always return a Fraction,
+    and the dataclass's repr, == and fields see only those."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the field has no default
+        value = obj.__dict__[self.name]
+        if type(value) is _Ratio:
+            value = _coprime_fraction(*_lowest_terms(*value))
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class RankTrimResult:
     """Trace of the rank minimization: b fully removed levels, k removed
@@ -65,7 +171,7 @@ class RankTrimResult:
     b: int
     k: int
     remaining_rank: int
-    s_b: Fraction
+    s_b: Fraction = _LowestTerms()
 
 
 @dataclass(frozen=True)
@@ -75,9 +181,9 @@ class WaterfillSolution:
 
     b_minus: int
     b_plus: int
-    x: Fraction
-    y: Fraction
-    purity: Fraction
+    x: Fraction = _LowestTerms()
+    y: Fraction = _LowestTerms()
+    purity: Fraction = _LowestTerms()
 
 
 @dataclass(frozen=True)
@@ -87,7 +193,7 @@ class SupportCutResult:
 
     b: int
     k: int
-    s_b: Fraction
+    s_b: Fraction = _LowestTerms()
 
 
 def _as_budget(eps) -> Fraction:
@@ -174,7 +280,7 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
         b=nonzero - included,
         k=spec.total_dim - spec.zero_mult - remaining,
         remaining_rank=remaining,
-        s_b=Fraction(spec.den - U, spec.den),
+        s_b=_Ratio(spec.den - U, *spec.den_factors, spec.mass_factors),
     )
 
 
@@ -227,21 +333,31 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
         T += w
 
     # the leftover budget sets the flat values: x = (W/den + eps)/C and
-    # y = (T/den - eps)/Ct, here over the common factor ed*den
+    # y = (T/den - eps)/Ct, here over the common factor ed*den, whose known
+    # primes are those of den and of ed
     X, Y = en * den + ed * W, ed * T - en * den
-    x, y = Fraction(X, ed * den * C), Fraction(Y, ed * den * Ct)
-    if x >= y:
+    den_primes, den_rest = spec.den_factors
+    ed_primes, ed_rest = small_factors(ed)
+    primes, rest = Counter(den_primes) + Counter(ed_primes), den_rest * ed_rest
+    unit = spec.mass_factors  # divides X, Y and mid
+    x, y = _Ratio(X, primes, rest * C, unit), _Ratio(Y, primes, rest * Ct, unit)
+    if X * Ct >= Y * C:  # x >= y
         raise EpsilonTooLargeError(
-            f"epsilon too large for spectrum: raised floor {x} meets "
-            f"lowered ceiling {y}"
+            f"epsilon too large for spectrum: raised floor "
+            f"{_coprime_fraction(*_lowest_terms(*x))} meets lowered ceiling "
+            f"{_coprime_fraction(*_lowest_terms(*y))}"
         )
     mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
-    # C*x^2 + mid/den^2 + Ct*y^2, normalised once
-    purity = Fraction(
-        X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, (ed * den) ** 2 * C * Ct
+    # C*x^2 + mid/den^2 + Ct*y^2 over (ed*den)^2 * C * Ct, in lowest terms
+    # because log2_ratio windows the numerator and denominator separately
+    purity = _lowest_terms(
+        X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct,
+        {p: 2 * e for p, e in primes.items()},
+        rest * rest * C * Ct,
+        {p: 3 * e for p, e in unit.items()},  # the counts usually carry one more
     )
-    return -log2_bits(purity), WaterfillSolution(
-        b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=purity
+    return -log2_ratio(*purity), WaterfillSolution(
+        b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=_coprime_fraction(*purity)
     )
 
 
@@ -256,4 +372,5 @@ def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     """
     eps = _as_budget(eps)
     b, k, U = _support_cut(spec, eps)
-    return log2_bits(k), SupportCutResult(b=b, k=k, s_b=Fraction(U, spec.den))
+    s_b = _Ratio(U, *spec.den_factors, spec.mass_factors)
+    return log2_bits(k), SupportCutResult(b=b, k=k, s_b=s_b)

@@ -16,7 +16,10 @@ explicit levels as two lists (`from_levels`, the positional constructor),
 checked level by level.  The three protocol spectra are its subclass
 `_Family`, which computes its levels in closed form: above an optional zero
 level, level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
-scale * C(n, l) * div^(n-l).  Nothing of size O(n) is stored.  A scan asks
+scale^n * C(n, l) * div^(n-l), so its denominator is the n-th power of the
+small integer scale * (alpha + div*beta), whose primes `den_factors` states
+(trial division up to `kernel.small_factors`' bound; an explicit spectrum
+states none).  Nothing of size O(n) is stored.  A scan asks
 for a walk from the level it starts at (`walk`): the first level is seeded
 with `pow` and `math.comb`, and each further step applies exact small-factor
 recurrences to (multiplicity, mass), so a scan costs only the levels it
@@ -38,6 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
+
+from .kernel import small_factors
 
 __all__ = [
     "ProtocolParams",
@@ -178,6 +183,18 @@ class CompressedSpectrum:
             for v, m in zip(self.value_nums, self.mults)
         ]
 
+    @property
+    def den_factors(self) -> tuple[dict[int, int], int]:
+        """(primes, rest) with den = rest * prod(p**e for p, e in primes):
+        the exponents of den's known primes.  Explicit levels know none."""
+        return {}, self.den
+
+    @property
+    def mass_factors(self) -> dict[int, int]:
+        """Prime exponents of a known factor of every level's mass and of
+        den (the family's scale^n).  Explicit levels know none."""
+        return {}
+
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         nums, mults = self.value_nums, self.mults
         for j in range(i, -1, -1) if reverse else range(i, self.size):
@@ -201,26 +218,37 @@ class CompressedSpectrum:
 class _Family(CompressedSpectrum):
     """Closed-form levels: an optional zero level of multiplicity zero_mult
     (index 0 when present), then for l = 0..n numerator alpha^l beta^(n-l)
-    and multiplicity scale * C(n, l) * div^(n-l).
+    and multiplicity scale^n * C(n, l) * div^(n-l).
 
     With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
     one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
     (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The
     binomial theorem checks the level sums in O(1): masses sum to
-    scale*(alpha + div*beta)^n = den, multiplicities to scale*(1 + div)^n
-    plus the zero level = total_dim.
+    (scale*(alpha + div*beta))^n = den, multiplicities to
+    scale^n*(1 + div)^n plus the zero level = total_dim.
     """
 
     def __init__(self, n, alpha, beta, div, scale, den, total_dim, zero_mult=0):
         if n < 0 or not alpha > beta >= 1 or div < 1 or scale < 1 or zero_mult < 0:
             raise ValueError("CompressedSpectrum: malformed level family")
-        if scale * (1 + div) ** n + zero_mult != total_dim:
+        self.den_base, self.scale_base = scale * (alpha + div * beta), scale
+        self.scale = scale**n
+        if self.scale * (1 + div) ** n + zero_mult != total_dim:
             raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total_dim}")
-        if scale * (alpha + div * beta) ** n != den:
+        if self.den_base**n != den:
             raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
-        self.n, self.alpha, self.beta, self.div, self.scale = n, alpha, beta, div, scale
+        self.n, self.alpha, self.beta, self.div = n, alpha, beta, div
         self.den, self.total_dim, self.zero_mult = den, total_dim, zero_mult
         self.size = (1 if zero_mult else 0) + n + 1
+
+    @cached_property
+    def den_factors(self) -> tuple[dict[int, int], int]:
+        primes, rest = small_factors(self.den_base)
+        return {p: e * self.n for p, e in primes.items()}, rest**self.n
+
+    @cached_property
+    def mass_factors(self) -> dict[int, int]:
+        return {p: e * self.n for p, e in small_factors(self.scale_base)[0].items()}
 
     def _seed(self, l: int) -> tuple[int, int]:
         """(numerator, multiplicity) of family level l."""
@@ -331,7 +359,7 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
             [0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)
         )
     return _Family(
-        n, p * (d - 1), q - p, d - 1, d**n,
+        n, p * (d - 1), q - p, d - 1, d,
         (q * d * (d - 1)) ** n, d ** (3 * n), d ** (3 * n) - d ** (2 * n),
     )
 

@@ -89,11 +89,26 @@ def test_compute_domain_error_row(capsys):
      "--epsilon", "0.5"],                                  # need --n or --fixed-ntilde
     ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5",
      "--workers", "0"],                                    # no workers
+    ["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5",
+     "--out", "/nonexistent-dir/x.csv"],                   # unwritable output
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, computes", [
+    (["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5"], "key_length"),
+    (["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5"], "sweep"),
+])
+def test_unwritable_out_fails_before_any_point(monkeypatch, capsys, tmp_path, argv, computes):
+    calls = []
+    monkeypatch.setattr(cli, computes, lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code == 2 and calls == []
+    assert "cannot write --out" in capsys.readouterr().err
 
 
 def test_asymptotic_anchor_row(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitekey.kernel import log2_bits, rational_from_decimal
+from finitekey.kernel import log2_bits, log2_ratio, rational_from_decimal, small_factors
 
 
 def test_decimal_parsing_exact():
@@ -72,3 +72,44 @@ def test_log2_fraction_consistency(a, b):
     got = log2_bits(Fraction(a, b))
     ref = log2_bits(a) - log2_bits(b)
     assert got == pytest.approx(ref, abs=5e-11)
+
+
+@given(
+    st.integers(min_value=1, max_value=2**300),
+    st.integers(min_value=1, max_value=2**300),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300)
+def test_log2_ratio_is_log2_bits_of_the_reduced_pair(a, b, near_one):
+    # near_one > 0 puts the ratio in (1/2, 2), where log1p takes over
+    if near_one:
+        b = max(1, a + near_one - 2)
+    f = Fraction(a, b)
+    assert log2_ratio(f.numerator, f.denominator).hex() == log2_bits(f).hex()
+    assert log2_ratio(f.numerator, f.denominator) == pytest.approx(
+        math.log2(a) - math.log2(b), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (-3, 7), (3, 0), (3, -7)])
+def test_log2_ratio_domain(num, den):
+    with pytest.raises(ValueError):
+        log2_ratio(num, den)
+
+
+@given(st.integers(min_value=1, max_value=10**40))
+@settings(max_examples=300)
+def test_small_factors_reconstructs(m):
+    primes, rest = small_factors(m)
+    assert rest * math.prod(p**e for p, e in primes.items()) == m
+    assert all(e >= 1 for e in primes.values())
+    assert all(all(p % k for k in range(2, math.isqrt(p) + 1)) for p in primes if p < 2**20)
+    assert all(rest % k for k in range(2, 1 << 10))  # nothing below the bound is left
+
+
+def test_small_factors_keeps_a_large_cofactor_whole():
+    # 1000003 is prime and above the trial bound; its square is not split
+    assert small_factors(64 * 1000003**2) == ({2: 6}, 1000003**2)
+    assert small_factors(1000003) == ({1000003: 1}, 1)  # below bound**2: proved prime
+    assert small_factors(1) == ({}, 1)
+    assert small_factors(2**10 * 3**4 * 5) == ({2: 10, 3: 4, 5: 1}, 1)

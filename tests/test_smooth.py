@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -9,9 +10,16 @@ from hypothesis import strategies as st
 
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from finitekey import smooth
+from finitekey.kernel import log2_bits
+from finitekey.keyrate import key_length
 from finitekey.smooth import (
     EpsilonTooLargeError,
+    RankTrimResult,
+    SupportCutResult,
+    WaterfillSolution,
+    _lowest_terms,
     _prod_le,
+    _strip,
     h0_smooth,
     s0_smooth,
     s2_smooth,
@@ -453,3 +461,189 @@ def test_random_perturbations_never_beat_minimum():
                 mass += dense_ev[idx]
                 kept -= 1
         assert kept >= tr.remaining_rank
+
+
+# --- lazy witnesses and the prime-stripped purity ----------------------------
+
+def _reference_scans(spec, eps):
+    """(s0, s2, h0) as (float.hex, witness repr) or the error message, from
+    level-by-level walks with every rational an eagerly reduced Fraction:
+    the scans as they were before their witnesses became integer pairs."""
+    levels = list(spec.walk(0))  # (mult, mass) ascending
+    den, m = spec.den, len(levels)
+    en, ed = eps.numerator, eps.denominator
+
+    # the support cut from the top, for both s0 and h0
+    target, U, cnt, b = (ed - en) * den, 0, 0, 0
+    for mult, w in reversed(levels):
+        U, cnt, b = U + w, cnt + mult, b + 1
+        if U * ed >= target:
+            break
+    kept = cnt - (U * ed - target) // (ed * (w // mult))
+    nonzero = m - (1 if spec.zero_mult else 0)
+    s0 = log2_bits(kept), RankTrimResult(
+        nonzero - b, spec.total_dim - spec.zero_mult - kept, kept, F(den - U, den)
+    )
+    h0 = log2_bits(kept), SupportCutResult(b, kept, F(U, den))
+
+    if m == 1:
+        lam = F(levels[0][1] // levels[0][0], den)
+        purity = levels[0][0] * lam * lam
+        s2 = -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)
+    else:
+        tq = en * den // ed
+        C = W = 0
+        b_minus = -1
+        for mult, w in levels:
+            if w * C > (tq + W) * mult:
+                break
+            C, W, b_minus = C + mult, W + w, b_minus + 1
+        (Ct, T), b_plus = levels[-1], 0
+        for mult, w in reversed(levels[:-1]):
+            if w * Ct <= (T - tq - 1) * mult:
+                break
+            Ct, T, b_plus = Ct + mult, T + w, b_plus + 1
+        x = F(en * den + ed * W, ed * den * C)
+        y = F(ed * T - en * den, ed * den * Ct)
+        if x >= y:
+            s2 = f"epsilon too large for spectrum: raised floor {x} meets lowered ceiling {y}"
+        else:
+            mid = sum(mult * (w // mult) ** 2 for mult, w in levels[b_minus + 1 : m - 1 - b_plus])
+            purity = C * x * x + F(mid, den * den) + Ct * y * y
+            s2 = -log2_bits(purity), WaterfillSolution(b_minus, b_plus, x, y, purity)
+    return tuple(
+        out if isinstance(out, str) else (out[0].hex(), repr(out[1]))
+        for out in (s0, s2, h0)
+    )
+
+
+def _canon_scans(spec, eps):
+    out = []
+    for fn in (s0_smooth, s2_smooth, h0_smooth):
+        try:
+            bits, w = fn(spec, eps)
+        except EpsilonTooLargeError as exc:
+            out.append(str(exc))
+        else:
+            out.append((bits.hex(), repr(w)))
+    return tuple(out)
+
+
+@st.composite
+def _identity_case(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 60))
+    q = draw(st.sampled_from([7, 10, 30, 50, 99, 10**4, 2 * 3 * 5 * 7 * 11]))
+    p = draw(st.integers(q // d + 1, q - 1))
+    return ProtocolParams(d=d, n=n, beta0=F(p, q), epsilon=F(1, 2))
+
+
+def _identity_budgets(spec, q, d):
+    """0, exact cumulative masses from both ends, the raise costs s_r, a
+    budget whose denominator holds a prime above the trial bound (alone and
+    inside eps' = (eps/8)^2), and budgets sharing primes with q and d."""
+    out = {F(0), F(1, 1000003), (F(1, 1000003) / 8) ** 2, F(1, q * d), F(7, q**3 * d)}
+    C, W = 0, F(0)
+    for v, m in spec.levels:
+        out |= {s for s in (v * C - W, W, 1 - W) if 0 <= s < 1}
+        C, W = C + m, W + v * m
+    return sorted(out)
+
+
+@given(_identity_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scans_match_eager_fraction_reference(p, data):
+    """float.hex, every witness repr and every error message equal those of
+    the eager-Fraction reference, on families and their explicit rebuilds."""
+    q = p.beta0.denominator
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        budgets = _identity_budgets(spec, q, p.d)
+        eps_list = data.draw(st.lists(st.sampled_from(budgets), min_size=1, max_size=4))
+        rebuilt = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
+        for eps in eps_list:
+            want = _reference_scans(spec, eps)
+            assert _canon_scans(spec, eps) == want
+            assert _canon_scans(rebuilt, eps) == want
+
+
+@pytest.mark.parametrize("fn", [s0_smooth, s2_smooth, h0_smooth])
+def test_lazy_witnesses_read_as_reduced_fractions(fn):
+    spec = xe_spectrum(params(d=3, n=20, beta0=F(49, 50)))
+    _, w = fn(spec, F(1, 640000))
+    for f in dataclasses.fields(w):
+        value = getattr(w, f.name)
+        if f.type == "Fraction":
+            assert type(value) is F
+            assert math.gcd(value.numerator, value.denominator) == 1
+            assert getattr(w, f.name) is value  # reduced once, then kept
+    assert w == fn(spec, F(1, 640000))[1]
+    assert hash(w) == hash(fn(spec, F(1, 640000))[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.b = 0
+
+
+def test_witness_fields_have_no_default():
+    with pytest.raises(TypeError):
+        WaterfillSolution(0, 0, F(1, 2), F(1, 2))
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(WaterfillSolution))
+
+
+@given(
+    st.integers(0, 10**40),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 40), max_size=4),
+    st.integers(1, 10**30),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 60), max_size=4),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1000003]), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_lowest_terms_matches_fraction(num, primes, rest, guess, shared):
+    # multiply num and rest by common primes, known or not, so both the
+    # stripping and the leftover gcd have something to find
+    common = math.prod(shared)
+    num, rest = num * common, rest * common
+    den = rest * math.prod(p**e for p, e in primes.items())
+    f = F(num, den)
+    assert _lowest_terms(num, primes, rest, guess) == (f.numerator, f.denominator)
+
+
+def test_lowest_terms_leftover_gcd_above_one():
+    # 13 and 1000003 are unknown primes shared by num and rest: the gcd on
+    # what is left of rest finds them; 2 and 3 come from the known primes
+    num = 2**9 * 3 * 13 * 1000003 * 17
+    rest = 2 * 13 * 1000003**2 * 19
+    primes = {2: 5, 3: 2}
+    assert math.gcd(num, rest // 2) == 13 * 1000003
+    f = F(num, rest * 2**5 * 3**2)
+    for guess in ({}, {3: 1}, {3: 7}, {2: 100}):  # right, too high, ignored
+        assert _lowest_terms(num, primes, rest, guess) == (f.numerator, f.denominator)
+    assert _lowest_terms(-num, primes, rest, {}) == (-f.numerator, f.denominator)
+    assert _lowest_terms(0, primes, rest, {}) == (0, 1)
+
+
+@given(st.integers(-(10**30), 10**30), st.sampled_from([2, 3, 5, 7]),
+       st.integers(0, 80), st.integers(0, 90), st.integers(0, 90))
+@settings(max_examples=300, deadline=None)
+def test_strip_matches_repeated_division(v, p, extra, cap, guess):
+    v *= p**extra
+    k, rest = 0, v
+    while k < cap and rest % p == 0:
+        rest //= p
+        k += 1
+    assert _strip(v, p, cap, guess) == (k, rest)
+
+
+def test_key_length_gcd_operands_stay_narrow(monkeypatch):
+    """Cost guard: at d=2, n=1e4 no gcd on the key-length path, Fraction's
+    included, sees an operand wider than half of xe's denominator.  The
+    eager Fractions took gcds of about 174k bits against a 66k-bit den."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    den_bits = xe_spectrum(p).den.bit_length()
+    widths, gcd = [], math.gcd
+
+    def recording(*args):
+        widths.append(max(a.bit_length() for a in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording)
+    key_length(p)
+    assert widths and max(widths) <= den_bits // 2
