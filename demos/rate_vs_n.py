@@ -10,20 +10,19 @@ Run:  python demos/rate_vs_n.py
 
 from fractions import Fraction as F
 
-from finitekey import SweepSpec, asymptotic_rate, sweep
+from finitekey import asymptotic_rate, sweep
 
 BETA0 = F(49, 50)  # 2% error rate
 EPSILON = F(1, 100)
 
 
 def main() -> None:
-    grid = [50, 100, 200, 500, 1000, 2000, 5000]
-    spec = SweepSpec(axis="n", grid=grid, d=2, beta0=BETA0, epsilon=EPSILON)
+    points = [(2, n, BETA0, EPSILON) for n in (50, 100, 200, 500, 1000, 2000, 5000)]
     limit = asymptotic_rate(2, BETA0).rate
 
     print(f"d=2, error rate 2%, eps={EPSILON}; asymptotic rate {limit:.6f}\n")
     print(f"{'n':>6}  {'ell':>12}  {'rate':>10}  {'of limit':>9}")
-    for pt in sweep(spec):
+    for pt in sweep(points):
         res = pt.result
         if res is None:
             print(f"{pt.n:>6}  {pt.error}")

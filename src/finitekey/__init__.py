@@ -12,7 +12,6 @@ from .kernel import log2_bits, rational_from_decimal
 from .keyrate import (
     KeyRateResult,
     SweepPoint,
-    SweepSpec,
     key_length,
     sweep,
     threshold_error_rate,
@@ -45,7 +44,6 @@ __all__ = [
     "RankTrimResult",
     "SupportCutResult",
     "SweepPoint",
-    "SweepSpec",
     "WaterfillSolution",
     "asymptotic_rate",
     "conditional_spectrum",

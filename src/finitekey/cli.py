@@ -17,8 +17,7 @@ from typing import Optional
 
 from .asymptotic import asymptotic_rate
 from .kernel import rational_from_decimal
-from .keyrate import SweepSpec, key_length, n_for_ntilde, sweep, threshold_error_rate
-from .spectra import ProtocolParams
+from .keyrate import n_for_ntilde, sweep, threshold_error_rate
 
 HEADER = [
     "d", "n", "beta0", "error_rate", "epsilon", "epsilon_prime",
@@ -145,16 +144,36 @@ def _result_row(res) -> list[str]:
     )))
 
 
-def _run_compute(args) -> tuple[list[list[str]], int]:
-    try:
-        params = ProtocolParams(d=args.d, n=args.n, beta0=args.beta0, epsilon=args.epsilon)
-        return [_result_row(key_length(params))], 0
-    except ValueError as exc:
-        return [_row(args.d, args.n, args.beta0, args.epsilon, [f"ERROR:{exc}"])], 1
+def _points(args, parser) -> list[tuple]:
+    """The (d, n, beta0, epsilon) points the flags ask for, in order, with n
+    floored per d under --fixed-ntilde; a usage error if they conflict."""
+    if args.mode == "compute":
+        return [(args.d, args.n, args.beta0, args.epsilon)]
+    if args.mode == "threshold":
+        if (args.n is None) == (args.fixed_ntilde is None):
+            parser.error("need exactly one of --n or --fixed-ntilde")
+        axis, grid = "d", args.sweep_d or [args.d]
+    else:
+        axis, grid = _sweep_axis(args, parser)
+    d, n, beta0, epsilon = (2 if args.d is None else args.d), args.n, args.beta0, args.epsilon
+    points = []
+    for v in grid:
+        if axis == "n":
+            n = v
+        elif axis == "error":
+            beta0 = 1 - v
+        elif axis == "epsilon":
+            epsilon = v
+        else:
+            d = v
+        if args.fixed_ntilde is not None:
+            n = n_for_ntilde(args.fixed_ntilde, d)
+        points.append((d, n, beta0, epsilon))
+    return points
 
 
-def _sweep_spec(args, parser) -> SweepSpec:
-    """The sweep the flags ask for; a usage error if they conflict."""
+def _sweep_axis(args, parser) -> tuple[str, list]:
+    """The swept axis and its grid; a usage error if the flags conflict."""
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     if args.sweep_n is not None:
@@ -164,7 +183,7 @@ def _sweep_spec(args, parser) -> SweepSpec:
         if args.fixed_ntilde is not None:
             parser.error("--fixed-ntilde conflicts with --sweep-n")
     elif args.sweep_error is not None:
-        axis, grid = "error_rate", args.sweep_error
+        axis, grid = "error", args.sweep_error
         if args.beta0 is not None:
             parser.error("--beta0/--error-rate conflict with --sweep-error")
     elif args.sweep_epsilon is not None:
@@ -172,59 +191,47 @@ def _sweep_spec(args, parser) -> SweepSpec:
         if args.epsilon is not None:
             parser.error("--epsilon conflicts with --sweep-epsilon")
     else:
-        axis, grid = "dimension", args.sweep_d
+        axis, grid = "d", args.sweep_d
         if args.d is not None:
             parser.error("--d conflicts with --sweep-d")
-    d = args.d if args.d is not None else 2
     if axis != "n" and args.n is None and args.fixed_ntilde is None:
         parser.error("need --n or --fixed-ntilde")
-    if axis != "error_rate" and args.beta0 is None:
+    if axis != "error" and args.beta0 is None:
         parser.error("need --beta0 or --error-rate")
     if axis != "epsilon" and args.epsilon is None:
         parser.error("need --epsilon")
-    return SweepSpec(
-        axis=axis, grid=grid, d=d, n=args.n, beta0=args.beta0,
-        epsilon=args.epsilon, fixed_ntilde=args.fixed_ntilde,
-    )
+    return axis, grid
 
 
-def _run_sweep(spec: SweepSpec, workers: int) -> tuple[list[list[str]], int]:
+def _run_sweep(points, workers: int) -> list[list[str]]:
+    return [
+        _result_row(pt.result) if pt.error is None
+        else _row(pt.d, pt.n, pt.beta0, pt.epsilon, [f"ERROR:{pt.error}"])
+        for pt in sweep(points, workers=workers)
+    ]
+
+
+def _run_threshold(points) -> list[list[str]]:
     rows = []
-    status = 0
-    for pt in sweep(spec, workers=workers):
-        if pt.error is None:
-            rows.append(_result_row(pt.result))
-        else:
-            rows.append(_row(pt.d, pt.n, pt.beta0, pt.epsilon, [f"ERROR:{pt.error}"]))
-            status = 1
-    return rows, status
-
-
-def _run_threshold(args) -> tuple[list[list[str]], int]:
-    dims = args.sweep_d if args.sweep_d is not None else [args.d]
-    rows = []
-    status = 0
-    for d in dims:
-        n = n_for_ntilde(args.fixed_ntilde, d) if args.fixed_ntilde is not None else args.n
+    for d, n, _, epsilon in points:
         try:
-            thr = threshold_error_rate(d, n, args.epsilon)
-            rows.append([str(d), str(n), _frac(args.epsilon), f"{thr:.4f}"])
+            value = f"{threshold_error_rate(d, n, epsilon):.4f}"
         except ValueError as exc:
-            rows.append([str(d), str(n), _frac(args.epsilon), f"ERROR:{exc}"])
-            status = 1
-    return rows, status
+            value = f"ERROR:{exc}"
+        rows.append([str(d), "" if n is None else str(n), _frac(epsilon), value])
+    return rows
 
 
-def _run_asymptotic(args) -> tuple[list[list[str]], int]:
+def _run_asymptotic(args) -> list[list[str]]:
     d, beta0 = args.d, args.beta0
     try:
         ar = asymptotic_rate(d, beta0)
     except ValueError as exc:
-        return [_row(d, None, beta0, None, [f"ERROR:{exc}"])], 1
+        return [_row(d, None, beta0, None, [f"ERROR:{exc}"])]
     return [_row(d, None, beta0, None, [
         _g(ar.s_xe), _g(ar.s_e), _g(ar.h_xy), "",
         _g(ar.rate), _g(max(ar.rate, 0.0)), _g(ar.rate / (d * (d + 1))), _g(ar.rate),
-    ])], 0
+    ])]
 
 
 def _add_output_flags(sp) -> None:
@@ -252,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True, help="sifted-key length")
     _add_beta_flags(c, required=True)
     c.add_argument("--epsilon", type=_decimal, required=True, help="security parameter")
+    c.set_defaults(workers=1)
     _add_output_flags(c)
 
     s = sub.add_parser("sweep", help="evaluate a one-axis parameter grid")
@@ -278,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--fixed-ntilde", type=int, default=None)
     t.add_argument("--epsilon", type=_decimal, required=True)
+    t.set_defaults(beta0=None)
     _add_output_flags(t)
 
     a = sub.add_parser("asymptotic", help="n -> infinity reference rate")
@@ -293,17 +302,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     # every usage error, an unwritable --out included, comes before the
     # first point is computed
-    if args.mode == "compute":
-        header, run = HEADER, lambda: _run_compute(args)
-    elif args.mode == "sweep":
-        spec = _sweep_spec(args, parser)
-        header, run = HEADER, lambda: _run_sweep(spec, args.workers)
-    elif args.mode == "threshold":
-        if (args.n is None) == (args.fixed_ntilde is None):
-            parser.error("need exactly one of --n or --fixed-ntilde")
-        header, run = THRESHOLD_HEADER, lambda: _run_threshold(args)
-    else:
+    if args.mode == "asymptotic":
         header, run = HEADER, lambda: _run_asymptotic(args)
+    elif args.mode == "threshold":
+        points = _points(args, parser)
+        header, run = THRESHOLD_HEADER, lambda: _run_threshold(points)
+    else:
+        points = _points(args, parser)
+        header, run = HEADER, lambda: _run_sweep(points, args.workers)
 
     delim = "," if args.format == "csv" else "\t"
     if args.out:
@@ -314,14 +320,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         handle = sys.stdout
     try:
-        rows, status = run()
+        rows = run()
         writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     finally:
         if args.out:
             handle.close()
-    return status
+    # a point that failed on domain grounds keeps its row, with an ERROR cell
+    return int(any(cell.startswith("ERROR:") for row in rows for cell in row))
 
 
 if __name__ == "__main__":

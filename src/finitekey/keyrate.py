@@ -4,18 +4,18 @@ key_length composes the three smoothed entropies at eps' = (eps/8)^2 into
 
     ell = S2 - S0 - H0 - 2*log2(1/eps),
 
-plus the derived per-signal and per-resource rates.  Sweeps evaluate a grid
-along one axis (optionally in parallel; output order always follows grid
-order) and report per-point failures without aborting the rest.
+plus the derived per-signal and per-resource rates.  Sweeps evaluate a list
+of (d, n, beta0, epsilon) points (optionally in parallel; output order
+always follows the list) and report per-point failures without aborting.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .asymptotic import asymptotic_rate
 from .kernel import log2_bits
@@ -29,15 +29,11 @@ from .spectra import (
 
 __all__ = [
     "KeyRateResult",
-    "SweepSpec",
     "SweepPoint",
     "key_length",
     "sweep",
     "threshold_error_rate",
 ]
-
-_AXES = ("n", "error_rate", "epsilon", "dimension")
-
 
 @dataclass(frozen=True)
 class KeyRateResult:
@@ -84,35 +80,9 @@ def key_length(params: ProtocolParams) -> KeyRateResult:
     )
 
 
-@dataclass
-class SweepSpec:
-    """One-axis parameter sweep.
-
-    axis names the varying parameter; grid holds its values.  The remaining
-    parameters are fixed.  With fixed_ntilde set, each point uses
-    n = floor(ntilde / (d*(d+1))) instead of the fixed n (the resource
-    budget n*(d+1)*d is held constant across dimensions).
-    """
-
-    axis: str
-    grid: Sequence = field(default_factory=list)
-    d: int = 2
-    n: Optional[int] = None
-    beta0: Optional[Fraction] = None
-    epsilon: Optional[Fraction] = None
-    fixed_ntilde: Optional[int] = None
-
-    def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {_AXES}")
-        self.grid = list(self.grid)  # read once: the grid may be an iterator
-        if not self.grid:
-            raise ValueError("sweep grid is empty")
-
-
 @dataclass(frozen=True)
 class SweepPoint:
-    """Outcome at one grid point: either result or an error message."""
+    """Outcome at one point: either result or an error message."""
 
     d: int
     n: Optional[int]
@@ -122,105 +92,75 @@ class SweepPoint:
     error: Optional[str] = None
 
 
-def n_for_ntilde(ntilde: int, d: int) -> int:
-    """Sifted-key length that holds the resource budget n*(d+1)*d at ntilde."""
-    return ntilde // (d * (d + 1))
+def n_for_ntilde(ntilde: int, d: int) -> Optional[int]:
+    """Sifted-key length that holds the resource budget n*(d+1)*d at ntilde;
+    None where d*(d+1) is 0, a dimension ProtocolParams refuses anyway."""
+    return ntilde // (d * (d + 1)) if d not in (-1, 0) else None
 
 
-def _grid_args(spec: SweepSpec):
-    for v in spec.grid:
-        d, n, beta0, epsilon = spec.d, spec.n, spec.beta0, spec.epsilon
-        if spec.axis == "n":
-            n = int(v)
-        elif spec.axis == "error_rate":
-            beta0 = 1 - Fraction(v)
-        elif spec.axis == "epsilon":
-            epsilon = Fraction(v)
-        else:
-            d = int(v)
-        if spec.fixed_ntilde is not None:
-            n = n_for_ntilde(spec.fixed_ntilde, d)
-        yield d, n, beta0, epsilon
-
-
-def _eval_point(args) -> SweepPoint:
-    d, n, beta0, epsilon = args
+def _eval_point(point) -> SweepPoint:
+    d, n, beta0, epsilon = point
     try:
-        if n is None:
-            raise ValueError("n is not set (missing fixed n or fixed_ntilde)")
-        if beta0 is None:
-            raise ValueError("beta0 is not set")
-        if epsilon is None:
-            raise ValueError("epsilon is not set")
         params = ProtocolParams(d=d, n=n, beta0=beta0, epsilon=epsilon)
         return SweepPoint(d, n, beta0, epsilon, result=key_length(params))
     except (ValueError, TypeError, OverflowError) as exc:
         return SweepPoint(d, n, beta0, epsilon, error=str(exc))
 
 
-def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepPoint]:
-    """Evaluate every grid point, in grid order.
+def sweep(points: Iterable[tuple], workers: int = 1) -> list[SweepPoint]:
+    """Evaluate each (d, n, beta0, epsilon) point, in order.
 
-    Invalid points become SweepPoint.error entries; the rest of the grid
-    still runs.  workers > 1 distributes points over processes, at most one
-    per grid point and per CPU; the result order (and content) is
-    independent of scheduling.
+    points may be any iterable and is read once.  Invalid points become
+    SweepPoint.error entries; the rest still run.  workers > 1 distributes
+    points over processes, at most one per point and per CPU; the result
+    order (and content) is independent of scheduling.
     """
-    args = list(_grid_args(spec))
-    workers = min(workers, len(args), os.cpu_count() or 1)
+    points = list(points)
+    workers = min(workers, len(points), os.cpu_count() or 1)
     if workers <= 1:
-        return [_eval_point(a) for a in args]
+        return [_eval_point(p) for p in points]
     # imported here: the process pool's modules take about 2 MB and 25 ms
     # to load, which a process that never starts one need not pay
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_point, args))
+        return list(pool.map(_eval_point, points))
 
 
-def threshold_error_rate(
-    d: int,
-    n: int,
-    epsilon,
-    *,
-    coarse_step: Fraction = Fraction(1, 100),
-    tol: Fraction = Fraction(1, 10000),
-) -> float:
-    """Error rate at which the raw key length crosses zero, to within tol.
+THRESHOLD_TOL = Fraction(1, 10000)  # the lattice of error rates tried
+COARSE_STEPS = 100  # lattice points per coarse step: 0.01
 
-    Every error rate tried lies on the lattice e = k*tol, which keeps the
-    exact spectra's denominators small.  Brackets the first sign change of
-    ell on a coarse grid (ell oscillates near threshold, so bisecting
-    blindly can catch a false root), then bisects lattice indices, rounding
-    each midpoint half to even.  coarse_step must be a positive multiple of
-    tol.
-    """
-    epsilon, coarse_step, tol = Fraction(epsilon), Fraction(coarse_step), Fraction(tol)
-    if tol <= 0 or coarse_step <= 0 or (coarse_step / tol).denominator != 1:
-        raise ValueError(
-            f"coarse_step must be a positive multiple of tol, got {coarse_step} and {tol}"
-        )
-    step = int(coarse_step / tol)
+
+def threshold_error_rate(d: int, n: int, epsilon) -> float:
+    """Error rate at which the raw key length crosses zero, to within 1e-4.
+
+    Every error rate tried lies on the lattice e = k*THRESHOLD_TOL, which
+    keeps the exact spectra's denominators small.  Brackets the first sign
+    change of ell on the coarse grid of multiples of 0.01 (ell oscillates
+    near threshold, so bisecting blindly can catch a false root), then
+    bisects lattice indices, rounding each midpoint half to even.  Invalid
+    (d, n, epsilon) raise ValueError before any evaluation."""
+    epsilon = ProtocolParams(d=d, n=n, beta0=1, epsilon=epsilon).epsilon
 
     def ell(k: int) -> float:
-        params = ProtocolParams(d=d, n=n, beta0=1 - k * tol, epsilon=epsilon)
+        params = ProtocolParams(d=d, n=n, beta0=1 - k * THRESHOLD_TOL, epsilon=epsilon)
         return key_length(params).ell_bits
 
-    for k in range(step, math.ceil(Fraction(d - 1, d) / tol), step):
+    for k in range(COARSE_STEPS, math.ceil(Fraction(d - 1, d) / THRESHOLD_TOL), COARSE_STEPS):
         if ell(k) <= 0:
             break
     else:
         raise ValueError("key length never changes sign on the coarse grid")
-    if k == step:
+    if k == COARSE_STEPS:
         raise ValueError(
-            f"key length is already nonpositive at error rate {float(k * tol):g}; "
+            f"key length is already nonpositive at error rate {float(k * THRESHOLD_TOL):g}; "
             "threshold lies below the coarse grid"
         )
-    lo, hi = k - step, k
+    lo, hi = k - COARSE_STEPS, k
     while hi - lo > 1:
         mid = round(Fraction(lo + hi, 2))
         if ell(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) * tol / 2)
+    return float((lo + hi) * THRESHOLD_TOL / 2)

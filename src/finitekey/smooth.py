@@ -69,8 +69,17 @@ __all__ = [
 
 
 class EpsilonTooLargeError(ValueError):
-    """The smoothing budget would drive the raised floor past the lowered
-    ceiling (x >= y); the two-sided water-fill solution does not exist."""
+    """The smoothing budget would drive the raised floor x past the lowered
+    ceiling y (x >= y); the two-sided water-fill solution does not exist.
+    x and y are exact; the message prints them as floats, at any size."""
+
+    def __init__(self, x: Fraction, y: Fraction):
+        super().__init__(x, y)
+        self.x, self.y = x, y
+
+    def __str__(self) -> str:
+        return (f"epsilon too large for spectrum: raised floor {float(self.x)!r} "
+                f"meets lowered ceiling {float(self.y)!r}")
 
 
 def _strip(v: int, p: int, cap, guess: int = 0) -> tuple[int, int]:
@@ -342,11 +351,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     unit = spec.mass_factors  # divides X, Y and mid
     x, y = _Ratio(X, primes, rest * C, unit), _Ratio(Y, primes, rest * Ct, unit)
     if X * Ct >= Y * C:  # x >= y
-        raise EpsilonTooLargeError(
-            f"epsilon too large for spectrum: raised floor "
-            f"{_coprime_fraction(*_lowest_terms(*x))} meets lowered ceiling "
-            f"{_coprime_fraction(*_lowest_terms(*y))}"
-        )
+        raise EpsilonTooLargeError(*(_coprime_fraction(*_lowest_terms(*r)) for r in (x, y)))
     mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
     # C*x^2 + mid/den^2 + Ct*y^2 over (ed*den)^2 * C * Ct, in lowest terms
     # because log2_ratio windows the numerator and denominator separately

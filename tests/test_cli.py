@@ -99,8 +99,9 @@ def test_usage_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, computes", [
-    (["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5"], "key_length"),
+    (["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5"], "sweep"),
     (["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5"], "sweep"),
+    (["threshold", "--n", "300", "--epsilon", "0.01"], "threshold_error_rate"),
 ])
 def test_unwritable_out_fails_before_any_point(monkeypatch, capsys, tmp_path, argv, computes):
     calls = []
@@ -209,6 +210,29 @@ def test_threshold_sweep_d(capsys):
     assert [r[1] for r in rows] == ["500", "250"]
     assert all(0 < float(r[3]) < 0.5 for r in rows)
 
+
+
+@pytest.mark.parametrize("argv, d_n", [
+    (["threshold", "--d", "0", "--n", "100", "--epsilon", "0.1"], [["0", "100"]]),
+    (["threshold", "--d", "1", "--n", "100", "--epsilon", "0.1"], [["1", "100"]]),
+    (["threshold", "--d", "-1", "--fixed-ntilde", "600", "--epsilon", "0.1"], [["-1", ""]]),
+    (["threshold", "--sweep-d", "2,1,0", "--n", "100", "--epsilon", "0.1"],
+     [["2", "100"], ["1", "100"], ["0", "100"]]),
+    (["sweep", "--sweep-d", "2,0", "--fixed-ntilde", "600", "--error-rate", "0.02",
+      "--epsilon", "0.1"], [["2", "100"], ["0", ""]]),
+])
+def test_dimension_below_two_is_an_error_row(capsys, argv, d_n):
+    """Each point with d < 2 gives an ERROR row, also where d*(d+1) = 0
+    leaves --fixed-ntilde no n; the other points still run."""
+    rc, lines = run(capsys, argv)
+    assert rc == 1
+    rows = [cells(r) for r in lines[1:]]
+    assert [r[:2] for r in rows] == d_n
+    value = 3 if argv[0] == "threshold" else 6
+    for (d, _), row in zip(d_n, rows):
+        error = f"ERROR:dimension d must be an integer >= 2, got {d}"
+        assert (row[value] == error) == (int(d) < 2)
+        assert not row[value].startswith("ERROR:") or int(d) < 2
 
 # --- grid parsers ------------------------------------------------------------
 

@@ -1,16 +1,15 @@
 import concurrent.futures
-import math
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from finitekey import keyrate
 from finitekey.kernel import log2_bits
 from finitekey.keyrate import (
-    SweepPoint,
-    SweepSpec,
     key_length,
+    n_for_ntilde,
     sweep,
     threshold_error_rate,
 )
@@ -71,8 +70,7 @@ def test_rate_below_asymptotic():
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_axis_n_preserves_order():
-    spec = SweepSpec(axis="n", grid=[3, 1, 2], beta0=F(9, 10), epsilon=F(1, 2))
-    pts = sweep(spec)
+    pts = sweep([(2, n, F(9, 10), F(1, 2)) for n in (3, 1, 2)])
     assert [p.n for p in pts] == [3, 1, 2]
     assert all(p.error is None for p in pts)
     solo = key_length(ProtocolParams(d=2, n=2, beta0=F(9, 10), epsilon=F(1, 2)))
@@ -80,39 +78,30 @@ def test_sweep_axis_n_preserves_order():
 
 
 def test_sweep_error_axis_continues_past_failures():
-    spec = SweepSpec(
-        axis="error_rate", grid=[F(1, 100), F(3, 5), F(2, 100)],
-        n=2, epsilon=F(1, 2),
-    )
-    pts = sweep(spec)
+    pts = sweep([(2, 2, 1 - e, F(1, 2)) for e in (F(1, 100), F(3, 5), F(2, 100))])
     assert pts[0].error is None and pts[2].error is None
     assert pts[1].result is None and "beta0" in pts[1].error
     assert pts[0].beta0 == F(99, 100) and pts[2].beta0 == F(49, 50)
 
 
-def test_sweep_reports_missing_fixed_parameters():
-    pts = sweep(SweepSpec(axis="n", grid=[1], epsilon=F(1, 2)))
-    assert pts[0].error == "beta0 is not set"
-    pts = sweep(SweepSpec(axis="error_rate", grid=[F(1, 100)], epsilon=F(1, 2)))
-    assert pts[0].error == "n is not set (missing fixed n or fixed_ntilde)"
-    pts = sweep(SweepSpec(axis="n", grid=[1], beta0=F(9, 10)))
-    assert pts[0].error == "epsilon is not set"
-    pts = sweep(SweepSpec(axis="error_rate", grid=[F(1, 100)], n=1, epsilon=F(1, 2)))
-    assert pts[0].error is None and pts[0].result is not None  # fully specified
-
-
 def test_sweep_fixed_ntilde_floors_n():
-    spec = SweepSpec(
-        axis="dimension", grid=[2, 3], beta0=F(9, 10), epsilon=F(1, 2),
-        fixed_ntilde=600,
-    )
-    pts = sweep(spec)
+    pts = sweep([(d, n_for_ntilde(600, d), F(9, 10), F(1, 2)) for d in (2, 3)])
     assert [p.n for p in pts] == [100, 50]  # 600 // (d*(d+1))
+    assert all(p.error is None for p in pts)
+
+
+@pytest.mark.parametrize("d", [1, 0, -1, -2])
+def test_sweep_dimension_below_two_is_a_point_error(d):
+    """d*(d+1) is 0 at d = 0 and -1, so the budget fixes no n there; the
+    point still fails on its dimension, next to a valid one."""
+    pts = sweep([(d, n_for_ntilde(600, d), F(9, 10), F(1, 2)), (2, 100, F(9, 10), F(1, 2))])
+    assert pts[0].error == f"dimension d must be an integer >= 2, got {d}"
+    assert pts[1].error is None
 
 
 def test_sweep_parallel_matches_serial():
-    spec = SweepSpec(axis="epsilon", grid=[F(1, 10), F(1, 2)], n=3, beta0=F(9, 10))
-    assert sweep(spec, workers=2) == sweep(spec)
+    points = [(2, 3, F(9, 10), e) for e in (F(1, 10), F(1, 2))]
+    assert sweep(points, workers=2) == sweep(points)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +128,8 @@ def test_sweep_pool_is_bounded(monkeypatch, cpus, workers, pool_sizes):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(keyrate.os, "cpu_count", lambda: cpus)
-    spec = SweepSpec(axis="epsilon", grid=[F(1, 10), F(1, 4), F(1, 2)], n=3, beta0=F(9, 10))
-    assert sweep(spec, workers=workers) == sweep(spec)
+    points = [(2, 3, F(9, 10), e) for e in (F(1, 10), F(1, 4), F(1, 2))]
+    assert sweep(points, workers=workers) == sweep(points)
     assert sizes == pool_sizes
 
 
@@ -157,18 +146,12 @@ def test_key_length_memory_stays_small():
     assert peak < 16 * 2**20
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError, match="unknown sweep axis"):
-        SweepSpec(axis="noise", grid=[1])
-    with pytest.raises(ValueError, match="sweep grid is empty"):
-        SweepSpec(axis="n", grid=[])
-
-
 def test_sweep_reads_an_iterator_grid_once():
-    """The emptiness check must not consume a one-shot grid."""
-    spec = SweepSpec(axis="n", grid=(n for n in [10, 20]), beta0=F(9, 10), epsilon=F(1, 2))
-    assert [p.n for p in sweep(spec)] == [10, 20]
-    assert [p.n for p in sweep(spec)] == [10, 20]
+    """A one-shot iterable is read once, also where the pool needs its length."""
+    points = [(2, n, F(9, 10), F(1, 2)) for n in (10, 20)]
+    assert [p.n for p in sweep(iter(points))] == [10, 20]
+    assert [p.n for p in sweep((p for p in points), workers=2)] == [10, 20]
+    assert sweep([]) == []
 
 
 # --- threshold ---------------------------------------------------------------
@@ -189,10 +172,22 @@ def test_threshold_below_grid():
         threshold_error_rate(2, 1, F(1, 100))
 
 
-def test_threshold_no_sign_change():
+def test_threshold_no_sign_change(monkeypatch):
+    monkeypatch.setattr(keyrate, "key_length", lambda params: SimpleNamespace(ell_bits=1.0))
     with pytest.raises(ValueError, match="never changes sign"):
-        threshold_error_rate(2, 500, F(1, 100), coarse_step=F(1, 2))
-    # a coarse grid off the tol lattice is refused before any evaluation
-    for step in (F(1, 300), F(0), F(-1, 100)):
-        with pytest.raises(ValueError, match="positive multiple of tol"):
-            threshold_error_rate(2, 500, F(1, 100), coarse_step=step)
+        threshold_error_rate(2, 500, F(1, 100))
+
+
+@pytest.mark.parametrize("d, n, epsilon, message", [
+    (0, 100, F(1, 10), "dimension d must be an integer >= 2, got 0"),
+    (1, 100, F(1, 10), "dimension d must be an integer >= 2, got 1"),
+    (-1, 100, F(1, 10), "dimension d must be an integer >= 2, got -1"),
+    (2, 0, F(1, 10), "signal count n must be an integer >= 1, got 0"),
+    (2, 100, F(3, 2), "epsilon must lie in"),
+])
+def test_threshold_refuses_invalid_inputs_before_evaluating(monkeypatch, d, n, epsilon, message):
+    calls = []
+    monkeypatch.setattr(keyrate, "key_length", calls.append)
+    with pytest.raises(ValueError, match=message):
+        threshold_error_rate(d, n, epsilon)
+    assert calls == []

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -131,6 +132,17 @@ def test_s2_crossing_error():
     spec = CompressedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)], 3)
     with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum"):
         s2_smooth(spec, F(9, 10))
+
+
+def test_s2_crossing_error_at_any_size():
+    """x and y too long to print in decimal still raise the typed error,
+    with the exact values kept on it."""
+    D = 4 * 3**10000
+    spec = CompressedSpectrum.from_levels([(F(1, 4) - F(1, D), 1), (F(3, 4) + F(1, D), 1)], 2)
+    with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum") as exc:
+        s2_smooth(spec, F(1, 3))
+    assert (exc.value.x, exc.value.y) == (F(7, 12) - F(1, D), F(5, 12) + F(1, D))
+    assert pickle.loads(pickle.dumps(exc.value)).args == exc.value.args
 
 
 def test_s2_single_level_never_errors():
@@ -268,7 +280,7 @@ def _scan(fn, spec, eps):
     try:
         return fn(spec, eps)
     except EpsilonTooLargeError as exc:
-        return str(exc)
+        return exc.x, exc.y
 
 
 def _mass_on_top(p):
@@ -338,7 +350,7 @@ def test_s2_matches_reference_bottom_walk(p, rebuild, data):
         try:
             _, sol = s2_smooth(spec, eps)
         except EpsilonTooLargeError as exc:
-            assert f"raised floor {x} meets" in str(exc)
+            assert exc.x == x
         else:
             assert (sol.b_minus, sol.x) == (b_minus, x)
 
@@ -506,13 +518,13 @@ def _reference_scans(spec, eps):
         x = F(en * den + ed * W, ed * den * C)
         y = F(ed * T - en * den, ed * den * Ct)
         if x >= y:
-            s2 = f"epsilon too large for spectrum: raised floor {x} meets lowered ceiling {y}"
+            s2 = x, y
         else:
             mid = sum(mult * (w // mult) ** 2 for mult, w in levels[b_minus + 1 : m - 1 - b_plus])
             purity = C * x * x + F(mid, den * den) + Ct * y * y
             s2 = -log2_bits(purity), WaterfillSolution(b_minus, b_plus, x, y, purity)
     return tuple(
-        out if isinstance(out, str) else (out[0].hex(), repr(out[1]))
+        (out[0].hex(), repr(out[1])) if isinstance(out[0], float) else out
         for out in (s0, s2, h0)
     )
 
@@ -523,7 +535,7 @@ def _canon_scans(spec, eps):
         try:
             bits, w = fn(spec, eps)
         except EpsilonTooLargeError as exc:
-            out.append(str(exc))
+            out.append((exc.x, exc.y))
         else:
             out.append((bits.hex(), repr(w)))
     return tuple(out)
