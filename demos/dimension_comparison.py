@@ -15,6 +15,7 @@ Run:  python demos/dimension_comparison.py
 from fractions import Fraction as F
 
 from finitekey import ProtocolParams, key_length, threshold_error_rate
+from finitekey.keyrate import n_for_ntilde
 
 NTILDE = 6000
 EPSILON = F(1, 10)
@@ -24,7 +25,7 @@ def main() -> None:
     print(f"fixed resource budget ntilde = {NTILDE}, eps = {EPSILON}\n")
     print(f"{'d':>2}  {'n':>5}  {'threshold':>9}  {'eff.rate @1%':>12}")
     for d in (2, 3, 4, 5):
-        n = NTILDE // (d * (d + 1))
+        n = n_for_ntilde(NTILDE, d)
         try:
             thr = f"{threshold_error_rate(d, n, EPSILON):9.4f}"
         except ValueError:

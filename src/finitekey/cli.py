@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -52,21 +53,18 @@ def _error_rate(text: str) -> Fraction:
     return 1 - _decimal(text)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        out = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        out = []
-    if not out:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return out
-
-
-def _decimal_list(text: str) -> list[Fraction]:
-    out = [_decimal(part) for part in text.split(",") if part]
-    if not out:
-        raise argparse.ArgumentTypeError(f"expected comma-separated decimals, got {text!r}")
-    return out
+def _list_of(item):
+    """An argparse type: comma-separated values, each parsed by item (which
+    raises ValueError on a bad one), at least one of them."""
+    def parse(text: str) -> list:
+        try:
+            out = [item(part) for part in text.split(",") if part]
+        except ValueError:
+            out = []
+        if not out:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return out
+    return parse
 
 
 def _too_long(text: str) -> argparse.ArgumentTypeError:
@@ -75,18 +73,22 @@ def _too_long(text: str) -> argparse.ArgumentTypeError:
     )
 
 
+def _steps(a, b, step, text: str) -> list:
+    """a, a + step, ... up to b, for ints or Fractions alike."""
+    if step <= 0 or a > b:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    count = (b - a) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise _too_long(text)
+    return [a + i * step for i in range(count)]
+
+
 def _n_grid(text: str) -> list[int]:
     """a:b:step for linear grids, a:b:ratio:log for geometric ones."""
     parts = text.split(":")
     try:
         if len(parts) == 3:
-            a, b, step = int(parts[0]), int(parts[1]), int(parts[2])
-            if step <= 0 or a > b:
-                raise ValueError
-            grid = range(a, b + 1, step)
-            if len(grid) > MAX_GRID_POINTS:
-                raise _too_long(text)
-            return list(grid)
+            return _steps(*map(int, parts), text)
         if len(parts) == 4 and parts[3] == "log":
             a, b, ratio = int(parts[0]), int(parts[1]), float(parts[2])
             if a < 1 or a > b or ratio <= 1:
@@ -113,24 +115,14 @@ def _decimal_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}")
-    a, b, step = (_decimal(p) for p in parts)
-    if step <= 0 or a > b:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    if (b - a) // step + 1 > MAX_GRID_POINTS:
-        raise _too_long(text)
-    out = []
-    v = a
-    while v <= b:
-        out.append(v)
-        v += step
-    return out
+    return _steps(*map(_decimal, parts), text)
 
 
 def _row(d, n, beta0, epsilon, values) -> list[str]:
     """A HEADER row: the parameter columns (blank where unset), then the
     value cells, padded with blanks to the full width."""
     eps_p = None if epsilon is None else (Fraction(epsilon) / 8) ** 2
-    row = ["" if d is None else str(d), "" if n is None else str(n), _frac(beta0),
+    row = [str(d), "" if n is None else str(n), _frac(beta0),
            _frac(None if beta0 is None else 1 - beta0), _frac(epsilon), _frac(eps_p)]
     row += values
     return row + [""] * (len(HEADER) - len(row))
@@ -145,62 +137,28 @@ def _result_row(res) -> list[str]:
 
 
 def _points(args, parser) -> list[tuple]:
-    """The (d, n, beta0, epsilon) points the flags ask for, in order, with n
-    floored per d under --fixed-ntilde; a usage error if they conflict."""
-    if args.mode == "compute":
-        return [(args.d, args.n, args.beta0, args.epsilon)]
-    if args.mode == "threshold":
-        if (args.n is None) == (args.fixed_ntilde is None):
-            parser.error("need exactly one of --n or --fixed-ntilde")
-        axis, grid = "d", args.sweep_d or [args.d]
-    else:
-        axis, grid = _sweep_axis(args, parser)
-    d, n, beta0, epsilon = (2 if args.d is None else args.d), args.n, args.beta0, args.epsilon
-    points = []
-    for v in grid:
-        if axis == "n":
-            n = v
-        elif axis == "error":
-            beta0 = 1 - v
-        elif axis == "epsilon":
-            epsilon = v
-        else:
-            d = v
-        if args.fixed_ntilde is not None:
-            n = n_for_ntilde(args.fixed_ntilde, d)
-        points.append((d, n, beta0, epsilon))
-    return points
-
-
-def _sweep_axis(args, parser) -> tuple[str, list]:
-    """The swept axis and its grid; a usage error if the flags conflict."""
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.sweep_n is not None:
-        axis, grid = "n", args.sweep_n
-        if args.n is not None:
-            parser.error("--n conflicts with --sweep-n")
-        if args.fixed_ntilde is not None:
-            parser.error("--fixed-ntilde conflicts with --sweep-n")
-    elif args.sweep_error is not None:
-        axis, grid = "error", args.sweep_error
-        if args.beta0 is not None:
-            parser.error("--beta0/--error-rate conflict with --sweep-error")
-    elif args.sweep_epsilon is not None:
-        axis, grid = "epsilon", args.sweep_epsilon
-        if args.epsilon is not None:
-            parser.error("--epsilon conflicts with --sweep-epsilon")
-    else:
-        axis, grid = "d", args.sweep_d
-        if args.d is not None:
-            parser.error("--d conflicts with --sweep-d")
-    if axis != "n" and args.n is None and args.fixed_ntilde is None:
-        parser.error("need --n or --fixed-ntilde")
-    if axis != "error" and args.beta0 is None:
-        parser.error("need --beta0 or --error-rate")
-    if axis != "epsilon" and args.epsilon is None:
-        parser.error("need --epsilon")
-    return axis, grid
+    """The (d, n, beta0, epsilon) points the flags ask for, in order: the
+    grid of the one --sweep-* flag given, if any, with the other fields
+    fixed, and n floored per d under --fixed-ntilde."""
+    if args.mode == "sweep":
+        if args.workers < 1:
+            parser.error("--workers must be >= 1")
+        axes = (args.sweep_n, args.sweep_error, args.sweep_epsilon, args.sweep_d)
+        if sum(grid is not None for grid in axes) != 1:
+            parser.error("give exactly one of --sweep-n, --sweep-error, "
+                         "--sweep-epsilon or --sweep-d")
+    fields = (
+        args.sweep_d or [2 if args.d is None else args.d],
+        args.sweep_n or [args.n],
+        [1 - e for e in args.sweep_error] if args.sweep_error else [args.beta0],
+        args.sweep_epsilon or [args.epsilon],
+    )
+    # at most one field has a grid, so the product runs through it in order
+    return [
+        (d, n if args.fixed_ntilde is None else n_for_ntilde(args.fixed_ntilde, d),
+         beta0, epsilon)
+        for d, n, beta0, epsilon in itertools.product(*fields)
+    ]
 
 
 def _run_sweep(points, workers: int) -> list[list[str]]:
@@ -222,8 +180,8 @@ def _run_threshold(points) -> list[list[str]]:
     return rows
 
 
-def _run_asymptotic(args) -> list[list[str]]:
-    d, beta0 = args.d, args.beta0
+def _run_asymptotic(points) -> list[list[str]]:
+    [(d, _, beta0, _)] = points
     try:
         ar = asymptotic_rate(d, beta0)
     except ValueError as exc:
@@ -234,16 +192,52 @@ def _run_asymptotic(args) -> list[list[str]]:
     ])]
 
 
-def _add_output_flags(sp) -> None:
+# The flags that can set each point field.  A subcommand takes some of
+# them, each field's as one mutually exclusive group, so that no field is
+# set twice; argparse then compares a given value with the default by
+# identity, which is why --d defaults to None and is read as 2.
+_FIELD_FLAGS = {
+    "d": (
+        ("--d", dict(type=int, help="signal dimension (default 2)")),
+        ("--sweep-d", dict(type=_list_of(int), metavar="d1,d2,...")),
+    ),
+    "n": (
+        ("--n", dict(type=int, help="sifted-key length")),
+        ("--fixed-ntilde", dict(
+            type=int, help="hold n*(d+1)*d fixed; n = floor(ntilde / (d*(d+1)))")),
+        ("--sweep-n", dict(type=_n_grid, metavar="a:b:step[:log]",
+                           help="n grid; with :log the third field is the ratio")),
+    ),
+    "beta0": (
+        ("--beta0", dict(type=_decimal, help="agreement probability")),
+        ("--error-rate", dict(dest="beta0", type=_error_rate, metavar="ERROR_RATE",
+                              help="error rate 1 - beta0")),
+        ("--sweep-error", dict(type=_decimal_grid, metavar="a:b:step")),
+    ),
+    "epsilon": (
+        ("--epsilon", dict(type=_decimal, help="security parameter")),
+        ("--sweep-epsilon", dict(type=_list_of(rational_from_decimal),
+                                 metavar="v1,v2,...")),
+    ),
+}
+
+
+def _add_flags(sp, *flags: str) -> None:
+    """Give a subcommand the named point flags, one group per field, which
+    must be given unless it is d (a flag it lacks reads as None), and the
+    output flags."""
+    for field, options in _FIELD_FLAGS.items():
+        taken = [(flag, kw) for flag, kw in options if flag in flags]
+        if taken:
+            grp = sp.add_mutually_exclusive_group(required=field != "d")
+            for flag, kw in taken:
+                grp.add_argument(flag, **kw)
+    sp.set_defaults(**{
+        kw.get("dest", flag[2:].replace("-", "_")): None
+        for options in _FIELD_FLAGS.values() for flag, kw in options if flag not in flags
+    })
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "tsv"), default="csv")
-
-
-def _add_beta_flags(sp, required: bool) -> None:
-    grp = sp.add_mutually_exclusive_group(required=required)
-    grp.add_argument("--beta0", type=_decimal, help="agreement probability")
-    grp.add_argument("--error-rate", dest="beta0", type=_error_rate,
-                     metavar="ERROR_RATE", help="error rate 1 - beta0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,44 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     c = sub.add_parser("compute", help="evaluate one parameter point")
-    c.add_argument("--d", type=int, default=2, help="signal dimension")
-    c.add_argument("--n", type=int, required=True, help="sifted-key length")
-    _add_beta_flags(c, required=True)
-    c.add_argument("--epsilon", type=_decimal, required=True, help="security parameter")
+    _add_flags(c, "--d", "--n", "--beta0", "--error-rate", "--epsilon")
     c.set_defaults(workers=1)
-    _add_output_flags(c)
 
     s = sub.add_parser("sweep", help="evaluate a one-axis parameter grid")
-    s.add_argument("--d", type=int, default=None, help="signal dimension (default 2)")
-    s.add_argument("--n", type=int, default=None, help="sifted-key length")
-    _add_beta_flags(s, required=False)
-    s.add_argument("--epsilon", type=_decimal, default=None)
-    axis = s.add_mutually_exclusive_group(required=True)
-    axis.add_argument("--sweep-n", type=_n_grid, metavar="a:b:step[:log]",
-                      help="n grid; with :log the third field is the ratio")
-    axis.add_argument("--sweep-error", type=_decimal_grid, metavar="a:b:step")
-    axis.add_argument("--sweep-epsilon", type=_decimal_list, metavar="v1,v2,...")
-    axis.add_argument("--sweep-d", type=_int_list, metavar="d1,d2,...")
-    s.add_argument("--fixed-ntilde", type=int, default=None,
-                   help="hold n*(d+1)*d fixed; n = floor(ntilde / (d*(d+1)))")
+    _add_flags(s, "--d", "--sweep-d", "--n", "--fixed-ntilde", "--sweep-n", "--beta0",
+               "--error-rate", "--sweep-error", "--epsilon", "--sweep-epsilon")
     s.add_argument("--workers", type=int, default=1)
-    _add_output_flags(s)
 
     t = sub.add_parser("threshold", help="bisect the zero of the raw key length")
-    dims = t.add_mutually_exclusive_group()
-    # a str default passes through type=int; an int one hides --d 2 from the conflict
-    dims.add_argument("--d", type=int, default="2")
-    dims.add_argument("--sweep-d", type=_int_list, metavar="d1,d2,...")
-    t.add_argument("--n", type=int, default=None)
-    t.add_argument("--fixed-ntilde", type=int, default=None)
-    t.add_argument("--epsilon", type=_decimal, required=True)
-    t.set_defaults(beta0=None)
-    _add_output_flags(t)
+    _add_flags(t, "--d", "--sweep-d", "--n", "--fixed-ntilde", "--epsilon")
 
     a = sub.add_parser("asymptotic", help="n -> infinity reference rate")
-    a.add_argument("--d", type=int, default=2)
-    _add_beta_flags(a, required=True)
-    _add_output_flags(a)
+    _add_flags(a, "--d", "--beta0", "--error-rate")
 
     return parser
 
@@ -302,14 +271,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     # every usage error, an unwritable --out included, comes before the
     # first point is computed
+    points = _points(args, parser)
     if args.mode == "asymptotic":
-        header, run = HEADER, lambda: _run_asymptotic(args)
+        header, run = HEADER, _run_asymptotic
     elif args.mode == "threshold":
-        points = _points(args, parser)
-        header, run = THRESHOLD_HEADER, lambda: _run_threshold(points)
+        header, run = THRESHOLD_HEADER, _run_threshold
     else:
-        points = _points(args, parser)
-        header, run = HEADER, lambda: _run_sweep(points, args.workers)
+        header, run = HEADER, lambda pts: _run_sweep(pts, args.workers)
 
     delim = "," if args.format == "csv" else "\t"
     if args.out:
@@ -320,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         handle = sys.stdout
     try:
-        rows = run()
+        rows = run(points)
         writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

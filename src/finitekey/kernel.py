@@ -94,10 +94,7 @@ def log2_bits(value: int | Fraction) -> float:
 
     Never converts the argument to a fixed-width float (which would overflow
     for values like d**(3n)); instead uses bit lengths plus a mantissa
-    window, through `log2_ratio` for a Fraction.
+    window, through `log2_ratio` on its numerator and denominator (an int's
+    are itself and 1).
     """
-    if isinstance(value, int):
-        if value <= 0:
-            raise ValueError("log2_bits requires a positive value")
-        return _log2_int(value)
     return log2_ratio(value.numerator, value.denominator)

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -91,6 +93,14 @@ def test_compute_domain_error_row(capsys):
      "--workers", "0"],                                    # no workers
     ["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5",
      "--out", "/nonexistent-dir/x.csv"],                   # unwritable output
+    ["sweep", "--sweep-d", "2", "--n", "10", "--fixed-ntilde", "600",
+     "--beta0", "0.9", "--epsilon", "0.5"],                # --n vs --fixed-ntilde
+    ["sweep", "--sweep-error", "0.01:0.02:0.01", "--n", "10",
+     "--fixed-ntilde", "600", "--epsilon", "0.5"],         # the same on another axis
+    ["sweep", "--d", "2", "--n", "10", "--beta0", "0.9",
+     "--epsilon", "0.5"],                                  # every field fixed, no axis
+    ["sweep", "--sweep-d", "2,3", "--sweep-n", "1:3:1", "--beta0", "0.9",
+     "--epsilon", "0.5"],                                  # two axes
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -253,13 +263,14 @@ def test_decimal_parsers():
     with pytest.raises(argparse.ArgumentTypeError):
         cli._decimal("1/4")
     assert cli._decimal_grid("0.01:0.03:0.01") == [F(1, 100), F(1, 50), F(3, 100)]
-    assert cli._decimal_list("0.1,0.5") == [F(1, 10), F(1, 2)]
-    assert cli._int_list("2,3,4") == [2, 3, 4]
+    decimal_list, int_list = cli._list_of(cli.rational_from_decimal), cli._list_of(int)
+    assert decimal_list("0.1,0.5") == [F(1, 10), F(1, 2)]
+    assert int_list("2,3,4") == [2, 3, 4]
     for bad in ("0.1:0.2", "0.1:0.2:0.3:0.4", "0.2:0.1:0.01", "0.1:0.2:0"):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._decimal_grid(bad)
-    for parse, bad in ((cli._int_list, ""), (cli._int_list, ",,"), (cli._int_list, "2,x"),
-                       (cli._decimal_list, ""), (cli._decimal_list, ",")):
+    for parse, bad in ((int_list, ""), (int_list, ",,"), (int_list, "2,x"),
+                       (decimal_list, ""), (decimal_list, ",")):
         with pytest.raises(argparse.ArgumentTypeError):
             parse(bad)
 
@@ -286,8 +297,22 @@ def test_oversized_grids_exit_2(capsys, axis):
 
 def test_grids_at_the_cap_are_accepted():
     parse = cli.build_parser().parse_args
-    assert len(parse(["sweep", "--sweep-n", f"1:{CAP}:1"]).sweep_n) == CAP
-    assert len(parse(["sweep", "--sweep-error", f"1:{CAP}:1"]).sweep_error) == CAP
+    args = parse(["sweep", "--sweep-n", f"1:{CAP}:1", "--beta0", "0.9", "--epsilon", "0.5"])
+    assert len(args.sweep_n) == CAP
+    args = parse(["sweep", "--sweep-error", f"1:{CAP}:1", "--n", "10", "--epsilon", "0.5"])
+    assert len(args.sweep_error) == CAP
+
+
+def test_readme_commands_parse():
+    """Every `finitekey ...` command in README's "Command line" section
+    parses, so the documented flags are the ones the parser takes."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line")[1].split("\n## ")[0]
+    commands = section.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(c)[1:] for c in commands if c.startswith("finitekey ")]
+    assert len(commands) == 6
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 # --- runtime dependencies ----------------------------------------------------
