@@ -136,17 +136,17 @@ def _result_row(res) -> list[str]:
     )))
 
 
-def _points(args, parser) -> list[tuple]:
+def _points(args) -> list[tuple]:
     """The (d, n, beta0, epsilon) points the flags ask for, in order: the
     grid of the one --sweep-* flag given, if any, with the other fields
     fixed, and n floored per d under --fixed-ntilde."""
     if args.mode == "sweep":
         if args.workers < 1:
-            parser.error("--workers must be >= 1")
+            args.subparser.error("--workers must be >= 1")
         axes = (args.sweep_n, args.sweep_error, args.sweep_epsilon, args.sweep_d)
         if sum(grid is not None for grid in axes) != 1:
-            parser.error("give exactly one of --sweep-n, --sweep-error, "
-                         "--sweep-epsilon or --sweep-d")
+            args.subparser.error("give exactly one of --sweep-n, --sweep-error, "
+                                 "--sweep-epsilon or --sweep-d")
     fields = (
         args.sweep_d or [2 if args.d is None else args.d],
         args.sweep_n or [args.n],
@@ -224,15 +224,16 @@ _FIELD_FLAGS = {
 
 def _add_flags(sp, *flags: str) -> None:
     """Give a subcommand the named point flags, one group per field, which
-    must be given unless it is d (a flag it lacks reads as None), and the
-    output flags."""
+    must be given unless it is d (a flag it lacks reads as None), the
+    output flags, and itself as `subparser`, whose usage the errors found
+    after parsing print."""
     for field, options in _FIELD_FLAGS.items():
         taken = [(flag, kw) for flag, kw in options if flag in flags]
         if taken:
             grp = sp.add_mutually_exclusive_group(required=field != "d")
             for flag, kw in taken:
                 grp.add_argument(flag, **kw)
-    sp.set_defaults(**{
+    sp.set_defaults(subparser=sp, **{
         kw.get("dest", flag[2:].replace("-", "_")): None
         for options in _FIELD_FLAGS.values() for flag, kw in options if flag not in flags
     })
@@ -267,11 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # every usage error, an unwritable --out included, comes before the
     # first point is computed
-    points = _points(args, parser)
+    points = _points(args)
     if args.mode == "asymptotic":
         header, run = HEADER, _run_asymptotic
     elif args.mode == "threshold":
@@ -284,7 +284,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             handle = open(args.out, "w", newline="", encoding="utf-8")
         except OSError as exc:
-            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+            args.subparser.error(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         handle = sys.stdout
     try:

@@ -21,6 +21,10 @@ differences, e.g. for the raise side of the water fill
 so the only big*big products are the handful of comparisons whose outcome
 bit-length bounds cannot already decide.
 
+A spectrum of degeneracy g (`spectra`; d^n for rho_XE) is scanned per copy.
+Masses, and so every boundary, do not see g; the support cut's counts are
+g times the per-copy ones, and x, y and the purity the per-copy ones over g.
+
 The support cut and the top of the water fill start next to their
 boundaries and walk level by level.  The bottom of the water fill lies
 about 0.65n levels up, so it is not walked: the same scan run in floats on
@@ -35,14 +39,14 @@ No full-width gcd runs on the way to the floats.  The witness rationals
 reduced only when a field is first read, and s2's test x >= y is the
 integer test X*Ct >= Y*C.  The purity must be in lowest terms, since its
 float windows the top bits of its numerator and denominator.  Its
-denominator (ed*den)^2 * C * Ct is mostly known primes: den is the n-th
-power of a small integer whose factors the spectrum states (`den_factors`),
-and eps' has a small denominator ed.  `_lowest_terms` takes each known
-prime's exponent from those factors plus its valuation in C * Ct, strips
-the common power from the numerator by doubling powers (a bit trick for 2;
-every mass is a multiple of the family's scale^n, so that power is tried
-first), and runs one gcd on what is left of C * Ct.  An explicit spectrum
-states no primes, and the same code is then one gcd, as in `Fraction`.
+denominator (ed*den)^2 * C * Ct * g is mostly known primes: den and g are
+n-th powers of small integers whose factors the spectrum states
+(`den_factors`, `g_factors`), and eps' has a small denominator ed.
+`_lowest_terms` takes each known prime's exponent from those factors plus
+its valuation in C * Ct, strips the common power from the numerator by
+doubling powers (a bit trick for 2), and runs one gcd on what is left of
+C * Ct.  An explicit spectrum states no primes, and the same code is then
+one gcd, as in `Fraction`.
 """
 
 from __future__ import annotations
@@ -82,20 +86,15 @@ class EpsilonTooLargeError(ValueError):
                 f"meets lowered ceiling {float(self.y)!r}")
 
 
-def _strip(v: int, p: int, cap, guess: int = 0) -> tuple[int, int]:
-    """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  A guess at k
-    is tried first, in one division.  Then the powers p**(2**i) are divided
-    out while they divide, i going up, and tried again going down, so the
-    rest of k costs O(log k) divisions rather than one per factor.  For
-    p = 2 the lowest set bit gives k at once."""
+def _strip(v: int, p: int, cap) -> tuple[int, int]:
+    """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  The powers
+    p**(2**i) are divided out while they divide, i going up, and tried again
+    going down, so k costs O(log k) divisions rather than one per factor.
+    For p = 2 the lowest set bit gives k at once."""
     if p == 2:
         k = min((v & -v).bit_length() - 1, cap) if v else cap
         return k, v >> k
     k, powers = 0, [p]
-    if 0 < guess <= cap:
-        q, r = divmod(v, p**guess)
-        if not r:
-            v, k = q, guess
     while k + (step := 1 << (len(powers) - 1)) <= cap:
         q, r = divmod(v, powers[-1])
         if r:
@@ -110,15 +109,11 @@ def _strip(v: int, p: int, cap, guess: int = 0) -> tuple[int, int]:
     return k, v
 
 
-def _lowest_terms(
-    num: int, primes: dict[int, int], rest: int, guess: dict[int, int]
-) -> tuple[int, int]:
+def _lowest_terms(num: int, primes: dict[int, int], rest: int) -> tuple[int, int]:
     """num / den in lowest terms, as a pair, for den = rest * prod(p**e).
 
     Each known prime p has exponent e + v_p(rest) in den, and `_strip`
-    takes min(v_p(num), that) out of num, trying guess[p] first (every
-    mass is a multiple of the spectrum's `mass_factors`, so num's exponent
-    is rarely far above a multiple of theirs).  What is left of rest, free
+    takes min(v_p(num), that) out of num.  What is left of rest, free
     of the known primes, meets num in one gcd on its own width, since
     gcd(num, A*B) = gcd(num, A) * gcd(num, B) for coprime A and B.  With no
     known primes this is one gcd, as in `Fraction`.
@@ -126,7 +121,7 @@ def _lowest_terms(
     den = 1
     for p, e in primes.items():
         v, rest = _strip(rest, p, math.inf)
-        k, num = _strip(num, p, e + v, guess.get(p, 0))
+        k, num = _strip(num, p, e + v)
         den *= p ** (e + v - k)
     g = math.gcd(num % rest, rest)
     return num // g, den * (rest // g)
@@ -141,13 +136,11 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 
 
 class _Ratio(NamedTuple):
-    """num / (rest * prod(p**e for p, e in primes)), not yet reduced;
-    guess holds the exponents to try first in num (see `_lowest_terms`)."""
+    """num / (rest * prod(p**e for p, e in primes)), not yet reduced."""
 
     num: int
     primes: dict
     rest: int
-    guess: dict
 
 
 class _LowestTerms:
@@ -229,10 +222,10 @@ def _prod_le(a: int, b: int, c: int, d: int) -> bool:
 
 def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int]:
     """(b, kept, U): the top b levels reach mass U/den >= 1 - eps, and kept
-    is their count less floor((U/den - (1-eps))/lam_b) given back from the
-    last (smallest) one.  The walk stops at a nonzero level, since those
-    carry mass 1."""
-    den = spec.den
+    is their count (g per stored one) less floor((U/den - (1-eps))/lam_b)
+    given back from the last (smallest) one, lam_b = num_b/(den*g).  The
+    walk stops at a nonzero level, since those carry mass 1."""
+    den, g = spec.den, spec.g
     en, ed = eps.numerator, eps.denominator
     target = (ed - en) * den  # U/den >= 1-eps  iff  U*ed >= target
     U = 0
@@ -244,7 +237,7 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
         b += 1
         if U * ed >= target:
             break
-    kept = cnt - (U * ed - target) // (ed * (w // mult))
+    kept = g * cnt - g * (U * ed - target) // (ed * (w // mult))
     assert kept >= 1
     return b, kept, U
 
@@ -287,9 +280,9 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     nonzero = spec.size - (1 if spec.zero_mult else 0)
     return log2_bits(remaining), RankTrimResult(
         b=nonzero - included,
-        k=spec.total_dim - spec.zero_mult - remaining,
+        k=spec.total_dim - spec.g * spec.zero_mult - remaining,
         remaining_rank=remaining,
-        s_b=_Ratio(spec.den - U, *spec.den_factors, spec.mass_factors),
+        s_b=_Ratio(spec.den - U, *spec.den_factors),
     )
 
 
@@ -303,13 +296,13 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     and y.  Exact rationals throughout.
     """
     eps = _as_budget(eps)
-    den, m = spec.den, spec.size
+    den, g, m = spec.den, spec.g, spec.size
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
         # can move; the ball contains no lower-purity spectrum
         mult, w = next(spec.walk(0))
-        lam = Fraction(w // mult, den)
-        purity = mult * lam * lam
+        lam = Fraction(w // mult, den * g)
+        purity = g * mult * lam * lam
         return -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)
     en, ed = eps.numerator, eps.denominator
     tq = en * den // ed  # s*den <= tq iff s <= eps, for s*den an integer
@@ -341,25 +334,24 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
         Ct += mult
         T += w
 
-    # the leftover budget sets the flat values: x = (W/den + eps)/C and
-    # y = (T/den - eps)/Ct, here over the common factor ed*den, whose known
-    # primes are those of den and of ed
+    # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and
+    # y = (T/den - eps)/(Ct*g), here over the common factor ed*den*g, whose
+    # known primes are those of den, of ed and of g
     X, Y = en * den + ed * W, ed * T - en * den
-    den_primes, den_rest = spec.den_factors
+    (den_primes, den_rest), (g_primes, g_rest) = spec.den_factors, spec.g_factors
     ed_primes, ed_rest = small_factors(ed)
     primes, rest = Counter(den_primes) + Counter(ed_primes), den_rest * ed_rest
-    unit = spec.mass_factors  # divides X, Y and mid
-    x, y = _Ratio(X, primes, rest * C, unit), _Ratio(Y, primes, rest * Ct, unit)
+    xy_primes, xy_rest = primes + Counter(g_primes), rest * g_rest
+    x, y = _Ratio(X, xy_primes, xy_rest * C), _Ratio(Y, xy_primes, xy_rest * Ct)
     if X * Ct >= Y * C:  # x >= y
         raise EpsilonTooLargeError(*(_coprime_fraction(*_lowest_terms(*r)) for r in (x, y)))
     mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
-    # C*x^2 + mid/den^2 + Ct*y^2 over (ed*den)^2 * C * Ct, in lowest terms
-    # because log2_ratio windows the numerator and denominator separately
+    # g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 over (ed*den)^2 * C * Ct * g, in
+    # lowest terms because log2_ratio windows the numerator and denominator apart
     purity = _lowest_terms(
         X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct,
-        {p: 2 * e for p, e in primes.items()},
-        rest * rest * C * Ct,
-        {p: 3 * e for p, e in unit.items()},  # the counts usually carry one more
+        xy_primes + primes,
+        xy_rest * rest * C * Ct,
     )
     return -log2_ratio(*purity), WaterfillSolution(
         b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=_coprime_fraction(*purity)
@@ -377,5 +369,5 @@ def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     """
     eps = _as_budget(eps)
     b, k, U = _support_cut(spec, eps)
-    s_b = _Ratio(U, *spec.den_factors, spec.mass_factors)
+    s_b = _Ratio(U, *spec.den_factors)
     return log2_bits(k), SupportCutResult(b=b, k=k, s_b=s_b)

@@ -16,15 +16,19 @@ explicit levels as two lists (`from_levels`, the positional constructor),
 checked level by level.  The three protocol spectra are its subclass
 `_Family`, which computes its levels in closed form: above an optional zero
 level, level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
-scale^n * C(n, l) * div^(n-l), so its denominator is the n-th power of the
-small integer scale * (alpha + div*beta), whose primes `den_factors` states
-(trial division up to `kernel.small_factors`' bound; an explicit spectrum
-states none).  Nothing of size O(n) is stored.  A scan asks
+C(n, l) * div^(n-l), so its denominator is the n-th power of the small
+integer alpha + div*beta, whose primes `den_factors` states (trial division
+up to `kernel.small_factors`' bound; an explicit spectrum states none).  A
+degeneracy g makes each stored level g eigenvalues at 1/g of its value: g
+is 1 unless given, and d^n for rho_XE, whose nonzero levels are P(X|Y)'s
+repeated d^n times.  What a scan reads is per copy; `levels` and
+`total_dim` count all copies, and `g_factors` states g's primes.  Nothing
+of size O(n) is stored.  A scan asks
 for a walk from the level it starts at (`walk`): the first level is seeded
 with `pow` and `math.comb`, and each further step applies exact small-factor
 recurrences to (multiplicity, mass), so a scan costs only the levels it
 touches.  `log_walk` is the same stream in floats (natural logs, seeded with
-`math.lgamma`), for guessing where a scan would stop.  Sums over a window of
+`math.lgamma`), for predicting where a scan would stop.  Sums over a window of
 levels do not walk: `moment(lo, hi, k)` is the k-th moment sum of mult *
 num^k over the window, so k = 0, 1, 2 give its count, mass and squared mass.
 On a family it is a hypergeometric series in the level index, which
@@ -148,7 +152,7 @@ def _check_levels(nums, mults, den, total):
 
 class CompressedSpectrum:
     """Density-operator spectrum as strictly ascending (value, multiplicity)
-    levels; values are `value_nums[i] / den`.
+    levels; values are `value_nums[i] / (den * g)`, for a degeneracy g.
 
     Scans read levels through `walk(i, reverse)`, which yields
     (multiplicity, mass) from level index i upward (or downward); the mass
@@ -159,6 +163,8 @@ class CompressedSpectrum:
     grouped probability distribution is the same object: `mults` count
     strings and `total_dim` is the number of strings.
     """
+
+    g = 1
 
     def __init__(self, value_nums, mults, den: int, total_dim: int):
         nums, mults = list(value_nums), list(mults)
@@ -179,7 +185,7 @@ class CompressedSpectrum:
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
         return [
-            (Fraction(v, self.den), m)
+            (Fraction(v, self.den * self.g), m * self.g)
             for v, m in zip(self.value_nums, self.mults)
         ]
 
@@ -190,10 +196,9 @@ class CompressedSpectrum:
         return {}, self.den
 
     @property
-    def mass_factors(self) -> dict[int, int]:
-        """Prime exponents of a known factor of every level's mass and of
-        den (the family's scale^n).  Explicit levels know none."""
-        return {}
+    def g_factors(self) -> tuple[dict[int, int], int]:
+        """(primes, rest) of the degeneracy g, as `den_factors` states den."""
+        return {}, 1
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         nums, mults = self.value_nums, self.mults
@@ -218,22 +223,22 @@ class CompressedSpectrum:
 class _Family(CompressedSpectrum):
     """Closed-form levels: an optional zero level of multiplicity zero_mult
     (index 0 when present), then for l = 0..n numerator alpha^l beta^(n-l)
-    and multiplicity scale^n * C(n, l) * div^(n-l).
+    and multiplicity C(n, l) * div^(n-l), each standing for g = g_base^n
+    eigenvalues.
 
     With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
     one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
     (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The
     binomial theorem checks the level sums in O(1): masses sum to
-    (scale*(alpha + div*beta))^n = den, multiplicities to
-    scale^n*(1 + div)^n plus the zero level = total_dim.
+    (alpha + div*beta)^n = den, multiplicities to (1 + div)^n plus the zero
+    level, which g copies make total_dim.
     """
 
-    def __init__(self, n, alpha, beta, div, scale, den, total_dim, zero_mult=0):
-        if n < 0 or not alpha > beta >= 1 or div < 1 or scale < 1 or zero_mult < 0:
+    def __init__(self, n, alpha, beta, div, den, total_dim, zero_mult=0, g_base=1):
+        if n < 0 or not alpha > beta >= 1 or div < 1 or g_base < 1 or zero_mult < 0:
             raise ValueError("CompressedSpectrum: malformed level family")
-        self.den_base, self.scale_base = scale * (alpha + div * beta), scale
-        self.scale = scale**n
-        if self.scale * (1 + div) ** n + zero_mult != total_dim:
+        self.den_base, self.g_base, self.g = alpha + div * beta, g_base, g_base**n
+        if self.g * ((1 + div) ** n + zero_mult) != total_dim:
             raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total_dim}")
         if self.den_base**n != den:
             raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
@@ -241,20 +246,23 @@ class _Family(CompressedSpectrum):
         self.den, self.total_dim, self.zero_mult = den, total_dim, zero_mult
         self.size = (1 if zero_mult else 0) + n + 1
 
-    @cached_property
-    def den_factors(self) -> tuple[dict[int, int], int]:
-        primes, rest = small_factors(self.den_base)
+    def _power_factors(self, base: int) -> tuple[dict[int, int], int]:
+        primes, rest = small_factors(base)
         return {p: e * self.n for p, e in primes.items()}, rest**self.n
 
     @cached_property
-    def mass_factors(self) -> dict[int, int]:
-        return {p: e * self.n for p, e in small_factors(self.scale_base)[0].items()}
+    def den_factors(self) -> tuple[dict[int, int], int]:
+        return self._power_factors(self.den_base)
+
+    @cached_property
+    def g_factors(self) -> tuple[dict[int, int], int]:
+        return self._power_factors(self.g_base)
 
     def _seed(self, l: int) -> tuple[int, int]:
         """(numerator, multiplicity) of family level l."""
         n = self.n
         num = self.alpha**l * self.beta ** (n - l)
-        return num, self.scale * math.comb(n, l) * self.div ** (n - l)
+        return num, math.comb(n, l) * self.div ** (n - l)
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         z = self.size - self.n - 1  # 1 with a zero level, else 0
@@ -287,10 +295,7 @@ class _Family(CompressedSpectrum):
             i = z
         n, log, lgamma = self.n, math.log, math.lgamma
         l = i - z
-        lm = (
-            log(self.scale) + lgamma(n + 1) - lgamma(l + 1) - lgamma(n - l + 1)
-            + (n - l) * log(self.div)
-        )
+        lm = lgamma(n + 1) - lgamma(l + 1) - lgamma(n - l + 1) + (n - l) * log(self.div)
         lw = lm + l * log(self.alpha) + (n - l) * log(self.beta)
         yield lm, lw
         ldiv, lratio = log(self.div), log(self.alpha) - log(self.beta)
@@ -338,8 +343,7 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     if p == q:
         return CompressedSpectrum([1], [1], 1, 1)
     return _Family(
-        n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, 1,
-        (q * d * (d - 1)) ** n, d ** (2 * n),
+        n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, (q * d * (d - 1)) ** n, d ** (2 * n)
     )
 
 
@@ -349,8 +353,11 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     One zero level of multiplicity d^(3n) - d^(2n), then (indexing the
     nonzero family by l = 0..n, stored shifted up by one) values
     (beta0/d)^l * (beta1/d)^(n-l) with multiplicity d^n*C(n,l)*(d-1)^(n-l).
-    At beta0 = 1 only the uniform level d^-n (x d^n) survives and the zero
-    multiplicity grows to d^(3n) - d^n.
+    These are P(X|Y)'s levels, each d^n times at 1/d^n of its value, so they
+    are stored as `conditional_spectrum`'s with degeneracy g = d^n, over a
+    zero level of d^(2n) - d^n per copy.  At beta0 = 1 only the uniform
+    level d^-n (x d^n) survives and the zero multiplicity grows to
+    d^(3n) - d^n.
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
@@ -359,8 +366,8 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
             [0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)
         )
     return _Family(
-        n, p * (d - 1), q - p, d - 1, d,
-        (q * d * (d - 1)) ** n, d ** (3 * n), d ** (3 * n) - d ** (2 * n),
+        n, p * (d - 1), q - p, d - 1, (q * (d - 1)) ** n, d ** (3 * n), d ** (2 * n) - d**n,
+        g_base=d,
     )
 
 
@@ -376,4 +383,4 @@ def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
         return CompressedSpectrum([1], [1], 1, 1)
-    return _Family(n, p * (d - 1), q - p, d - 1, 1, (q * (d - 1)) ** n, d**n)
+    return _Family(n, p * (d - 1), q - p, d - 1, (q * (d - 1)) ** n, d**n)

@@ -108,6 +108,25 @@ def test_usage_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5", "--workers", "0"],
+    ["sweep", "--d", "2", "--n", "10", "--beta0", "0.9", "--epsilon", "0.5"],
+    ["sweep", "--sweep-d", "2,3", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5"],
+    ["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5",
+     "--out", "/nonexistent-dir/x.csv"],
+    ["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5",
+     "--out", "/nonexistent-dir/x.csv"],
+])
+def test_errors_after_parsing_print_the_subcommand_usage(capsys, argv):
+    """--workers, the one-axis rule and --out are checked after parsing, and
+    still print the usage of the subcommand given, not the top level's."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: finitekey {argv[0]} ")
+
+
 @pytest.mark.parametrize("argv, computes", [
     (["compute", "--n", "4", "--beta0", "0.9", "--epsilon", "0.5"], "sweep"),
     (["sweep", "--sweep-n", "1:3:1", "--beta0", "0.9", "--epsilon", "0.5"], "sweep"),

@@ -173,8 +173,8 @@ def test_tensor_consistency(d, n, beta0):
 @settings(max_examples=40, deadline=None)
 def test_mass_streams_match_levels(p):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
-        direct = [(m, m * v.numerator * (spec.den // v.denominator))
-                  for v, m in spec.levels]
+        # level (v, m) is stored as m / g eigenvalues carrying mass m * v
+        direct = [(m // spec.g, m * v * spec.den) for v, m in spec.levels]
         assert direct == [(m, m * n_) for n_, m in zip(spec.value_nums, spec.mults)]
         assert list(spec.walk(0)) == direct
         assert list(spec.walk(spec.size - 1, reverse=True)) == direct[::-1]
@@ -311,11 +311,14 @@ def test_lazy_lists_match_eager_construction(p):
         return  # explicit single-level spectra, no family
     want_eve, want_xe, want_cond = _eager_levels(p)
     assert (eve.value_nums, eve.mults, eve.den, eve.total_dim) == want_eve
-    assert (xe.value_nums, xe.mults, xe.den, xe.total_dim) == want_xe
+    # xe stores one of its g = d^n copies: g times fewer eigenvalues, each
+    # g times as heavy
+    g = xe.g
+    assert (xe.value_nums, [g * m for m in xe.mults], g * xe.den, xe.total_dim) == want_xe
     assert (cond.value_nums, cond.mults, cond.den, cond.total_dim) == want_cond
     # a walk seeded at any level continues the same lists, either way
     for spec, (nums, mults, _, _) in ((eve, want_eve), (xe, want_xe), (cond, want_cond)):
-        rows = [(m, m * v) for v, m in zip(nums, mults)]
+        rows = [(m // spec.g, m // spec.g * v) for v, m in zip(nums, mults)]
         for i in range(len(rows)):
             assert list(spec.walk(i)) == rows[i:]
             assert list(spec.walk(i, reverse=True)) == rows[i::-1]
@@ -323,8 +326,22 @@ def test_lazy_lists_match_eager_construction(p):
 
 # --- constructor validation -------------------------------------------------
 
-# eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3, scale=1
-EVE_FAMILY = dict(n=3, alpha=97, beta=1, div=3, scale=1)
+@given(valid_params(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_xe_is_the_conditional_spectrum_d_n_times(p):
+    """rho_XE's nonzero levels are P(X|Y)'s, each d^n times at 1/d^n of its
+    value: xe stores cond's levels with degeneracy d^n over one zero level."""
+    if p.beta0 == 1:
+        return  # explicit spectra, no family
+    d, n = p.d, p.n
+    xe, cond = xe_spectrum(p), conditional_spectrum(p)
+    assert (xe.g, xe.den) == (d**n, cond.den)
+    assert list(xe.walk(1)) == list(cond.walk(0))
+    assert next(xe.walk(0)) == (d ** (2 * n) - d**n, 0)
+
+
+# eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3, g = 1
+EVE_FAMILY = dict(n=3, alpha=97, beta=1, div=3)
 
 
 def test_family_accepts_consistent_den_and_total():
@@ -341,7 +358,8 @@ def test_family_accepts_consistent_den_and_total():
         (dict(EVE_FAMILY, zero_mult=1), 100**3, 4**3, "multiplicities do not sum"),
         (dict(EVE_FAMILY, alpha=1), 4**3, 4**3, "malformed"),
         (dict(EVE_FAMILY, beta=0), 97**3, 4**3, "malformed"),
-        (dict(EVE_FAMILY, scale=0), 0, 0, "malformed"),
+        (dict(EVE_FAMILY, g_base=0), 0, 0, "malformed"),
+        (dict(EVE_FAMILY, g_base=2), 100**3, 4**3, "multiplicities do not sum"),
     ],
 )
 def test_family_rejects_inconsistent_identities(family, den, total, match):
