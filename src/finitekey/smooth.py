@@ -90,9 +90,12 @@ def _strip(v: int, p: int, cap) -> tuple[int, int]:
     """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  The powers
     p**(2**i) are divided out while they divide, i going up, and tried again
     going down, so k costs O(log k) divisions rather than one per factor.
-    For p = 2 the lowest set bit gives k at once."""
+    For p = 2 the lowest set bit gives k at once.  Every power divides 0,
+    so v = 0 gives (cap, 0) without dividing."""
+    if not v:
+        return cap, 0
     if p == 2:
-        k = min((v & -v).bit_length() - 1, cap) if v else cap
+        k = min((v & -v).bit_length() - 1, cap)
         return k, v >> k
     k, powers = 0, [p]
     while k + (step := 1 << (len(powers) - 1)) <= cap:

@@ -11,31 +11,33 @@ builds all three in compressed (value, multiplicity) form as one type,
 `CompressedSpectrum`.
 
 A spectrum keeps integer level numerators over one common denominator so the
-entropy scans downstream run on plain integers.  `CompressedSpectrum` holds
-explicit levels as two lists (`from_levels`, the positional constructor),
-checked level by level.  The three protocol spectra are its subclass
-`_Family`, which computes its levels in closed form: above an optional zero
-level, level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
-C(n, l) * div^(n-l), so its denominator is the n-th power of the small
-integer alpha + div*beta, whose primes `den_factors` states (trial division
-up to `kernel.small_factors`' bound; an explicit spectrum states none).  A
-degeneracy g makes each stored level g eigenvalues at 1/g of its value: g
-is 1 unless given, and d^n for rho_XE, whose nonzero levels are P(X|Y)'s
-repeated d^n times.  What a scan reads is per copy; `levels` and
-`total_dim` count all copies, and `g_factors` states g's primes.  Nothing
-of size O(n) is stored.  A scan asks
-for a walk from the level it starts at (`walk`): the first level is seeded
-with `pow` and `math.comb`, and each further step applies exact small-factor
-recurrences to (multiplicity, mass), so a scan costs only the levels it
-touches.  `log_walk` is the same stream in floats (natural logs, seeded with
-`math.lgamma`), for predicting where a scan would stop.  Sums over a window of
-levels do not walk: `moment(lo, hi, k)` is the k-th moment sum of mult *
-num^k over the window, so k = 0, 1, 2 give its count, mass and squared mass.
-On a family it is a hypergeometric series in the level index, which
-`_series` evaluates by binary splitting with one exact division at the end.
-Normalisation and the dimension count are proved in O(1) by the binomial
-theorem.  A family's lists `value_nums` and `mults`, and for every spectrum
-the pairs `levels`, are built on first read.
+entropy scans downstream run on plain integers, and is given only what
+defines it.  `CompressedSpectrum(value_nums, mults, den)` holds explicit
+levels as two lists (`from_levels(levels)` builds them from pairs), checked
+level by level; its `total_dim` is sum(mults).  The three protocol spectra
+are its subclass `_Family(n, alpha, beta, div, zero_mult=0, g_base=1)`, whose
+levels are closed forms in single-copy numbers: above an optional zero level,
+level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
+C(n, l) * div^(n-l).  By the binomial theorem these sum to den =
+(alpha + div*beta)^n and to (1 + div)^n, so normalisation and the dimension
+count hold by construction.  `den_factors` states den's primes (trial
+division of alpha + div*beta up to `kernel.small_factors`' bound; an explicit
+spectrum states none).  A degeneracy g = g_base^n makes each stored level g
+eigenvalues at 1/g of its value: g is 1 unless given, and d^n for rho_XE,
+whose nonzero levels are P(X|Y)'s repeated d^n times.  What a scan reads is
+per copy; `levels` and `total_dim` count all copies, and `g_factors` states
+g's primes.  Nothing of size O(n) is stored.  A scan asks for a walk from the
+level it starts at (`walk`): the first level is seeded with `pow` and
+`math.comb`, and each further step applies exact small-factor recurrences to
+(multiplicity, mass), so a scan costs only the levels it touches.  `log_walk`
+is the same stream in floats (natural logs, seeded with `math.lgamma`), for
+predicting where a scan would stop.  Sums over a window of levels do not
+walk: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the
+window, so k = 0, 1, 2 give its count, mass and squared mass.  On a family it
+is a hypergeometric series in the level index, which `_series` evaluates by
+binary splitting with one exact division at the end.  A family's lists
+`value_nums` and `mults`, and for every spectrum the pairs `levels`, are
+built on first read.
 """
 
 from __future__ import annotations
@@ -130,7 +132,14 @@ def _series(lo: int, hi: int, n: int, a: int, b: int) -> tuple[int, int]:
     return Q, T
 
 
-def _check_levels(nums, mults, den, total):
+def _factors_of_power(base: int, n: int) -> tuple[dict[int, int], int]:
+    """(primes, rest) with base**n = rest * prod(p**e for p, e in primes),
+    from `small_factors(base)`."""
+    primes, rest = small_factors(base)
+    return {p: e * n for p, e in primes.items()}, rest**n
+
+
+def _check_levels(nums, mults, den):
     if not nums or len(nums) != len(mults):
         raise ValueError("CompressedSpectrum: malformed level lists")
     if den < 1:
@@ -144,8 +153,6 @@ def _check_levels(nums, mults, den, total):
         prev = v
     if any(c < 1 for c in mults):
         raise ValueError("CompressedSpectrum: multiplicities must be >= 1")
-    if sum(mults) != total:
-        raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total}")
     if sum(m * v for v, m in zip(nums, mults)) != den:
         raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
 
@@ -161,26 +168,29 @@ class CompressedSpectrum:
     window of levels at once.  `size` is the number of levels and `zero_mult`
     the multiplicity of a zero level at index 0 (0 when there is none).  A
     grouped probability distribution is the same object: `mults` count
-    strings and `total_dim` is the number of strings.
+    strings and `total_dim`, their sum, is the number of strings.
+    `den_factors` and `g_factors` are (primes, rest) with den (or g) =
+    rest * prod(p**e for p, e in primes); explicit levels know no primes.
     """
 
     g = 1
+    g_factors = ({}, 1)
 
-    def __init__(self, value_nums, mults, den: int, total_dim: int):
+    def __init__(self, value_nums, mults, den: int):
         nums, mults = list(value_nums), list(mults)
-        _check_levels(nums, mults, den, total_dim)
+        _check_levels(nums, mults, den)
         self.value_nums, self.mults = nums, mults
-        self.den, self.total_dim = den, total_dim
+        self.den, self.total_dim, self.den_factors = den, sum(mults), ({}, den)
         self.size = len(nums)
         self.zero_mult = mults[0] if nums[0] == 0 else 0
 
     @staticmethod
-    def from_levels(levels, total_dim: int) -> "CompressedSpectrum":
+    def from_levels(levels) -> "CompressedSpectrum":
         """Build from explicit (Fraction, multiplicity) pairs (ascending)."""
         vals = [Fraction(v) for v, _ in levels]
         den = math.lcm(*(v.denominator for v in vals)) if vals else 1
         nums = [v.numerator * (den // v.denominator) for v in vals]
-        return CompressedSpectrum(nums, [int(m) for _, m in levels], den, total_dim)
+        return CompressedSpectrum(nums, [int(m) for _, m in levels], den)
 
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
@@ -188,17 +198,6 @@ class CompressedSpectrum:
             (Fraction(v, self.den * self.g), m * self.g)
             for v, m in zip(self.value_nums, self.mults)
         ]
-
-    @property
-    def den_factors(self) -> tuple[dict[int, int], int]:
-        """(primes, rest) with den = rest * prod(p**e for p, e in primes):
-        the exponents of den's known primes.  Explicit levels know none."""
-        return {}, self.den
-
-    @property
-    def g_factors(self) -> tuple[dict[int, int], int]:
-        """(primes, rest) of the degeneracy g, as `den_factors` states den."""
-        return {}, 1
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         nums, mults = self.value_nums, self.mults
@@ -228,35 +227,22 @@ class _Family(CompressedSpectrum):
 
     With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
     one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
-    (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The
-    binomial theorem checks the level sums in O(1): masses sum to
-    (alpha + div*beta)^n = den, multiplicities to (1 + div)^n plus the zero
-    level, which g copies make total_dim.
+    (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The level
+    sums are the binomial theorem's, so the family is normalised by
+    construction: den is the masses' sum (alpha + div*beta)^n, and total_dim
+    is g times the multiplicities' sum (1 + div)^n plus the zero level.
     """
 
-    def __init__(self, n, alpha, beta, div, den, total_dim, zero_mult=0, g_base=1):
+    def __init__(self, n, alpha, beta, div, zero_mult=0, g_base=1):
         if n < 0 or not alpha > beta >= 1 or div < 1 or g_base < 1 or zero_mult < 0:
             raise ValueError("CompressedSpectrum: malformed level family")
-        self.den_base, self.g_base, self.g = alpha + div * beta, g_base, g_base**n
-        if self.g * ((1 + div) ** n + zero_mult) != total_dim:
-            raise ValueError(f"CompressedSpectrum: multiplicities do not sum to {total_dim}")
-        if self.den_base**n != den:
-            raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
         self.n, self.alpha, self.beta, self.div = n, alpha, beta, div
-        self.den, self.total_dim, self.zero_mult = den, total_dim, zero_mult
-        self.size = (1 if zero_mult else 0) + n + 1
-
-    def _power_factors(self, base: int) -> tuple[dict[int, int], int]:
-        primes, rest = small_factors(base)
-        return {p: e * self.n for p, e in primes.items()}, rest**self.n
-
-    @cached_property
-    def den_factors(self) -> tuple[dict[int, int], int]:
-        return self._power_factors(self.den_base)
-
-    @cached_property
-    def g_factors(self) -> tuple[dict[int, int], int]:
-        return self._power_factors(self.g_base)
+        self.zero_mult, self.z = zero_mult, 1 if zero_mult else 0  # z: index of l = 0
+        self.size = self.z + n + 1
+        base = alpha + div * beta
+        self.den, self.den_factors = base**n, _factors_of_power(base, n)
+        self.g, self.g_factors = g_base**n, _factors_of_power(g_base, n)
+        self.total_dim = self.g * ((1 + div) ** n + zero_mult)
 
     def _seed(self, l: int) -> tuple[int, int]:
         """(numerator, multiplicity) of family level l."""
@@ -265,7 +251,7 @@ class _Family(CompressedSpectrum):
         return num, math.comb(n, l) * self.div ** (n - l)
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
-        z = self.size - self.n - 1  # 1 with a zero level, else 0
+        z = self.z
         if not reverse and i < z:
             yield self.zero_mult, 0
             i = z
@@ -289,7 +275,7 @@ class _Family(CompressedSpectrum):
             yield self.zero_mult, 0
 
     def log_walk(self, i: int) -> Iterator[tuple[float, float]]:
-        z = self.size - self.n - 1
+        z = self.z
         if i < z:
             yield math.log(self.zero_mult), -math.inf
             i = z
@@ -308,7 +294,7 @@ class _Family(CompressedSpectrum):
         """mult_lo * num_lo^k times a `_series` in the ratio of consecutive
         terms, (n-l)*alpha^k / ((l+1)*div*beta^k), closed by one exact
         division."""
-        z = self.size - self.n - 1  # 1 with a zero level, else 0
+        z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
         if hi <= lo:
@@ -319,7 +305,7 @@ class _Family(CompressedSpectrum):
 
     @cached_property
     def value_nums(self) -> list[int]:
-        nums = [0] * (self.size - self.n - 1) + [self.beta**self.n]
+        nums = [0] * self.z + [self.beta**self.n]
         for _ in range(self.n):
             nums.append(nums[-1] * self.alpha // self.beta)
         return nums
@@ -341,10 +327,8 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
-        return CompressedSpectrum([1], [1], 1, 1)
-    return _Family(
-        n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1, (q * d * (d - 1)) ** n, d ** (2 * n)
-    )
+        return CompressedSpectrum([1], [1], 1)
+    return _Family(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1)
 
 
 def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -362,13 +346,8 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
-        return CompressedSpectrum(
-            [0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)
-        )
-    return _Family(
-        n, p * (d - 1), q - p, d - 1, (q * (d - 1)) ** n, d ** (3 * n), d ** (2 * n) - d**n,
-        g_base=d,
-    )
+        return CompressedSpectrum([0, 1], [d ** (3 * n) - d**n, d**n], d**n)
+    return _Family(n, p * (d - 1), q - p, d - 1, d ** (2 * n) - d**n, g_base=d)
 
 
 def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -382,5 +361,5 @@ def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     if p == q:
-        return CompressedSpectrum([1], [1], 1, 1)
-    return _Family(n, p * (d - 1), q - p, d - 1, (q * (d - 1)) ** n, d**n)
+        return CompressedSpectrum([1], [1], 1)
+    return _Family(n, p * (d - 1), q - p, d - 1)

@@ -79,9 +79,7 @@ def test_s0_beta0_one():
 
 def test_s0_deep_removal_partial_level():
     # remove the whole bottom level and part of the next
-    spec = CompressedSpectrum.from_levels(
-        [(F(1, 16), 4), (F(1, 8), 2), (F(1, 2), 1)], 7
-    )
+    spec = CompressedSpectrum.from_levels([(F(1, 16), 4), (F(1, 8), 2), (F(1, 2), 1)])
     bits, tr = s0_smooth(spec, F(3, 8))
     # 4/16 = 1/4 <= 3/8, then (3/8 - 1/4) / (1/8) = 1 entry of the next level
     assert tr.b == 1 and tr.k == 5 and tr.remaining_rank == 2
@@ -129,7 +127,7 @@ def test_s2_nontrivial_b_minus():
 
 
 def test_s2_crossing_error():
-    spec = CompressedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)], 3)
+    spec = CompressedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)])
     with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum"):
         s2_smooth(spec, F(9, 10))
 
@@ -138,7 +136,7 @@ def test_s2_crossing_error_at_any_size():
     """x and y too long to print in decimal still raise the typed error,
     with the exact values kept on it."""
     D = 4 * 3**10000
-    spec = CompressedSpectrum.from_levels([(F(1, 4) - F(1, D), 1), (F(3, 4) + F(1, D), 1)], 2)
+    spec = CompressedSpectrum.from_levels([(F(1, 4) - F(1, D), 1), (F(3, 4) + F(1, D), 1)])
     with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum") as exc:
         s2_smooth(spec, F(1, 3))
     assert (exc.value.x, exc.value.y) == (F(7, 12) - F(1, D), F(5, 12) + F(1, D))
@@ -146,7 +144,7 @@ def test_s2_crossing_error_at_any_size():
 
 
 def test_s2_single_level_never_errors():
-    spec = CompressedSpectrum.from_levels([(F(1, 4), 4)], 4)
+    spec = CompressedSpectrum.from_levels([(F(1, 4), 4)])
     for eps in (0, F(1, 100), F(99, 100)):
         bits, sol = s2_smooth(spec, eps)
         assert sol.purity == F(1, 4) and bits == 2.0
@@ -243,7 +241,7 @@ def small_spectrum(draw):
     zeros = draw(st.integers(0, 3))
     if zeros:
         levels = [(F(0), zeros)] + levels
-    return CompressedSpectrum.from_levels(levels, sum(m for _, m in levels))
+    return CompressedSpectrum.from_levels(levels)
 
 
 @given(small_spectrum(), st.integers(0, 99))
@@ -304,7 +302,7 @@ def test_family_scans_match_explicit_rebuilds(mass_on_top, p, eps):
     either side of its middle level."""
     assume(_mass_on_top(p) == mass_on_top)
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
-        plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
+        plain = CompressedSpectrum.from_levels(spec.levels)
         for fn in (s0_smooth, s2_smooth, h0_smooth):
             assert _scan(fn, spec, eps) == _scan(fn, plain, eps)
 
@@ -344,7 +342,7 @@ def _bottom_budgets(levels):
 def test_s2_matches_reference_bottom_walk(p, rebuild, data):
     for family in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         # the reference walks explicit levels (degeneracy 1)
-        plain = CompressedSpectrum.from_levels(family.levels, family.total_dim)
+        plain = CompressedSpectrum.from_levels(family.levels)
         spec = plain if rebuild else family
         eps = data.draw(st.sampled_from(_bottom_budgets(plain.levels)))
         b_minus, x = _reference_bottom_walk(plain, eps)
@@ -361,7 +359,7 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
     """A wrong float guess, too low or too high, is corrected exactly."""
     family = xe_spectrum(params(n=120, beta0=F(49, 50)))
     cases = []
-    for spec in (family, CompressedSpectrum.from_levels(family.levels, family.total_dim)):
+    for spec in (family, CompressedSpectrum.from_levels(family.levels)):
         b = s2_smooth(spec, F(1, 640000))[1].b_minus
         below = spec.levels[:b]
         tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
@@ -573,7 +571,7 @@ def test_scans_match_eager_fraction_reference(p, data):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         budgets = _identity_budgets(spec, q, p.d)
         eps_list = data.draw(st.lists(st.sampled_from(budgets), min_size=1, max_size=4))
-        rebuilt = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
+        rebuilt = CompressedSpectrum.from_levels(spec.levels)
         for eps in eps_list:
             want = _reference_scans(rebuilt, eps)
             assert _canon_scans(spec, eps) == want
@@ -642,6 +640,14 @@ def test_strip_matches_repeated_division(v, p, extra, cap):
         rest //= p
         k += 1
     assert _strip(v, p, cap) == (k, rest)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("cap", [0, 7, math.inf])
+def test_strip_zero_returns_the_cap(p, cap):
+    """Every power of p divides 0: the cap bounds k, and an infinite cap
+    must still return rather than divide forever."""
+    assert _strip(0, p, cap) == (cap, 0)
 
 
 def test_key_length_gcd_operands_stay_narrow(monkeypatch):

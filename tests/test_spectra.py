@@ -127,6 +127,12 @@ def test_normalization_and_dims(p):
     if p.beta0 != 1:
         assert ev.total_dim == p.d ** (2 * p.n)
         assert cond.total_dim == p.d ** p.n
+        # den and g come from single-copy numbers; they must be the n-th
+        # powers of the per-signal denominators, and xe's d^n copies
+        d, n, q = p.d, p.n, p.beta0.denominator
+        assert ev.den == (q * d * (d - 1)) ** n
+        assert cond.den == xe.den == (q * (d - 1)) ** n
+        assert xe.g == d**n
     assert xe.total_dim == p.d ** (3 * p.n)
 
 
@@ -186,7 +192,7 @@ def test_squared_mass_window(p, lo, hi):
     """Both classes clamp a window reaching past either end themselves; the
     inclusive window lo..hi is moment(lo, hi + 1, k)."""
     family = xe_spectrum(p)
-    plain = CompressedSpectrum.from_levels(family.levels, family.total_dim)
+    plain = CompressedSpectrum.from_levels(family.levels)
     for spec in (family, plain):
         for k in (0, 1, 2):
             direct = sum(
@@ -203,7 +209,7 @@ def test_family_streams_match_explicit_levels(p):
     """Rebuilding through from_levels stores explicit level lists; their
     streams must agree with the closed-form family's recurrences."""
     spec = eve_spectrum(p)
-    plain = CompressedSpectrum.from_levels(spec.levels, spec.total_dim)
+    plain = CompressedSpectrum.from_levels(spec.levels)
 
     def masses(s, reverse=False):
         start = s.size - 1 if reverse else 0
@@ -240,7 +246,7 @@ def test_series_matches_fraction_sum(lo, length, n, a, b):
 def _both_classes(p):
     for family in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         yield family
-        yield CompressedSpectrum.from_levels(family.levels, family.total_dim)
+        yield CompressedSpectrum.from_levels(family.levels)
 
 
 @given(valid_params(max_n=40), st.data())
@@ -345,58 +351,55 @@ EVE_FAMILY = dict(n=3, alpha=97, beta=1, div=3)
 
 
 def test_family_accepts_consistent_den_and_total():
-    spec = _Family(**EVE_FAMILY, den=100**3, total_dim=4**3)
+    spec = _Family(**EVE_FAMILY)
+    assert (spec.den, spec.total_dim) == (100**3, 4**3)
     assert spec.levels == eve_spectrum(params(n=3, beta0=F(49, 50))).levels
 
 
 @pytest.mark.parametrize(
-    "family, den, total, match",
+    "family",
     [
-        (EVE_FAMILY, 100**3 + 1, 4**3, "sum to 1"),
-        (EVE_FAMILY, 100**3 - 1, 4**3, "sum to 1"),
-        (EVE_FAMILY, 100**3, 4**3 + 1, "multiplicities do not sum"),
-        (dict(EVE_FAMILY, zero_mult=1), 100**3, 4**3, "multiplicities do not sum"),
-        (dict(EVE_FAMILY, alpha=1), 4**3, 4**3, "malformed"),
-        (dict(EVE_FAMILY, beta=0), 97**3, 4**3, "malformed"),
-        (dict(EVE_FAMILY, g_base=0), 0, 0, "malformed"),
-        (dict(EVE_FAMILY, g_base=2), 100**3, 4**3, "multiplicities do not sum"),
+        pytest.param(dict(EVE_FAMILY, alpha=1), id="family4-64-64-malformed"),
+        pytest.param(dict(EVE_FAMILY, beta=0), id="family5-912673-64-malformed"),
+        pytest.param(dict(EVE_FAMILY, g_base=0), id="family6-0-0-malformed"),
     ],
 )
-def test_family_rejects_inconsistent_identities(family, den, total, match):
-    with pytest.raises(ValueError, match=match):
-        _Family(**family, den=den, total_dim=total)
+def test_family_rejects_inconsistent_identities(family):
+    with pytest.raises(ValueError, match="malformed"):
+        _Family(**family)
 
 
 @pytest.mark.parametrize(
-    "nums, mults, den, total, match",
+    "nums, mults, den, match",
     [
-        ([], [], 1, 0, "malformed"),
-        ([1], [1, 1], 1, 2, "malformed"),
-        ([1], [1], 0, 1, "denominator must be positive"),
-        ([0, 1], [0, 1], 1, 1, "multiplicities must be >= 1"),
+        pytest.param([], [], 1, "malformed", id="nums0-mults0-1-0-malformed"),
+        pytest.param([1], [1, 1], 1, "malformed", id="nums1-mults1-1-2-malformed"),
+        pytest.param(
+            [1], [1], 0, "denominator must be positive",
+            id="nums2-mults2-0-1-denominator must be positive",
+        ),
+        pytest.param(
+            [0, 1], [0, 1], 1, "multiplicities must be >= 1",
+            id="nums3-mults3-1-1-multiplicities must be >= 1",
+        ),
     ],
 )
-def test_rejects_malformed_levels(nums, mults, den, total, match):
+def test_rejects_malformed_levels(nums, mults, den, match):
     with pytest.raises(ValueError, match=match):
-        CompressedSpectrum(nums, mults, den, total)
+        CompressedSpectrum(nums, mults, den)
 
 
 def test_rejects_unsorted_levels():
     with pytest.raises(ValueError):
-        CompressedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)], 3)
+        CompressedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)])
 
 
 def test_rejects_negative_level_value():
     with pytest.raises(ValueError, match="negative level value"):
-        CompressedSpectrum([-1, 3], [1, 1], 2, 2)
-
-
-def test_rejects_bad_total():
-    with pytest.raises(ValueError):
-        CompressedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)], 7)
+        CompressedSpectrum([-1, 3], [1, 1], 2)
 
 
 def test_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
-        CompressedSpectrum.from_levels([(F(1, 4), 1), (F(1, 2), 1)], 2)
+        CompressedSpectrum.from_levels([(F(1, 4), 1), (F(1, 2), 1)])
 
