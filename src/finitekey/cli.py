@@ -19,6 +19,7 @@ from typing import Optional
 from .asymptotic import asymptotic_rate
 from .kernel import rational_from_decimal
 from .keyrate import n_for_ntilde, sweep, threshold_error_rate
+from .spectra import smoothing_budget
 
 HEADER = [
     "d", "n", "beta0", "error_rate", "epsilon", "epsilon_prime",
@@ -121,7 +122,7 @@ def _decimal_grid(text: str) -> list[Fraction]:
 def _row(d, n, beta0, epsilon, values) -> list[str]:
     """A HEADER row: the parameter columns (blank where unset), then the
     value cells, padded with blanks to the full width."""
-    eps_p = None if epsilon is None else (Fraction(epsilon) / 8) ** 2
+    eps_p = None if epsilon is None else smoothing_budget(epsilon)
     row = [str(d), "" if n is None else str(n), _frac(beta0),
            _frac(None if beta0 is None else 1 - beta0), _frac(epsilon), _frac(eps_p)]
     row += values

@@ -256,7 +256,7 @@ def _predict_b_minus(spec: CompressedSpectrum, tq: int) -> int:
     """s2_smooth's bottom scan run on `log_walk` floats: a guess at b_minus,
     which s2_smooth certifies exactly.  The running count and mass are sums
     of positive terms, so nothing cancels; only near-ties can be missed."""
-    levels = spec.log_walk(0)
+    levels = spec.log_walk()
     log_c, log_w = next(levels)
     log_tq = math.log(tq) if tq else -math.inf
     b = 0

@@ -29,15 +29,14 @@ per copy; `levels` and `total_dim` count all copies, and `g_factors` states
 g's primes.  Nothing of size O(n) is stored.  A scan asks for a walk from the
 level it starts at (`walk`): the first level is seeded with `pow` and
 `math.comb`, and each further step applies exact small-factor recurrences to
-(multiplicity, mass), so a scan costs only the levels it touches.  `log_walk`
-is the same stream in floats (natural logs, seeded with `math.lgamma`), for
-predicting where a scan would stop.  Sums over a window of levels do not
-walk: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the
-window, so k = 0, 1, 2 give its count, mass and squared mass.  On a family it
-is a hypergeometric series in the level index, which `_series` evaluates by
-binary splitting with one exact division at the end.  A family's lists
-`value_nums` and `mults`, and for every spectrum the pairs `levels`, are
-built on first read.
+(multiplicity, mass), so a scan costs only the levels it touches.  The pairs
+`levels` derive from `walk(0)`, and `log_walk()` is `walk(0)` in floats
+(natural logs, from the bottom level up) for predicting where a scan would
+stop.  Sums over a window of levels do not walk: `moment(lo, hi, k)` is the
+k-th moment sum of mult * num^k over the window, so k = 0, 1, 2 give its
+count, mass and squared mass.  On a family it is a hypergeometric series in
+the level index, which `_series` evaluates by binary splitting with one
+exact division at the end.
 """
 
 from __future__ import annotations
@@ -59,6 +58,11 @@ __all__ = [
 ]
 
 
+def smoothing_budget(epsilon) -> Fraction:
+    """epsilon' = (epsilon/8)^2, the budget handed to each smoothed entropy."""
+    return (Fraction(epsilon) / 8) ** 2
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated protocol inputs.
@@ -66,8 +70,7 @@ class ProtocolParams:
     d: signal dimension (qudit), n: sifted-key length, beta0: probability
     that Alice's and Bob's sifted symbols agree, epsilon: security parameter
     of the final key.  Derived: beta1 = (1-beta0)/(d-1) per wrong symbol,
-    epsilon_prime = (epsilon/8)^2, the smoothing budget handed to each
-    entropy.
+    epsilon_prime = `smoothing_budget(epsilon)`.
     """
 
     d: int
@@ -99,7 +102,7 @@ class ProtocolParams:
 
     @property
     def epsilon_prime(self) -> Fraction:
-        return (self.epsilon / 8) ** 2
+        return smoothing_budget(self.epsilon)
 
 
 def _series(lo: int, hi: int, n: int, a: int, b: int) -> tuple[int, int]:
@@ -194,20 +197,17 @@ class CompressedSpectrum:
 
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
-        return [
-            (Fraction(v, self.den * self.g), m * self.g)
-            for v, m in zip(self.value_nums, self.mults)
-        ]
+        return [(Fraction(w // m, self.den * self.g), m * self.g) for m, w in self.walk(0)]
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         nums, mults = self.value_nums, self.mults
         for j in range(i, -1, -1) if reverse else range(i, self.size):
             yield mults[j], mults[j] * nums[j]
 
-    def log_walk(self, i: int) -> Iterator[tuple[float, float]]:
-        """(ln multiplicity, ln mass) from level index i upward, the float
-        image of `walk`; a zero level has ln mass -inf."""
-        for m, v in zip(self.mults[i:], self.value_nums[i:]):
+    def log_walk(self) -> Iterator[tuple[float, float]]:
+        """(ln multiplicity, ln mass) from the bottom level upward, the float
+        image of `walk(0)`; a zero level has ln mass -inf."""
+        for m, v in zip(self.mults, self.value_nums):
             log_m = math.log(m)
             yield log_m, log_m + math.log(v) if v else -math.inf
 
@@ -274,18 +274,15 @@ class _Family(CompressedSpectrum):
         if reverse and z:
             yield self.zero_mult, 0
 
-    def log_walk(self, i: int) -> Iterator[tuple[float, float]]:
-        z = self.z
-        if i < z:
+    def log_walk(self) -> Iterator[tuple[float, float]]:
+        if self.z:
             yield math.log(self.zero_mult), -math.inf
-            i = z
-        n, log, lgamma = self.n, math.log, math.lgamma
-        l = i - z
-        lm = lgamma(n + 1) - lgamma(l + 1) - lgamma(n - l + 1) + (n - l) * log(self.div)
-        lw = lm + l * log(self.alpha) + (n - l) * log(self.beta)
-        yield lm, lw
+        n, log = self.n, math.log
         ldiv, lratio = log(self.div), log(self.alpha) - log(self.beta)
-        for l in range(l, n):
+        lm = n * ldiv
+        lw = lm + n * log(self.beta)
+        yield lm, lw
+        for l in range(n):
             step = log((n - l) / (l + 1)) - ldiv
             lm, lw = lm + step, lw + step + lratio
             yield lm, lw
@@ -303,6 +300,7 @@ class _Family(CompressedSpectrum):
         Q, T = _series(lo, hi, self.n, self.alpha**k, self.div * self.beta**k)
         return zero + mult * num**k * T // Q
 
+    # only perfbench/tracing.py reads these two; ROADMAP item 4 deletes them
     @cached_property
     def value_nums(self) -> list[int]:
         nums = [0] * self.z + [self.beta**self.n]

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from fractions import Fraction as F
+from statistics import NormalDist
 
 import pytest
 from hypothesis import assume, given, settings
@@ -433,6 +434,48 @@ def test_s0_and_h0_are_one_support_cut(spec_eps):
     assert bitsh.hex() == bits0.hex()
     if spec.total_dim <= 4096:
         assert cut.k == brute_h0(expand(spec), eps)
+
+
+# --- second-order envelope --------------------------------------------------
+
+def _second_order(one_copy, n, eps, sign):
+    """n*H + sign * sqrt(n*V) * Phi^-1(1 - eps) in bits: the second-order
+    expansion of a smoothed entropy of n i.i.d. copies (Hayashi, IEEE TIT 54,
+    2008), with H the entropy and V the surprisal variance of the one-copy
+    levels."""
+    probs = [(float(v), m) for v, m in one_copy.levels if v]
+    h = math.fsum(-m * v * math.log2(v) for v, m in probs)
+    var = math.fsum(m * v * math.log2(v) ** 2 for v, m in probs) - h * h
+    return n * h + sign * math.sqrt(n * var) * NormalDist().inv_cdf(1 - float(eps))
+
+
+@pytest.mark.parametrize(
+    "d, beta0, n, want",
+    [
+        (2, F(49, 50), 1000, (40.6, -1.2, -2.8)),
+        (2, F(49, 50), 10_000, (41.7, -0.6, -5.4)),
+        (3, F(49, 50), 1000, (44.5, 1.9, 0.4)),
+        (3, F(49, 50), 5000, (45.4, 5.1, -1.7)),
+        (2, F(9, 10), 1000, (30.3, -11.9, -12.5)),
+        (2, F(9, 10), 10_000, (32.1, -13.1, -14.2)),
+    ],
+)
+def test_second_order_envelope(d, beta0, n, want):
+    """Above the oracles' reach the exact entropies stay within 3 bits of
+    their measured residual from the second-order estimate: S2 below
+    n*H(XE) by the sqrt(n*V) term, S0 and H0 above n*H(E) and n*H(X|Y).
+    The residuals are the O(log n) terms; they drift by a few bits per
+    decade of n."""
+    p = params(d=d, n=n, beta0=beta0, epsilon=F(1, 100))
+    one = params(d=d, beta0=beta0)
+    eps = p.epsilon_prime
+    got = (
+        s2_smooth(xe_spectrum(p), eps)[0] - _second_order(xe_spectrum(one), n, eps, -1),
+        s0_smooth(eve_spectrum(p), eps)[0] - _second_order(eve_spectrum(one), n, eps, 1),
+        h0_smooth(conditional_spectrum(p), eps)[0]
+        - _second_order(conditional_spectrum(one), n, eps, 1),
+    )
+    assert got == pytest.approx(want, abs=3)
 
 
 # --- randomized commuting-perturbation sanity --------------------------------

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitekey import cli
+from finitekey.asymptotic import asymptotic_rate
+from finitekey.keyrate import key_length
+from finitekey.smooth import h0_smooth, s0_smooth, s2_smooth
 from finitekey.spectra import (
     CompressedSpectrum,
     ProtocolParams,
@@ -19,6 +23,12 @@ from finitekey.spectra import (
 
 def params(d=2, n=1, beta0=F(9, 10), epsilon=F(1, 2)):
     return ProtocolParams(d=d, n=n, beta0=beta0, epsilon=epsilon)
+
+
+def lists(spec):
+    """(numerators, stored multiplicities) of every level, read off walk(0)."""
+    rows = list(spec.walk(0))
+    return [w // m for m, w in rows], [m for m, _ in rows]
 
 
 @st.composite
@@ -181,7 +191,6 @@ def test_mass_streams_match_levels(p):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         # level (v, m) is stored as m / g eigenvalues carrying mass m * v
         direct = [(m // spec.g, m * v * spec.den) for v, m in spec.levels]
-        assert direct == [(m, m * n_) for n_, m in zip(spec.value_nums, spec.mults)]
         assert list(spec.walk(0)) == direct
         assert list(spec.walk(spec.size - 1, reverse=True)) == direct[::-1]
 
@@ -197,7 +206,7 @@ def test_squared_mass_window(p, lo, hi):
         for k in (0, 1, 2):
             direct = sum(
                 m * n_**k
-                for i, (n_, m) in enumerate(zip(spec.value_nums, spec.mults))
+                for i, (n_, m) in enumerate(zip(*lists(spec)))
                 if lo <= i <= hi
             )
             assert spec.moment(lo, hi + 1, k) == direct
@@ -217,7 +226,7 @@ def test_family_streams_match_explicit_levels(p):
 
     assert masses(plain) == masses(spec)
     assert masses(plain, reverse=True) == masses(spec, reverse=True)
-    m = len(spec.value_nums)
+    m = spec.size
     for lo in range(m):
         for hi in range(lo, m):
             for k in (0, 1, 2):
@@ -256,7 +265,7 @@ def test_sums_match_direct_sums(p, data):
     lo..hi-1 for k = 0, 1, 2 on both classes: empty, one-level, zero-level
     and out-of-range windows included."""
     for spec in _both_classes(p):
-        size = spec.size
+        size, (nums, mults) = spec.size, lists(spec)
         windows = [(0, size), (0, 0), (size, size), (0, 1), (size - 1, size), (-2, size + 2)]
         windows += [
             (data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
@@ -265,24 +274,23 @@ def test_sums_match_direct_sums(p, data):
         for lo, hi in windows:
             inside = range(max(lo, 0), min(hi, size))
             for k in (0, 1, 2):
-                want = sum(spec.mults[i] * spec.value_nums[i] ** k for i in inside)
+                want = sum(mults[i] * nums[i] ** k for i in inside)
                 assert spec.moment(lo, hi, k) == want
 
 
 @given(valid_params(max_n=40))
 @settings(max_examples=40, deadline=None)
 def test_log_walk_matches_walk(p):
-    """The float stream is the log of the exact one, from any start."""
+    """The float stream is the log of the exact one, from the bottom up."""
     for spec in _both_classes(p):
-        for i in {0, spec.size // 2, spec.size - 1}:
-            logs, exact = list(spec.log_walk(i)), list(spec.walk(i))
-            assert len(logs) == len(exact)
-            for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
-                assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
-                if mass:
-                    assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
-                else:
-                    assert log_mass == -math.inf
+        logs, exact = list(spec.log_walk()), list(spec.walk(0))
+        assert len(logs) == len(exact)
+        for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
+            assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
+            if mass:
+                assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
+            else:
+                assert log_mass == -math.inf
 
 
 def _eager_levels(p):
@@ -316,18 +324,36 @@ def test_lazy_lists_match_eager_construction(p):
     if p.beta0 == 1:
         return  # explicit single-level spectra, no family
     want_eve, want_xe, want_cond = _eager_levels(p)
-    assert (eve.value_nums, eve.mults, eve.den, eve.total_dim) == want_eve
+    assert (*lists(eve), eve.den, eve.total_dim) == want_eve
     # xe stores one of its g = d^n copies: g times fewer eigenvalues, each
     # g times as heavy
-    g = xe.g
-    assert (xe.value_nums, [g * m for m in xe.mults], g * xe.den, xe.total_dim) == want_xe
-    assert (cond.value_nums, cond.mults, cond.den, cond.total_dim) == want_cond
+    g, (nums, mults) = xe.g, lists(xe)
+    assert (nums, [g * m for m in mults], g * xe.den, xe.total_dim) == want_xe
+    assert (*lists(cond), cond.den, cond.total_dim) == want_cond
     # a walk seeded at any level continues the same lists, either way
     for spec, (nums, mults, _, _) in ((eve, want_eve), (xe, want_xe), (cond, want_cond)):
         rows = [(m // spec.g, m // spec.g * v) for v, m in zip(nums, mults)]
         for i in range(len(rows)):
             assert list(spec.walk(i)) == rows[i:]
             assert list(spec.walk(i, reverse=True)) == rows[i::-1]
+
+
+def test_no_package_path_reads_family_lists(monkeypatch):
+    """Every package path streams a family's levels: its O(n^2)-bit lists
+    are never built."""
+    def refuse(self):
+        raise AssertionError("a family's level lists were read")
+
+    monkeypatch.setattr(_Family, "value_nums", property(refuse))
+    monkeypatch.setattr(_Family, "mults", property(refuse))
+    p = params(d=3, n=60, beta0=F(9, 10), epsilon=F(1, 100))
+    key_length(p)
+    asymptotic_rate(3, F(9, 10))
+    s0_smooth(eve_spectrum(p), p.epsilon_prime)
+    s2_smooth(xe_spectrum(p), p.epsilon_prime)
+    h0_smooth(conditional_spectrum(p), p.epsilon_prime)
+    assert cli.main(["threshold", "--n", "300", "--epsilon", "0.01"]) == 0
+    assert cli.main(["asymptotic", "--d", "2", "--error-rate", "0.02"]) == 0
 
 
 # --- constructor validation -------------------------------------------------
