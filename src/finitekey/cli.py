@@ -18,7 +18,7 @@ from typing import Optional
 
 from .asymptotic import asymptotic_rate
 from .kernel import rational_from_decimal
-from .keyrate import n_for_ntilde, sweep, threshold_error_rate
+from .keyrate import POINT_ERRORS, n_for_ntilde, sweep, threshold_error_rate
 from .spectra import smoothing_budget
 
 HEADER = [
@@ -40,7 +40,13 @@ def _g(x: float) -> str:
 
 
 def _frac(x: Optional[Fraction]) -> str:
-    return "" if x is None else _g(float(x))
+    """A rational cell: blank, 12 digits, or exact where no float holds it."""
+    if x is None:
+        return ""
+    try:
+        return _g(float(x))
+    except OverflowError:
+        return str(x)
 
 
 def _decimal(text: str) -> Fraction:
@@ -175,7 +181,7 @@ def _run_threshold(points) -> list[list[str]]:
     for d, n, _, epsilon in points:
         try:
             value = f"{threshold_error_rate(d, n, epsilon):.4f}"
-        except ValueError as exc:
+        except POINT_ERRORS as exc:
             value = f"ERROR:{exc}"
         rows.append([str(d), "" if n is None else str(n), _frac(epsilon), value])
     return rows
@@ -185,7 +191,7 @@ def _run_asymptotic(points) -> list[list[str]]:
     [(d, _, beta0, _)] = points
     try:
         ar = asymptotic_rate(d, beta0)
-    except ValueError as exc:
+    except POINT_ERRORS as exc:
         return [_row(d, None, beta0, None, [f"ERROR:{exc}"])]
     return [_row(d, None, beta0, None, [
         _g(ar.s_xe), _g(ar.s_e), _g(ar.h_xy), "",

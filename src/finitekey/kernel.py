@@ -3,9 +3,16 @@
 Rationals are `fractions.Fraction` and unbounded counts are plain `int`: both
 are exact and of arbitrary precision.  A `Fraction` is put in lowest terms
 when it is built, by a gcd whose cost grows as the square of the operands'
-width, so the scans keep their large rationals as integer pairs and reduce
-them through the primes they know (`small_factors`, and `smooth`).  The only
-deliberate loss of precision in the whole package happens here, in
+width.  So the scans reduce their large rationals through `lowest_terms`,
+given the numerator and the denominator's parts: `small_factors` tables of
+n-th powers of small integers, and ints whose primes are unknown.
+Each known prime's exponent is its table exponents plus its valuation in
+the ints; `_strip` takes the common power out of the numerator by doubling
+powers (a bit trick for 2), and what is left of the ints meets it in one
+gcd on their own width, since gcd(a, b*c) = gcd(a, b) * gcd(a, c) for
+coprime b and c.  With no table that is one gcd, as in `Fraction`.
+
+The only deliberate loss of precision in the whole package happens here, in
 `log2_bits` and `log2_ratio`, which turn an exact positive quantity into a
 float number of bits.  Everything upstream of that call (thresholds,
 floors, tie-breaks) is integer or rational comparison, never floating
@@ -18,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["rational_from_decimal", "log2_bits", "log2_ratio", "small_factors"]
+__all__ = ["rational_from_decimal", "log2_bits", "log2_ratio", "small_factors", "lowest_terms"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -46,30 +53,75 @@ def rational_from_decimal(text: str) -> Fraction:
 
 
 def _log2_int(v: int) -> float:
-    nb = v.bit_length()
-    if nb <= _WINDOW:
-        return math.log2(v)
     # v = (v >> shift) * 2**shift with the top _WINDOW bits kept exactly.
-    shift = nb - _WINDOW
+    shift = max(v.bit_length() - _WINDOW, 0)
     return shift + math.log2(v >> shift)
 
 
-def small_factors(m: int) -> tuple[dict[int, int], int]:
-    """(primes, rest) with m = rest * prod(p**e for p, e in primes), m >= 1:
-    the prime factorisation of m by trial division up to 2**10.  rest is 1
-    unless what is left after the primes below the bound is too large to
-    be proved prime by them; then it is that cofactor, prime or not."""
+def small_factors(m: int, n: int = 1) -> tuple[dict[int, int], int]:
+    """(primes, rest) with m**n = rest * prod(p**e for p, e in primes),
+    m >= 1: the prime factorisation of m**n from trial division of m up to
+    2**10.  rest is 1 unless what is left of m after the primes below the
+    bound is too large to be proved prime by them; then rest is the n-th
+    power of that cofactor, prime or not."""
     primes = {}
     p = 2
     while p < _TRIAL and p * p <= m:
         while m % p == 0:
-            primes[p] = primes.get(p, 0) + 1
+            primes[p] = primes.get(p, 0) + n
             m //= p
         p += 1
     if m > 1 and p * p > m:  # no factor up to sqrt(m): m is prime
-        primes[m] = 1
+        primes[m] = n
         m = 1
-    return primes, m
+    return primes, m**n
+
+
+def _strip(v: int, p: int, cap) -> tuple[int, int]:
+    """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  The powers
+    p**(2**i) are divided out while they divide, i going up, and tried again
+    going down, so k costs O(log k) divisions rather than one per factor.
+    For p = 2 the lowest set bit gives k at once.  Every power divides 0,
+    so v = 0 gives (cap, 0) without dividing."""
+    if not v:
+        return cap, 0
+    if p == 2:
+        k = min((v & -v).bit_length() - 1, cap)
+        return k, v >> k
+    k, powers = 0, [p]
+    while k + (step := 1 << (len(powers) - 1)) <= cap:
+        q, r = divmod(v, powers[-1])
+        if r:
+            break
+        v, k = q, k + step
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if k + (1 << i) <= cap:
+            q, r = divmod(v, powers[i])
+            if not r:
+                v, k = q, k + (1 << i)
+    return k, v
+
+
+def lowest_terms(num: int, *parts) -> Fraction:
+    """num / prod(parts) in lowest terms; each part is a positive int or a
+    `small_factors` table (primes, rest) standing for its product.  The
+    reduced pair goes into the Fraction's two slots, skipping its gcd."""
+    primes, rest = {}, 1
+    for part in parts:
+        table, part_rest = ({}, part) if isinstance(part, int) else part
+        for p, e in table.items():
+            primes[p] = primes.get(p, 0) + e
+        rest *= part_rest
+    den = 1
+    for p, e in primes.items():
+        v, rest = _strip(rest, p, math.inf)
+        k, num = _strip(num, p, e + v)
+        den *= p ** (e + v - k)
+    g = math.gcd(num % rest, rest)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num // g, den * (rest // g)
+    return f
 
 
 def log2_ratio(num: int, den: int) -> float:

@@ -35,6 +35,11 @@ __all__ = [
     "threshold_error_rate",
 ]
 
+# What refuses a point rather than stopping a run: a value out of its
+# domain, of the wrong type, or too large for a float to hold.
+POINT_ERRORS = (ValueError, TypeError, OverflowError)
+
+
 @dataclass(frozen=True)
 class KeyRateResult:
     params: ProtocolParams
@@ -103,7 +108,7 @@ def _eval_point(point) -> SweepPoint:
     try:
         params = ProtocolParams(d=d, n=n, beta0=beta0, epsilon=epsilon)
         return SweepPoint(d, n, beta0, epsilon, result=key_length(params))
-    except (ValueError, TypeError, OverflowError) as exc:
+    except POINT_ERRORS as exc:
         return SweepPoint(d, n, beta0, epsilon, error=str(exc))
 
 

@@ -34,31 +34,21 @@ count and mass below it, and exact single-level steps move it until level
 b_minus fits the budget and the level above it does not.  Since s_r grows
 with r, those two comparisons certify the boundary the full walk would find.
 
-No full-width gcd runs on the way to the floats.  The witness rationals
-(s_b, and the water fill's x and y) are handed over as integer pairs and
-reduced only when a field is first read, and s2's test x >= y is the
-integer test X*Ct >= Y*C.  The purity must be in lowest terms, since its
-float windows the top bits of its numerator and denominator.  Its
-denominator (ed*den)^2 * C * Ct * g is mostly known primes: den and g are
-n-th powers of small integers whose factors the spectrum states
-(`den_factors`, `g_factors`), and eps' has a small denominator ed.
-`_lowest_terms` takes each known prime's exponent from those factors plus
-its valuation in C * Ct, strips the common power from the numerator by
-doubling powers (a bit trick for 2), and runs one gcd on what is left of
-C * Ct.  An explicit spectrum states no primes, and the same code is then
-one gcd, as in `Fraction`.
+No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
+The witness rationals (s_b, x, y) are reduced only when a field is first
+read, and s2's test x >= y is the integer test X*Ct >= Y*C.  The purity is
+reduced at once, as its float windows its numerator and denominator apart.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from typing import NamedTuple
 
-from .kernel import log2_bits, log2_ratio, small_factors
+from .kernel import log2_bits, lowest_terms, small_factors
 from .spectra import CompressedSpectrum
 
 __all__ = [
@@ -86,71 +76,12 @@ class EpsilonTooLargeError(ValueError):
                 f"meets lowered ceiling {float(self.y)!r}")
 
 
-def _strip(v: int, p: int, cap) -> tuple[int, int]:
-    """(k, v // p**k) with k = min(v_p(v), cap) for a prime p.  The powers
-    p**(2**i) are divided out while they divide, i going up, and tried again
-    going down, so k costs O(log k) divisions rather than one per factor.
-    For p = 2 the lowest set bit gives k at once.  Every power divides 0,
-    so v = 0 gives (cap, 0) without dividing."""
-    if not v:
-        return cap, 0
-    if p == 2:
-        k = min((v & -v).bit_length() - 1, cap)
-        return k, v >> k
-    k, powers = 0, [p]
-    while k + (step := 1 << (len(powers) - 1)) <= cap:
-        q, r = divmod(v, powers[-1])
-        if r:
-            break
-        v, k = q, k + step
-        powers.append(powers[-1] * powers[-1])
-    for i in range(len(powers) - 2, -1, -1):
-        if k + (1 << i) <= cap:
-            q, r = divmod(v, powers[i])
-            if not r:
-                v, k = q, k + (1 << i)
-    return k, v
-
-
-def _lowest_terms(num: int, primes: dict[int, int], rest: int) -> tuple[int, int]:
-    """num / den in lowest terms, as a pair, for den = rest * prod(p**e).
-
-    Each known prime p has exponent e + v_p(rest) in den, and `_strip`
-    takes min(v_p(num), that) out of num.  What is left of rest, free
-    of the known primes, meets num in one gcd on its own width, since
-    gcd(num, A*B) = gcd(num, A) * gcd(num, B) for coprime A and B.  With no
-    known primes this is one gcd, as in `Fraction`.
-    """
-    den = 1
-    for p, e in primes.items():
-        v, rest = _strip(rest, p, math.inf)
-        k, num = _strip(num, p, e + v)
-        den *= p ** (e + v - k)
-    g = math.gcd(num % rest, rest)
-    return num // g, den * (rest // g)
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """Fraction(num, den) for a pair already in lowest terms (den > 0),
-    skipping the constructor's gcd; relies on Fraction's two slots."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = num, den
-    return f
-
-
-class _Ratio(NamedTuple):
-    """num / (rest * prod(p**e for p, e in primes)), not yet reduced."""
-
-    num: int
-    primes: dict
-    rest: int
-
-
 class _LowestTerms:
     """Type of a witness field holding an exact rational, which the scans
-    may hand over as a `_Ratio`: it is put in lowest terms on first read, so
-    a witness nobody reads costs no gcd.  Reads always return a Fraction,
-    and the dataclass's repr, == and fields see only those."""
+    may hand over as a `partial` of `lowest_terms`: it is called on first
+    read and its result kept, so a witness nobody reads costs no gcd.  Reads
+    always return a Fraction, and the dataclass's repr, == and fields see
+    only those."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -159,9 +90,8 @@ class _LowestTerms:
         if obj is None:
             raise AttributeError(self.name)  # so the field has no default
         value = obj.__dict__[self.name]
-        if type(value) is _Ratio:
-            value = _coprime_fraction(*_lowest_terms(*value))
-            obj.__dict__[self.name] = value
+        if type(value) is partial:
+            value = obj.__dict__[self.name] = value()
         return value
 
     def __set__(self, obj, value):
@@ -285,7 +215,7 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
         b=nonzero - included,
         k=spec.total_dim - spec.g * spec.zero_mult - remaining,
         remaining_rank=remaining,
-        s_b=_Ratio(spec.den - U, *spec.den_factors),
+        s_b=partial(lowest_terms, spec.den - U, spec.den_factors),
     )
 
 
@@ -338,26 +268,22 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
         T += w
 
     # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and
-    # y = (T/den - eps)/(Ct*g), here over the common factor ed*den*g, whose
-    # known primes are those of den, of ed and of g
+    # y = (T/den - eps)/(Ct*g), here over the common factor ed*den*g
     X, Y = en * den + ed * W, ed * T - en * den
-    (den_primes, den_rest), (g_primes, g_rest) = spec.den_factors, spec.g_factors
-    ed_primes, ed_rest = small_factors(ed)
-    primes, rest = Counter(den_primes) + Counter(ed_primes), den_rest * ed_rest
-    xy_primes, xy_rest = primes + Counter(g_primes), rest * g_rest
-    x, y = _Ratio(X, xy_primes, xy_rest * C), _Ratio(Y, xy_primes, xy_rest * Ct)
+    ed_factors = small_factors(ed)
+    xy = (spec.den_factors, spec.g_factors, ed_factors)
+    x, y = partial(lowest_terms, X, *xy, C), partial(lowest_terms, Y, *xy, Ct)
     if X * Ct >= Y * C:  # x >= y
-        raise EpsilonTooLargeError(*(_coprime_fraction(*_lowest_terms(*r)) for r in (x, y)))
+        raise EpsilonTooLargeError(x(), y())
     mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
     # g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 over (ed*den)^2 * C * Ct * g, in
-    # lowest terms because log2_ratio windows the numerator and denominator apart
-    purity = _lowest_terms(
+    # lowest terms because log2_bits windows the numerator and denominator apart
+    purity = lowest_terms(
         X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct,
-        xy_primes + primes,
-        xy_rest * rest * C * Ct,
+        *xy, spec.den_factors, ed_factors, C * Ct,
     )
-    return -log2_ratio(*purity), WaterfillSolution(
-        b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=_coprime_fraction(*purity)
+    return -log2_bits(purity), WaterfillSolution(
+        b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=purity
     )
 
 
@@ -372,5 +298,5 @@ def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     """
     eps = _as_budget(eps)
     b, k, U = _support_cut(spec, eps)
-    s_b = _Ratio(U, *spec.den_factors)
+    s_b = partial(lowest_terms, U, spec.den_factors)
     return log2_bits(k), SupportCutResult(b=b, k=k, s_b=s_b)

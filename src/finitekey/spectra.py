@@ -135,13 +135,6 @@ def _series(lo: int, hi: int, n: int, a: int, b: int) -> tuple[int, int]:
     return Q, T
 
 
-def _factors_of_power(base: int, n: int) -> tuple[dict[int, int], int]:
-    """(primes, rest) with base**n = rest * prod(p**e for p, e in primes),
-    from `small_factors(base)`."""
-    primes, rest = small_factors(base)
-    return {p: e * n for p, e in primes.items()}, rest**n
-
-
 def _check_levels(nums, mults, den):
     if not nums or len(nums) != len(mults):
         raise ValueError("CompressedSpectrum: malformed level lists")
@@ -240,8 +233,8 @@ class _Family(CompressedSpectrum):
         self.zero_mult, self.z = zero_mult, 1 if zero_mult else 0  # z: index of l = 0
         self.size = self.z + n + 1
         base = alpha + div * beta
-        self.den, self.den_factors = base**n, _factors_of_power(base, n)
-        self.g, self.g_factors = g_base**n, _factors_of_power(g_base, n)
+        self.den, self.den_factors = base**n, small_factors(base, n)
+        self.g, self.g_factors = g_base**n, small_factors(g_base, n)
         self.total_dim = self.g * ((1 + div) ** n + zero_mult)
 
     def _seed(self, l: int) -> tuple[int, int]:

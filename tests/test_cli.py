@@ -263,6 +263,33 @@ def test_dimension_below_two_is_an_error_row(capsys, argv, d_n):
         assert (row[value] == error) == (int(d) < 2)
         assert not row[value].startswith("ERROR:") or int(d) < 2
 
+
+HUGE = str(10**400)  # beyond any float
+WIDE_D = str(10**155)  # its square is beyond any float
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--n", "10", "--beta0", HUGE, "--epsilon", "0.1"],
+    ["compute", "--n", "10", "--error-rate", "-" + HUGE, "--epsilon", "0.1"],
+    ["compute", "--n", "10", "--beta0", "0.9", "--epsilon", HUGE],
+    ["asymptotic", "--beta0", HUGE],
+    ["threshold", "--n", "10", "--epsilon", HUGE],
+    ["sweep", "--sweep-epsilon", "0.1," + HUGE, "--n", "5", "--beta0", "0.9"],
+    ["asymptotic", "--d", WIDE_D, "--beta0", "0.9"],
+    ["threshold", "--d", WIDE_D, "--n", "1", "--epsilon", "0.1"],
+    ["compute", "--d", WIDE_D, "--n", "1", "--beta0", "0.9", "--epsilon", "0.1"],
+], ids=lambda argv: argv[0] + next(  # mode and the flag given the wide value
+    flag for flag, value in zip(argv, argv[1:]) if HUGE in value or WIDE_D in value))
+def test_values_beyond_floats_are_error_rows(capsys, argv):
+    """A value no float holds refuses its point with an ERROR row and exit
+    1, in every mode, as an out-of-domain value does; the cells that show
+    it print it exactly rather than raise OverflowError."""
+    rc, lines = run(capsys, argv)
+    assert rc == 1
+    row = cells(lines[-1])
+    assert any(cell.startswith("ERROR:") for cell in row)
+    assert any(HUGE in cell or WIDE_D in cell for cell in row)
+
 # --- grid parsers ------------------------------------------------------------
 
 def test_n_grid_parsers():

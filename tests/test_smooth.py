@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from finitekey import smooth
-from finitekey.kernel import log2_bits
+from finitekey.kernel import _strip, log2_bits, lowest_terms
 from finitekey.keyrate import key_length
 from finitekey.smooth import (
     EpsilonTooLargeError,
     RankTrimResult,
     SupportCutResult,
     WaterfillSolution,
-    _lowest_terms,
     _prod_le,
-    _strip,
     h0_smooth,
     s0_smooth,
     s2_smooth,
@@ -656,8 +654,12 @@ def test_lowest_terms_matches_fraction(num, primes, rest, shared):
     common = math.prod(shared)
     num, rest = num * common, rest * common
     den = rest * math.prod(p**e for p, e in primes.items())
-    f = F(num, den)
-    assert _lowest_terms(num, primes, rest) == (f.numerator, f.denominator)
+    f = F(num, den)  # == on Fractions compares the pairs, reduced or not
+    assert lowest_terms(num, (primes, rest)) == f
+    # s2's shape: the known primes split over two tables, and an int part
+    first = {p: e // 2 for p, e in primes.items()}
+    second = {p: e - e // 2 for p, e in primes.items()}
+    assert lowest_terms(num, (first, common), (second, 1), rest // common) == f
 
 
 def test_lowest_terms_leftover_gcd_above_one():
@@ -668,9 +670,9 @@ def test_lowest_terms_leftover_gcd_above_one():
     primes = {2: 5, 3: 2}
     assert math.gcd(num, rest // 2) == 13 * 1000003
     f = F(num, rest * 2**5 * 3**2)
-    assert _lowest_terms(num, primes, rest) == (f.numerator, f.denominator)
-    assert _lowest_terms(-num, primes, rest) == (-f.numerator, f.denominator)
-    assert _lowest_terms(0, primes, rest) == (0, 1)
+    assert lowest_terms(num, (primes, rest)) == f
+    assert lowest_terms(-num, (primes, rest)) == -f
+    assert lowest_terms(0, (primes, rest)) == 0
 
 
 @given(st.integers(-(10**30), 10**30), st.sampled_from([2, 3, 5, 7]),
