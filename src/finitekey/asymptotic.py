@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .kernel import log2_bits
 from .spectra import (
     ProtocolParams,
     conditional_spectrum,
@@ -31,8 +32,10 @@ class AsymptoticRate:
 
 
 def _entropy_bits(levels) -> float:
+    # a level whose float underflows to 0 still counts, through the exact log
     return math.fsum(
-        -mult * float(v) * math.log2(float(v)) for v, mult in levels if v
+        -mult * x * math.log2(x) if (x := float(v)) else -float(mult * v) * log2_bits(v)
+        for v, mult in levels if v
     )
 
 

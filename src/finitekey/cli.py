@@ -44,9 +44,11 @@ def _frac(x: Optional[Fraction]) -> str:
     if x is None:
         return ""
     try:
-        return _g(float(x))
+        f = float(x)
     except OverflowError:
         return str(x)
+    # a nonzero x whose float underflows to 0 is printed exactly too
+    return _g(f) if f or not x else str(x)
 
 
 def _decimal(text: str) -> Fraction:
@@ -191,12 +193,12 @@ def _run_asymptotic(points) -> list[list[str]]:
     [(d, _, beta0, _)] = points
     try:
         ar = asymptotic_rate(d, beta0)
+        # the effective rate can overflow even where the entropies do not
+        cells = [_g(ar.s_xe), _g(ar.s_e), _g(ar.h_xy), "",
+                 _g(ar.rate), _g(max(ar.rate, 0.0)), _g(ar.rate / (d * (d + 1))), _g(ar.rate)]
     except POINT_ERRORS as exc:
-        return [_row(d, None, beta0, None, [f"ERROR:{exc}"])]
-    return [_row(d, None, beta0, None, [
-        _g(ar.s_xe), _g(ar.s_e), _g(ar.h_xy), "",
-        _g(ar.rate), _g(max(ar.rate, 0.0)), _g(ar.rate / (d * (d + 1))), _g(ar.rate),
-    ])]
+        cells = [f"ERROR:{exc}"]
+    return [_row(d, None, beta0, None, cells)]
 
 
 # The flags that can set each point field.  A subcommand takes some of

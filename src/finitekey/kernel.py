@@ -12,11 +12,11 @@ powers (a bit trick for 2), and what is left of the ints meets it in one
 gcd on their own width, since gcd(a, b*c) = gcd(a, b) * gcd(a, c) for
 coprime b and c.  With no table that is one gcd, as in `Fraction`.
 
-The only deliberate loss of precision in the whole package happens here, in
-`log2_bits` and `log2_ratio`, which turn an exact positive quantity into a
-float number of bits.  Everything upstream of that call (thresholds,
-floors, tie-breaks) is integer or rational comparison, never floating
-point.
+Precision is lost on purpose in one routine, `log2_bits`, which turns an
+exact positive quantity into float bits; the one exception is the asymptotic
+entropy sum, which keeps `math.log2` on every level a float can hold.
+Everything upstream (thresholds, floors, tie-breaks) is integer or rational
+comparison, never floating point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["rational_from_decimal", "log2_bits", "log2_ratio", "small_factors", "lowest_terms"]
+__all__ = ["rational_from_decimal", "log2_bits", "small_factors", "lowest_terms"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -124,29 +124,20 @@ def lowest_terms(num: int, *parts) -> Fraction:
     return f
 
 
-def log2_ratio(num: int, den: int) -> float:
-    """log2(num / den) for positive integers in lowest terms.
+def log2_bits(value: int | Fraction) -> float:
+    """log2 of a positive int or Fraction, any magnitude, ~1e-12 relative.
 
-    The windows are taken of num and den separately, so an unreduced pair
-    can give other bits; `log2_bits` of a Fraction is this on its pair.
-    Near 1 the two logs cancel, so that region is routed through log1p on
-    the exact ratio to keep relative accuracy.
+    Never converts the argument to a fixed-width float (which would overflow
+    for values like d**(3n)); instead uses bit lengths plus a mantissa
+    window on the numerator and denominator apart (an int's are itself and
+    1).  Near 1 the two logs cancel, so that region is routed through log1p
+    on the exact ratio to keep relative accuracy.
     """
-    if num <= 0 or den <= 0:
+    num, den = value.numerator, value.denominator
+    if num <= 0:
         raise ValueError("log2_bits requires a positive value")
     if den < 2 * num and num < 2 * den:
         # 1/2 < value < 2: big-int true division is correctly rounded, and
         # log1p keeps full relative accuracy for results near 0.
         return math.log1p((num - den) / den) / _LN2
     return _log2_int(num) - _log2_int(den)
-
-
-def log2_bits(value: int | Fraction) -> float:
-    """log2 of a positive int or Fraction, any magnitude, ~1e-12 relative.
-
-    Never converts the argument to a fixed-width float (which would overflow
-    for values like d**(3n)); instead uses bit lengths plus a mantissa
-    window, through `log2_ratio` on its numerator and denominator (an int's
-    are itself and 1).
-    """
-    return log2_ratio(value.numerator, value.denominator)

@@ -61,7 +61,7 @@ def key_length(params: ProtocolParams) -> KeyRateResult:
         # uniform on rank d^n, rho_E pure, X determined by Y), keeping
         # ell = n*log2(d) - 2*log2(1/eps) exact instead of picking up the
         # O(eps') overhead of smoothing the collapsed spectra
-        s2 = n * math.log2(d)
+        s2 = n * log2_bits(d)
         s0 = 0.0
         h0 = 0.0
     else:

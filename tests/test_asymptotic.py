@@ -22,15 +22,14 @@ def test_rate_is_entropy_difference():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_perfect_correlations_give_log_d(d):
-    res = asymptotic_rate(d, F(1))
-    assert res.s_e == 0.0 and res.h_xy == 0.0
-    assert res.rate == pytest.approx(math.log2(d), abs=1e-12)
+    # 1 - 10^-400: the error levels lie below every float, yet count
+    for beta0 in (F(1), 1 - F(1, 10**400)):
+        res = asymptotic_rate(d, beta0)
+        assert res.s_e == 0.0 and res.h_xy == 0.0
+        assert res.rate == pytest.approx(math.log2(d), abs=1e-12)
 
 
 def test_entropies_against_mpmath():
-    d, beta0 = 2, F(9, 10)
-    p = ProtocolParams(d=d, n=1, beta0=beta0, epsilon=F(1, 2))
-
     def shannon(levels):
         with mp.workdps(60):
             s = mp.fsum(
@@ -41,10 +40,14 @@ def test_entropies_against_mpmath():
             )
             return float(s)
 
-    res = asymptotic_rate(d, beta0)
-    assert res.s_xe == pytest.approx(shannon(xe_spectrum(p).levels), abs=1e-12)
-    assert res.s_e == pytest.approx(shannon(eve_spectrum(p).levels), abs=1e-12)
-    assert res.h_xy == pytest.approx(shannon(conditional_spectrum(p).levels), abs=1e-12)
+    # at d = 10^170 the eve levels near 1e-341 are below every float but
+    # carry nearly all of S(E)
+    for d, beta0 in ((2, F(9, 10)), (10**170, F(9, 10))):
+        p = ProtocolParams(d=d, n=1, beta0=beta0, epsilon=F(1, 2))
+        res = asymptotic_rate(d, beta0)
+        assert res.s_xe == pytest.approx(shannon(xe_spectrum(p).levels), abs=1e-12)
+        assert res.s_e == pytest.approx(shannon(eve_spectrum(p).levels), abs=1e-12)
+        assert res.h_xy == pytest.approx(shannon(conditional_spectrum(p).levels), abs=1e-12)
 
 
 def test_rate_decreases_with_error():

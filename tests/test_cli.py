@@ -278,6 +278,7 @@ WIDE_D = str(10**155)  # its square is beyond any float
     ["asymptotic", "--d", WIDE_D, "--beta0", "0.9"],
     ["threshold", "--d", WIDE_D, "--n", "1", "--epsilon", "0.1"],
     ["compute", "--d", WIDE_D, "--n", "1", "--beta0", "0.9", "--epsilon", "0.1"],
+    pytest.param(["asymptotic", "--d", HUGE, "--beta0", "0.9"], id="asymptotic--d-huge"),
 ], ids=lambda argv: argv[0] + next(  # mode and the flag given the wide value
     flag for flag, value in zip(argv, argv[1:]) if HUGE in value or WIDE_D in value))
 def test_values_beyond_floats_are_error_rows(capsys, argv):
@@ -289,6 +290,34 @@ def test_values_beyond_floats_are_error_rows(capsys, argv):
     row = cells(lines[-1])
     assert any(cell.startswith("ERROR:") for cell in row)
     assert any(HUGE in cell or WIDE_D in cell for cell in row)
+
+
+NEAR_ONE = "0." + "9" * 400  # 1 - 10^-400: no float tells it from 1
+TINY = "0." + "0" * 399 + "1"  # 10^-400: its float is 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--n", "10", "--beta0", NEAR_ONE, "--epsilon", "0.1"],
+    ["asymptotic", "--beta0", NEAR_ONE],
+    ["asymptotic", "--d", str(10**170), "--beta0", "0.9"],
+    ["compute", "--n", "10", "--beta0", "0.9", "--epsilon", TINY],
+    ["threshold", "--n", "300", "--epsilon", TINY],
+    ["sweep", "--sweep-epsilon", "0.1," + TINY, "--n", "5", "--beta0", "0.9"],
+], ids=lambda argv: argv[0] + next(  # mode and the flag given the long value
+    flag for flag, value in zip(argv, argv[1:]) if len(value) > 100))
+def test_values_below_floats_print_and_run(capsys, argv):
+    """A parameter whose float is 0 or 1 but that is not is still a valid
+    point: the entropies run, and its cells print it exactly, never as 0."""
+    rc, lines = run(capsys, argv)
+    header = cells(lines[0])
+    params = [header.index(c) for c in ("beta0", "error_rate", "epsilon", "epsilon_prime")
+              if c in header]
+    for line in lines[1:]:
+        row = cells(line)
+        assert not any("math domain error" in cell for cell in row)
+        assert all(row[i] != "0" for i in params)
+    if argv[0] == "compute":
+        assert rc == 0
 
 # --- grid parsers ------------------------------------------------------------
 

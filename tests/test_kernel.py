@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitekey.kernel import log2_bits, log2_ratio, rational_from_decimal, small_factors
+from finitekey.kernel import log2_bits, rational_from_decimal, small_factors
 
 
 def test_decimal_parsing_exact():
@@ -63,38 +63,42 @@ def test_log2_shift_additivity(v, k):
 
 
 @given(
-    st.integers(min_value=1, max_value=10**30),
-    st.integers(min_value=1, max_value=10**30),
-)
-@settings(max_examples=200)
-def test_log2_fraction_consistency(a, b):
-    # Fraction route must agree with the two-int route
-    got = log2_bits(Fraction(a, b))
-    ref = log2_bits(a) - log2_bits(b)
-    assert got == pytest.approx(ref, abs=5e-11)
-
-
-@given(
     st.integers(min_value=1, max_value=2**300),
     st.integers(min_value=1, max_value=2**300),
     st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=300)
-def test_log2_ratio_is_log2_bits_of_the_reduced_pair(a, b, near_one):
+def test_log2_fraction_consistency(a, b, near_one):
+    # Fraction route must agree with the two-int route and with math.log2;
     # near_one > 0 puts the ratio in (1/2, 2), where log1p takes over
     if near_one:
         b = max(1, a + near_one - 2)
+    got = log2_bits(Fraction(a, b))
+    assert got == pytest.approx(log2_bits(a) - log2_bits(b), abs=5e-11)
+    assert got == pytest.approx(math.log2(a) - math.log2(b), abs=1e-9)
+
+
+@given(
+    st.integers(min_value=1, max_value=2**300),
+    st.integers(min_value=1, max_value=2**300),
+    st.integers(min_value=1, max_value=2**64),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300)
+def test_log2_ratio_is_log2_bits_of_the_reduced_pair(a, b, g, near_one):
+    # the bits of a ratio come from its reduced pair, whatever common factor
+    # it was written with: outside (1/2, 2) they are the two ints' bits
+    # subtracted, inside it log1p on the exact ratio
+    if near_one:
+        b = max(1, a + near_one - 2)
     f = Fraction(a, b)
-    assert log2_ratio(f.numerator, f.denominator).hex() == log2_bits(f).hex()
-    assert log2_ratio(f.numerator, f.denominator) == pytest.approx(
-        math.log2(a) - math.log2(b), abs=1e-9
-    )
-
-
-@pytest.mark.parametrize("num, den", [(0, 1), (-3, 7), (3, 0), (3, -7)])
-def test_log2_ratio_domain(num, den):
-    with pytest.raises(ValueError):
-        log2_ratio(num, den)
+    num, den = f.numerator, f.denominator
+    if den < 2 * num and num < 2 * den:
+        want = math.log1p((num - den) / den) / math.log(2)
+    else:
+        want = log2_bits(num) - log2_bits(den)
+    assert log2_bits(Fraction(a * g, b * g)).hex() == want.hex()
+    assert log2_bits(f).hex() == want.hex()
 
 
 @given(st.integers(min_value=1, max_value=10**40))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -31,6 +32,11 @@ def test_perfect_correlations_exact():
     assert res.rate_clamped == 0.96
     assert res.effective_rate == 0.96 / 6
     assert res.asymptotic_rate == 1.0
+    # log2_bits(d) is math.log2(d) to the bit for every d below 2^128
+    for d in (3, 5, 7):
+        res = key_length(ProtocolParams(d=d, n=100, beta0=F(1), epsilon=F(1, 4)))
+        assert res.s2_bits.hex() == (100 * math.log2(d)).hex()
+        assert res.s0_bits == 0.0 and res.h0_bits == 0.0
 
 
 def test_composition_single_copy():
