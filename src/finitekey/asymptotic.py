@@ -9,6 +9,7 @@ logarithms, summed with compensated accumulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,9 +33,11 @@ class AsymptoticRate:
 
 
 def _entropy_bits(levels) -> float:
-    # a level whose float underflows to 0 still counts, through the exact log
+    # a level whose float is subnormal or 0 still counts, through the exact
+    # log; its multiplicity may exceed every float, while mult * v <= 1
     return math.fsum(
-        -mult * x * math.log2(x) if (x := float(v)) else -float(mult * v) * log2_bits(v)
+        -mult * x * math.log2(x) if (x := float(v)) >= sys.float_info.min
+        else -float(mult * v) * log2_bits(v)
         for v, mult in levels if v
     )
 

@@ -31,7 +31,9 @@ about 0.65n levels up, so it is not walked: the same scan run in floats on
 logarithms (`log_walk`; every term is a sum of positives, so nothing
 cancels) predicts b_minus, the window sum `moment` at k = 0, 1 gives the
 count and mass below it, and exact single-level steps move it until level
-b_minus fits the budget and the level above it does not.  Since s_r grows
+b_minus fits the budget and the level above it does not.  The sums run over
+the shorter side: past half the levels they are the closed-form totals
+(total_dim/g and den) less the window above b_minus.  Since s_r grows
 with r, those two comparisons certify the boundary the full walk would find.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
@@ -243,9 +245,14 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     # bottom boundary: raising the levels below r (count C_r, mass W_r times
     # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
     # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits.
-    # C and W below cover levels 0..b_minus.
+    # C and W below cover levels 0..b_minus, summed over the shorter side:
+    # past half the levels they are the totals less the window above.
     b_minus = _predict_b_minus(spec, tq)
-    C, W = spec.moment(0, b_minus + 1, 0), spec.moment(0, b_minus + 1, 1)
+    if 2 * (b_minus + 1) > m:
+        C = spec.total_dim // g - spec.moment(b_minus + 1, m, 0)
+        W = den - spec.moment(b_minus + 1, m, 1)
+    else:
+        C, W = spec.moment(0, b_minus + 1, 0), spec.moment(0, b_minus + 1, 1)
     for mult, w in spec.walk(b_minus, reverse=True):  # guessed too high
         if _prod_le(w, C - mult, tq + W - w, mult):
             break

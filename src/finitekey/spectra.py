@@ -34,9 +34,11 @@ level it starts at (`walk`): the first level is seeded with `pow` and
 (natural logs, from the bottom level up) for predicting where a scan would
 stop.  Sums over a window of levels do not walk: `moment(lo, hi, k)` is the
 k-th moment sum of mult * num^k over the window, so k = 0, 1, 2 give its
-count, mass and squared mass.  On a family it is a hypergeometric series in
-the level index, which `_series` evaluates by binary splitting with one
-exact division at the end.
+count, mass and squared mass.  On a family its terms are C(n, l) * v^l *
+u^(n-l) with v = alpha^k and u = div*beta^k, a hypergeometric series in the
+level index, which `_series` evaluates by binary splitting over the ratio
+(n-l)*v/(l+1), with u as a weight.  One exact division closes it before the
+window's common factor v^lo * u^(n-hi+1) is multiplied back in.
 """
 
 from __future__ import annotations
@@ -105,29 +107,31 @@ class ProtocolParams:
         return smoothing_budget(self.epsilon)
 
 
-def _series(lo: int, hi: int, n: int, a: int, b: int) -> tuple[int, int]:
-    """(Q, T) with T/Q = sum over l = lo..hi-1 of the product over
-    k = lo..l-1 of p(k)/q(k), where p(k) = (n-k)*a and q(k) = (k+1)*b: the
-    ratio of consecutive level terms in every sum over a level family.
+def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
+    """(Q, T) with Q = hi!/lo! and T/Q = sum over l = lo..hi-1 of
+    u^(hi-1-l) times the product over r = lo..l-1 of (n-r)*v/(r+1): a
+    window sum over a level family, whose terms C(n, l) * v^l * u^(n-l)
+    share the factor C(n, lo) * v^lo * u^(n-hi+1).
 
     Binary splitting (Haible & Papanikolaou 1998): a range [i, j) is summed
-    as (P, Q, T) with P, Q the products of p and q over it and T/Q its sum,
-    and two halves combine as (P1*P2, Q1*Q2, T1*Q2 + P1*T2).  The operands
-    stay balanced, so the cost is a few big multiplications instead of one
-    per term.  Short ranges are folded term by term on small integers.
+    as (P, Q, T) with P, Q the products of p(r) = (n-r)*v and q(r) = r+1
+    over it and T/Q its sum, and two halves combine as
+    (P1*P2, Q1*Q2, T1*Q2*u^(j-mid) + P1*T2).  The weight u stays out of the
+    ratio, so Q depends on the range alone.  The operands stay balanced, so
+    the cost is a few big multiplications instead of one per term.  Short
+    ranges are folded term by term on small integers.
     """
 
     def split(i: int, j: int) -> tuple[int, int, int]:
         if j - i <= 16:
             P, Q, T = 1, 1, 0
-            for k in range(i, j):
-                q = (k + 1) * b
-                P, Q, T = P * (n - k) * a, Q * q, (T + P) * q
+            for r in range(i, j):
+                P, Q, T = P * (n - r) * v, Q * (r + 1), (T * u + P) * (r + 1)
             return P, Q, T
         mid = (i + j) // 2
         P1, Q1, T1 = split(i, mid)
         P2, Q2, T2 = split(mid, j)
-        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+        return P1 * P2, Q1 * Q2, T1 * Q2 * u ** (j - mid) + P1 * T2
 
     if hi <= lo:
         return 1, 0
@@ -237,12 +241,6 @@ class _Family(CompressedSpectrum):
         self.g, self.g_factors = g_base**n, small_factors(g_base, n)
         self.total_dim = self.g * ((1 + div) ** n + zero_mult)
 
-    def _seed(self, l: int) -> tuple[int, int]:
-        """(numerator, multiplicity) of family level l."""
-        n = self.n
-        num = self.alpha**l * self.beta ** (n - l)
-        return num, math.comb(n, l) * self.div ** (n - l)
-
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         z = self.z
         if not reverse and i < z:
@@ -251,8 +249,8 @@ class _Family(CompressedSpectrum):
         if i >= z:
             n, a, b, div = self.n, self.alpha, self.beta, self.div
             l = i - z
-            num, mult = self._seed(l)
-            w = mult * num
+            mult = math.comb(n, l) * div ** (n - l)  # seeded, then stepped
+            w = mult * a**l * b ** (n - l)
             yield mult, w
             if reverse:
                 for l in range(l, 0, -1):
@@ -281,17 +279,18 @@ class _Family(CompressedSpectrum):
             yield lm, lw
 
     def moment(self, lo: int, hi: int, k: int) -> int:
-        """mult_lo * num_lo^k times a `_series` in the ratio of consecutive
-        terms, (n-l)*alpha^k / ((l+1)*div*beta^k), closed by one exact
-        division."""
+        """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
+        and u = div*beta^k: C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.
+        Its quotient is exact, as each term over that factor is an integer,
+        and is taken before the factor is put back, so it stays narrow."""
         z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
         if hi <= lo:
             return zero
-        num, mult = self._seed(lo)
-        Q, T = _series(lo, hi, self.n, self.alpha**k, self.div * self.beta**k)
-        return zero + mult * num**k * T // Q
+        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+        Q, T = _series(lo, hi, n, v, u)
+        return zero + math.comb(n, lo) * T // Q * v**lo * u ** (n - hi + 1)
 
     # only perfbench/tracing.py reads these two; ROADMAP item 4 deletes them
     @cached_property

@@ -41,8 +41,10 @@ def test_entropies_against_mpmath():
             return float(s)
 
     # at d = 10^170 the eve levels near 1e-341 are below every float but
-    # carry nearly all of S(E)
-    for d, beta0 in ((2, F(9, 10)), (10**170, F(9, 10))):
+    # carry nearly all of S(E); at d = 10^155 and 10^160 some levels are
+    # subnormal floats whose multiplicity no float holds
+    for d, beta0 in ((2, F(9, 10)), (10**155, F(9, 10)), (10**160, F(9, 10)),
+                     (10**170, F(9, 10))):
         p = ProtocolParams(d=d, n=1, beta0=beta0, epsilon=F(1, 2))
         res = asymptotic_rate(d, beta0)
         assert res.s_xe == pytest.approx(shannon(xe_spectrum(p).levels), abs=1e-12)

@@ -355,28 +355,44 @@ def test_s2_matches_reference_bottom_walk(p, rebuild, data):
 
 @pytest.mark.parametrize("guess", ["bottom", "top", "below", "above"])
 def test_s2_corrects_forced_misses(monkeypatch, guess):
-    """A wrong float guess, too low or too high, is corrected exactly."""
-    family = xe_spectrum(params(n=120, beta0=F(49, 50)))
+    """A wrong float guess, too low or too high, is corrected exactly from
+    either side's window sum.  b_minus lies above half the levels at 49/50
+    and below it at 8911/10000, so the guesses next to it ("below",
+    "above") start from the complement in both directions at one and from
+    the bottom sum in both directions at the other."""
     cases = []
-    for spec in (family, CompressedSpectrum.from_levels(family.levels)):
-        b = s2_smooth(spec, F(1, 640000))[1].b_minus
-        below = spec.levels[:b]
-        tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
-        for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
-            cases.append((spec, eps, s2_smooth(spec, eps)))
+    for beta0 in (F(49, 50), F(8911, 10000)):
+        family = xe_spectrum(params(n=120, beta0=beta0))
+        for spec in (family, CompressedSpectrum.from_levels(family.levels)):
+            b = s2_smooth(spec, F(1, 640000))[1].b_minus
+            assert (2 * (b + 1) > spec.size) == (beta0 == F(49, 50))
+            below = spec.levels[:b]
+            tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
+            for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
+                cases.append((spec, eps, s2_smooth(spec, eps)))
     for spec, eps, want in cases:
         b, m = want[1].b_minus, spec.size
         assert 3 <= b <= m - 4
         forced = {"bottom": 0, "top": m - 1, "below": b - 3, "above": b + 3}[guess]
-        guesses = []
+        complement = 2 * (forced + 1) > m
+        if guess in ("below", "above"):
+            assert complement == (2 * (b + 1) > m)
+        guesses, windows = [], []
 
         def predict(_spec, _tq):
             guesses.append(forced)
             return forced
 
+        def recorded(lo, hi, k):
+            windows.append((lo, hi, k))
+            return type(spec).moment(spec, lo, hi, k)
+
         monkeypatch.setattr(smooth, "_predict_b_minus", predict)
+        monkeypatch.setattr(spec, "moment", recorded)
         assert s2_smooth(spec, eps) == want
         assert guesses == [forced]
+        side = (forced + 1, m) if complement else (0, forced + 1)
+        assert windows[:2] == [(*side, 0), (*side, 1)]
 
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
@@ -397,6 +413,24 @@ def test_s2_bottom_boundary_walks_a_handful_of_levels():
     assert sol.b_minus == 6487
     top = (spec.size - 1, True)
     assert sum(count for start, count in walks if start != top) <= 5
+
+
+def test_s2_bottom_sums_take_the_shorter_side():
+    """Cost guard: at the n=1e4 anchor the count and mass below b_minus
+    (about 65% of the levels) are summed over at most half the levels."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    spec = xe_spectrum(p)
+    m, spans, moment = spec.size, [], spec.moment
+
+    def recorded(lo, hi, k):
+        if k < 2:
+            spans.append(min(hi, m) - max(lo, 0))
+        return moment(lo, hi, k)
+
+    spec.moment = recorded
+    s2_smooth(spec, p.epsilon_prime)
+    assert len(spans) == 2
+    assert all(span <= (m + 1) // 2 for span in spans)
 
 
 @st.composite

@@ -238,18 +238,21 @@ def test_family_streams_match_explicit_levels(p):
 
 @given(
     st.integers(0, 40), st.integers(0, 60), st.integers(0, 80),
-    st.integers(1, 9), st.integers(1, 9),
+    st.integers(2, 9), st.integers(2, 9),
 )
 @settings(max_examples=100, deadline=None)
-def test_series_matches_fraction_sum(lo, length, n, a, b):
+def test_series_matches_fraction_sum(lo, length, n, v, u):
     """Binary splitting (ranges longer than one leaf included) equals the
-    term-by-term sum of the products of p(k)/q(k)."""
-    Q, T = _series(lo, lo + length, n, a, b)
+    term-by-term sum over l of u^(hi-1-l) times the product of
+    (n-r)*v/(r+1) over r = lo..l-1, and Q = hi!/lo!."""
+    hi = lo + length
+    Q, T = _series(lo, hi, n, v, u)
     want, term = F(0), F(1)
-    for k in range(lo, lo + length):
-        want += term
-        term *= F((n - k) * a, (k + 1) * b)
+    for l in range(lo, hi):
+        want += term * u ** (hi - 1 - l)
+        term *= F((n - l) * v, l + 1)
     assert F(T, Q) == want
+    assert Q == math.factorial(hi) // math.factorial(lo)
 
 
 def _both_classes(p):
