@@ -281,8 +281,9 @@ class _Family(CompressedSpectrum):
     def moment(self, lo: int, hi: int, k: int) -> int:
         """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
         and u = div*beta^k: C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.
-        Its quotient is exact, as each term over that factor is an integer,
-        and is taken before the factor is put back, so it stays narrow."""
+        C(n, lo) * T // Q is exact, as each term over v^lo * u^(n-hi+1) is
+        an integer, and is taken before those powers are put back, so the
+        quotient stays narrow."""
         z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
