@@ -25,16 +25,12 @@ A spectrum of degeneracy g (`spectra`; d^n for rho_XE) is scanned per copy.
 Masses, and so every boundary, do not see g; the support cut's counts are
 g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 
-The support cut and the top of the water fill start next to their
-boundaries and walk level by level.  The bottom of the water fill lies
-about 0.65n levels up, so it is not walked: the same scan run in floats on
-logarithms (`log_walk`; every term is a sum of positives, so nothing
-cancels) predicts b_minus, the window sum `moment` at k = 0, 1 gives the
-count and mass below it, and exact single-level steps move it until level
-b_minus fits the budget and the level above it does not.  The sums run over
-the shorter side: past half the levels they are the closed-form totals
-(total_dim/g and den) less the window above b_minus.  Since s_r grows
-with r, those two comparisons certify the boundary the full walk would find.
+Each boundary is one search (`_last_fit`) with its own predicate.  The
+support cut and the top of the water fill lie near their ends and are
+walked.  The bottom of the water fill lies about 0.65n levels up: the same
+scan run in floats on logarithms (`_predict_b_minus`) guesses it, and the
+search corrects the guess exactly.  Since s_r grows with r, the
+comparisons at the boundary certify what a full walk would find.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
 The witness rationals (s_b, x, y) are reduced only when a field is first
@@ -48,7 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 
 from .kernel import log2_bits, lowest_terms, small_factors
 from .spectra import CompressedSpectrum
@@ -155,26 +150,47 @@ def _prod_le(a: int, b: int, c: int, d: int) -> bool:
     return a * b <= c * d
 
 
+def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
+    """(i, C, W, level i): the last level i a scan takes, going up from level
+    0 (down from m-1 if `reverse`), and the count C and mass W it took, i's
+    included.  Level i is taken iff fits(mult, w, C, W) holds on the count
+    and mass taken before it; fits holds at the first level and, once false,
+    stays false.  A guess of `taken` > 0 levels sums them in one window at
+    k = 0, 1 over the shorter side (past half the levels, total_dim/g and den
+    less the rest), then single exact steps drop levels that do not fit and
+    take next ones that do.  With no guess the scan is one walk from its end."""
+    m, step = spec.size, -1 if reverse else 1
+    i = m - taken if reverse else taken - 1  # the last level guessed
+    C = W = 0
+    if taken:
+        cut = m - taken if reverse else taken  # guessed: [cut, m) or [0, cut)
+        lo, hi = (0, cut) if reverse == (2 * taken > m) else (cut, m)
+        C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
+        if 2 * taken > m:  # the window holds the rest
+            C, W = spec.total_dim // spec.g - C, spec.den - W
+        for level in spec.walk(i, not reverse):  # guessed too far
+            mult, w = level
+            if fits(mult, w, C - mult, W - w):
+                break
+            C, W, i = C - mult, W - w, i - step
+    for mult, w in spec.walk(i + step, reverse):  # guessed too short
+        if not fits(mult, w, C, W):
+            break
+        C, W, i, level = C + mult, W + w, i + step, (mult, w)
+    return i, C, W, level
+
+
 def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int]:
     """(b, kept, U): the top b levels reach mass U/den >= 1 - eps, and kept
     is their count (g per stored one) less floor((U/den - (1-eps))/lam_b)
     given back from the last (smallest) one, lam_b = num_b/(den*g).  The
-    walk stops at a nonzero level, since those carry mass 1."""
-    den, g = spec.den, spec.g
-    en, ed = eps.numerator, eps.denominator
-    target = (ed - en) * den  # U/den >= 1-eps  iff  U*ed >= target
-    U = 0
-    cnt = 0
-    b = 0
-    for mult, w in spec.walk(spec.size - 1, reverse=True):
-        U += w
-        cnt += mult
-        b += 1
-        if U * ed >= target:
-            break
-    kept = g * cnt - g * (U * ed - target) // (ed * (w // mult))
+    cut stops at a nonzero level, since those carry mass 1."""
+    ed = eps.denominator
+    target = (ed - eps.numerator) * spec.den  # U/den >= 1-eps iff U*ed >= target
+    i, cnt, U, (mult, w) = _last_fit(spec, True, lambda mult, w, C, W: W * ed < target)
+    kept = spec.g * cnt - spec.g * (U * ed - target) // (ed * (w // mult))
     assert kept >= 1
-    return b, kept, U
+    return spec.size - i, kept, U
 
 
 def _log_add(a: float, b: float) -> float:
@@ -186,7 +202,7 @@ def _log_add(a: float, b: float) -> float:
 
 def _predict_b_minus(spec: CompressedSpectrum, tq: int) -> int:
     """s2_smooth's bottom scan run on `log_walk` floats: a guess at b_minus,
-    which s2_smooth certifies exactly.  The running count and mass are sums
+    which `_last_fit` certifies exactly.  The running count and mass are sums
     of positive terms, so nothing cancels; only near-ties can be missed."""
     levels = spec.log_walk()
     log_c, log_w = next(levels)
@@ -244,35 +260,16 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
 
     # bottom boundary: raising the levels below r (count C_r, mass W_r times
     # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
-    # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits.
-    # C and W below cover levels 0..b_minus, summed over the shorter side:
-    # past half the levels they are the totals less the window above.
-    b_minus = _predict_b_minus(spec, tq)
-    if 2 * (b_minus + 1) > m:
-        C = spec.total_dim // g - spec.moment(b_minus + 1, m, 0)
-        W = den - spec.moment(b_minus + 1, m, 1)
-    else:
-        C, W = spec.moment(0, b_minus + 1, 0), spec.moment(0, b_minus + 1, 1)
-    for mult, w in spec.walk(b_minus, reverse=True):  # guessed too high
-        if _prod_le(w, C - mult, tq + W - w, mult):
-            break
-        C, W, b_minus = C - mult, W - w, b_minus - 1
-    for mult, w in islice(spec.walk(b_minus), 1, None):  # guessed too low
-        if not _prod_le(w, C, tq + W, mult):
-            break
-        C, W, b_minus = C + mult, W + w, b_minus + 1
-
+    # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits
+    b_minus, C, W, _ = _last_fit(
+        spec, False, lambda mult, w, C, W: _prod_le(w, C, tq + W, mult),
+        _predict_b_minus(spec, tq) + 1,
+    )
     # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
-    # costs (T - lam*Ct)/den
-    levels = spec.walk(m - 1, reverse=True)
-    Ct, T = next(levels)
-    b_plus = 0
-    for mult, w in levels:
-        if _prod_le(w, Ct, T - tq - 1, mult):  # lam*Ct < T - tq
-            break
-        b_plus += 1
-        Ct += mult
-        T += w
+    # costs (T - lam*Ct)/den, and a level stops it iff lam*Ct < T - tq
+    top, Ct, T, _ = _last_fit(
+        spec, True, lambda mult, w, C, W: not _prod_le(w, C, W - tq - 1, mult)
+    )
 
     # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and
     # y = (T/den - eps)/(Ct*g), here over the common factor ed*den*g
@@ -282,7 +279,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     x, y = partial(lowest_terms, X, *xy, C), partial(lowest_terms, Y, *xy, Ct)
     if X * Ct >= Y * C:  # x >= y
         raise EpsilonTooLargeError(x(), y())
-    mid = spec.moment(b_minus + 1, m - 1 - b_plus, 2)  # the untouched middle
+    mid = spec.moment(b_minus + 1, top, 2)  # the untouched middle
     # g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 over (ed*den)^2 * C * Ct * g, in
     # lowest terms because log2_bits windows the numerator and denominator apart
     purity = lowest_terms(
@@ -290,7 +287,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
         *xy, spec.den_factors, ed_factors, C * Ct,
     )
     return -log2_bits(purity), WaterfillSolution(
-        b_minus=b_minus, b_plus=b_plus, x=x, y=y, purity=purity
+        b_minus=b_minus, b_plus=m - 1 - top, x=x, y=y, purity=purity
     )
 
 

@@ -161,14 +161,14 @@ class CompressedSpectrum:
     """Density-operator spectrum as strictly ascending (value, multiplicity)
     levels; values are `value_nums[i] / (den * g)`, for a degeneracy g.
 
-    Scans read levels through `walk(i, reverse)`, which yields
-    (multiplicity, mass) from level index i upward (or downward); the mass
-    is multiplicity * numerator, so a level's numerator is
+    Scans read levels through `walk(i, reverse)`, which yields (multiplicity,
+    mass) from level i up (or down), and no level from an i outside the
+    levels; the mass is multiplicity * numerator, so a level's numerator is
     mass // multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a
-    window of levels at once.  `size` is the number of levels and `zero_mult`
-    the multiplicity of a zero level at index 0 (0 when there is none).  A
-    grouped probability distribution is the same object: `mults` count
-    strings and `total_dim`, their sum, is the number of strings.
+    window of levels, clamped to them.  `size` is the number of levels and
+    `zero_mult` the multiplicity of a zero level at index 0 (0 when there is
+    none).  A grouped probability distribution is the same object: `mults`
+    count strings and `total_dim`, their sum, is the number of strings.
     `den_factors` and `g_factors` are (primes, rest) with den (or g) =
     rest * prod(p**e for p, e in primes); explicit levels know no primes.
     """
@@ -198,8 +198,9 @@ class CompressedSpectrum:
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         nums, mults = self.value_nums, self.mults
-        for j in range(i, -1, -1) if reverse else range(i, self.size):
-            yield mults[j], mults[j] * nums[j]
+        if 0 <= i < self.size:
+            for j in range(i, -1, -1) if reverse else range(i, self.size):
+                yield mults[j], mults[j] * nums[j]
 
     def log_walk(self) -> Iterator[tuple[float, float]]:
         """(ln multiplicity, ln mass) from the bottom level upward, the float
@@ -243,6 +244,8 @@ class _Family(CompressedSpectrum):
 
     def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
         z = self.z
+        if not 0 <= i < self.size:
+            return
         if not reverse and i < z:
             yield self.zero_mult, 0
             i = z

@@ -433,6 +433,84 @@ def test_s2_bottom_sums_take_the_shorter_side():
     assert all(span <= (m + 1) // 2 for span in spans)
 
 
+def test_walked_boundaries_correct_forced_misses(monkeypatch):
+    """The support cut (s0) and s2's top scan, searched from a wrong guess
+    of 1, true - 3, true + 3 or all m levels, return what their walk from
+    the top returns, on families (xe with its zero level) and their explicit
+    rebuilds.  Each boundary lies past half the levels in some cases (beta0
+    = 3/5) and below it in others (8911/10000), so the guesses next to it
+    sum the complement in some and the guessed levels in others."""
+    search, calls = smooth._last_fit, []
+
+    def recorded(spec, reverse, fits, taken=0):
+        if not taken:  # a boundary walked from its end
+            calls.append((spec, reverse, fits))
+        return search(spec, reverse, fits, taken)
+
+    monkeypatch.setattr(smooth, "_last_fit", recorded)
+    sides = {s0_smooth: set(), s2_smooth: set()}
+    for beta0 in (F(3, 5), F(8911, 10000)):
+        for family in (eve_spectrum(params(n=120, beta0=beta0)),
+                       xe_spectrum(params(n=120, beta0=beta0))):
+            for spec in (family, CompressedSpectrum.from_levels(family.levels)):
+                for eps, fn in itertools.product((F(1, 100), F(1, 2)), sides):
+                    calls.clear()
+                    _scan(fn, spec, eps)
+                    [(_, reverse, fits)] = calls
+                    want, m = search(spec, reverse, fits), spec.size
+                    assert reverse
+                    true = m - want[0]  # levels taken from the top
+                    assert 4 <= true <= m - 3
+                    sides[fn].add(2 * true > m)
+                    for taken in (1, true - 3, true + 3, m):
+                        assert search(spec, reverse, fits, taken) == want
+    assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
+
+
+def test_walked_boundaries_seed_one_short_walk(monkeypatch):
+    """Cost guard: at the n=1e4 anchor the support cut (s0 on eve, h0 on
+    cond) and s2's top scan each seed one walk from the top, which yields
+    no more than the levels it takes and the one that stops it (its
+    boundary distance + 2), and sum no window."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    search, log = smooth._last_fit, []
+
+    def instrumented(spec, reverse, fits, taken=0):
+        if taken:
+            return search(spec, reverse, fits, taken)
+        walks, windows, walk, moment = [], [], spec.walk, spec.moment
+
+        def counted(i, reverse=False):
+            walks.append([(i, reverse), 0])
+            for level in walk(i, reverse):
+                walks[-1][1] += 1
+                yield level
+
+        def recorded(lo, hi, k):
+            windows.append((lo, hi, k))
+            return moment(lo, hi, k)
+
+        spec.walk, spec.moment = counted, recorded
+        try:
+            found = search(spec, reverse, fits, taken)
+        finally:
+            del spec.walk, spec.moment
+        log.append((spec.size - 1 - found[0], walks, windows))
+        return found
+
+    monkeypatch.setattr(smooth, "_last_fit", instrumented)
+    for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
+                      (s2_smooth, xe_spectrum)):
+        spec = build(p)
+        log.clear()
+        fn(spec, p.epsilon_prime)
+        [(distance, [(start, count)], windows)] = log
+        assert distance >= 10
+        assert start == (spec.size - 1, True)
+        assert count <= distance + 2
+        assert windows == []
+
+
 @st.composite
 def spectrum_and_budget(draw):
     """A random explicit or family spectrum, and a budget that is often

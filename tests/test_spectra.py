@@ -236,6 +236,25 @@ def test_family_streams_match_explicit_levels(p):
                 )
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_walk_outside_the_levels_yields_nothing(rebuild, reverse):
+    """A walk started outside [0, size) yields no level on either class, in
+    either direction, as `moment` clamps its window; inside, it starts at
+    its own level."""
+    spec = _Family(5, 3, 1, 2, zero_mult=4)
+    if rebuild:
+        spec = CompressedSpectrum.from_levels(spec.levels)
+    m, rows = spec.size, [(4, 0)] + [
+        (math.comb(5, l) * 2 ** (5 - l), math.comb(5, l) * 2 ** (5 - l) * 3**l)
+        for l in range(6)
+    ]
+    for i in (-2, -1, m, m + 1):
+        assert list(spec.walk(i, reverse)) == []
+    for i in range(m):
+        assert list(spec.walk(i, reverse)) == (rows[i::-1] if reverse else rows[i:])
+
+
 @given(
     st.integers(0, 40), st.integers(0, 60), st.integers(0, 80),
     st.integers(2, 9), st.integers(2, 9),
