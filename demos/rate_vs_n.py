@@ -53,7 +53,8 @@ def estimate(n):
 
 
 def main() -> None:
-    points = [(2, n, BETA0, EPSILON) for n in (50, 100, 200, 500, 1000, 2000, 5000)]
+    grid = (50, 100, 200, 500, 1000, 2000, 5000, 10_000, 20_000, 100_000)
+    points = [(2, n, BETA0, EPSILON) for n in grid]
     limit = asymptotic_rate(2, BETA0).rate
 
     print(f"d=2, error rate 2%, eps={EPSILON}; asymptotic rate {limit:.6f}\n")

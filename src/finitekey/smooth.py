@@ -11,7 +11,7 @@ include r, matching the non-strict max/min definitions).
 
 S0 and H0 are one smoothed max-entropy: log2 of the fewest eigenvalues (or
 strings) whose mass reaches 1-eps, which is what removing mass at most eps
-from the bottom keeps.  Both read one support cut walked from the top.
+from the bottom keeps.  Both read one support cut taken from the top.
 
 The scans use prefix-sum identities instead of accumulating per-level
 differences, e.g. for the raise side of the water fill
@@ -25,12 +25,13 @@ A spectrum of degeneracy g (`spectra`; d^n for rho_XE) is scanned per copy.
 Masses, and so every boundary, do not see g; the support cut's counts are
 g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 
-Each boundary is one search (`_last_fit`) with its own predicate.  The
-support cut and the top of the water fill lie near their ends and are
-walked.  The bottom of the water fill lies about 0.65n levels up: the same
-scan run in floats on logarithms (`_predict_b_minus`) guesses it, and the
-search corrects the guess exactly.  Since s_r grows with r, the
-comparisons at the boundary certify what a full walk would find.
+Each boundary is one search (`_last_fit`) with its own predicate, and
+each is first guessed by the same scan run in floats on logarithms
+(`_guess` over `log_walk`): the bottom of the water fill from the bottom,
+its top and the support cut from the top.  The search sums the guessed
+levels in one window and corrects the guess by single exact steps.  Since
+s_r grows with r, the comparisons at the boundary certify what a full walk
+would find, and no boundary is walked to.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
 The witness rationals (s_b, x, y) are reduced only when a field is first
@@ -40,6 +41,7 @@ reduced at once, as its float windows its numerator and denominator apart.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,10 +186,24 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
     """(b, kept, U): the top b levels reach mass U/den >= 1 - eps, and kept
     is their count (g per stored one) less floor((U/den - (1-eps))/lam_b)
     given back from the last (smallest) one, lam_b = num_b/(den*g).  The
-    cut stops at a nonzero level, since those carry mass 1."""
-    ed = eps.denominator
-    target = (ed - eps.numerator) * spec.den  # U/den >= 1-eps iff U*ed >= target
-    i, cnt, U, (mult, w) = _last_fit(spec, True, lambda mult, w, C, W: W * ed < target)
+    cut stops at a nonzero level, since those carry mass 1.
+
+    Its guess does not test 1 - (mass above) in floats, which cancels for a
+    small eps.  It takes levels from the top past half the mass and down to
+    one below 2^-60 of eps (what is left below weighs nothing), then gives
+    back from the bottom of those the levels whose summed mass stays within
+    eps: a sum of positive terms."""
+    en, ed, den = eps.numerator, eps.denominator, spec.den
+    target = (ed - en) * den  # U/den >= 1-eps iff U*ed >= target
+    # ln(eps*den) from the integers: float(eps) is 1.0 for eps just below 1
+    ln_eps = math.log(en * den) - math.log(ed) if en else -math.inf
+    ln_half, ln_tiny = math.log(den) - math.log(2), ln_eps - 60 * math.log(2)
+    seen = _guess(spec.log_walk(True), lambda lm, lw, lC, lW: lW <= ln_half or lw >= ln_tiny)
+    top = list(itertools.islice(spec.log_walk(True), seen))
+    given = _guess(reversed(top), lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_eps)
+    i, cnt, U, (mult, w) = _last_fit(
+        spec, True, lambda mult, w, C, W: W * ed < target, seen - given
+    )
     kept = spec.g * cnt - spec.g * (U * ed - target) // (ed * (w // mult))
     assert kept >= 1
     return spec.size - i, kept, U
@@ -200,20 +216,20 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
-def _predict_b_minus(spec: CompressedSpectrum, tq: int) -> int:
-    """s2_smooth's bottom scan run on `log_walk` floats: a guess at b_minus,
-    which `_last_fit` certifies exactly.  The running count and mass are sums
-    of positive terms, so nothing cancels; only near-ties can be missed."""
-    levels = spec.log_walk()
-    log_c, log_w = next(levels)
-    log_tq = math.log(tq) if tq else -math.inf
-    b = 0
-    for log_mult, log_mass in levels:
-        if log_mass + log_c > _log_add(log_tq, log_w) + log_mult:
+def _guess(levels, fits) -> int:
+    """The float image of `_last_fit`: how many levels of a stream of (ln
+    mult, ln mass) pairs (`log_walk`) a scan takes, where a level is taken
+    iff fits(lm, lw, lC, lW) holds on the logs of the count and mass taken
+    before it.  Those sums add positive terms, so they do not cancel; a
+    guess can still miss near a tie, and `_last_fit` corrects it exactly."""
+    lC = lW = -math.inf
+    taken = 0
+    for lm, lw in levels:
+        if not fits(lm, lw, lC, lW):
             break
-        b += 1
-        log_c, log_w = _log_add(log_c, log_mult), _log_add(log_w, log_mass)
-    return b
+        taken += 1
+        lC, lW = _log_add(lC, lm), _log_add(lW, lw)
+    return taken
 
 
 def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
@@ -223,7 +239,7 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     Wholly removes the lowest levels while their cumulative mass stays
     <= eps, then removes floor((eps - s_b)/lam_b) further eigenvalues from
     the first kept level.  Zero levels are removed for free and never count
-    toward rank.  What stays is h0_smooth's support cut, walked from the
+    toward rank.  What stays is h0_smooth's support cut, taken from the
     top: the removed levels are the nonzero ones it does not reach.
     """
     eps = _as_budget(eps)
@@ -242,9 +258,9 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     ball of total-variation radius 2*eps (budget eps on each side).
 
     b_minus = max{r : s_r^- <= eps} (cost of raising the r lowest levels)
-    is predicted in floats and certified exactly; b_plus is scanned
-    analogously from the top.  The leftover budget fixes the flat values x
-    and y.  Exact rationals throughout.
+    is predicted in floats and certified exactly; b_plus likewise from the
+    top.  The leftover budget fixes the flat values x and y.  Exact
+    rationals throughout.
     """
     eps = _as_budget(eps)
     den, g, m = spec.den, spec.g, spec.size
@@ -261,14 +277,17 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     # bottom boundary: raising the levels below r (count C_r, mass W_r times
     # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
     # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits
+    ln_tq = math.log(tq) if tq else -math.inf
     b_minus, C, W, _ = _last_fit(
         spec, False, lambda mult, w, C, W: _prod_le(w, C, tq + W, mult),
-        _predict_b_minus(spec, tq) + 1,
+        _guess(spec.log_walk(), lambda lm, lw, lC, lW: lw + lC <= _log_add(ln_tq, lW) + lm),
     )
     # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
     # costs (T - lam*Ct)/den, and a level stops it iff lam*Ct < T - tq
     top, Ct, T, _ = _last_fit(
-        spec, True, lambda mult, w, C, W: not _prod_le(w, C, W - tq - 1, mult)
+        spec, True, lambda mult, w, C, W: not _prod_le(w, C, W - tq - 1, mult),
+        _guess(spec.log_walk(True), lambda lm, lw, lC, lW: lW <= ln_tq or (
+            lw + lC > lW + math.log(-math.expm1(ln_tq - lW)) + lm)),
     )
 
     # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and

@@ -30,9 +30,10 @@ g's primes.  Nothing of size O(n) is stored.  A scan asks for a walk from the
 level it starts at (`walk`): the first level is seeded with `pow` and
 `math.comb`, and each further step applies exact small-factor recurrences to
 (multiplicity, mass), so a scan costs only the levels it touches.  The pairs
-`levels` derive from `walk(0)`, and `log_walk()` is `walk(0)` in floats
-(natural logs, from the bottom level up) for predicting where a scan would
-stop.  Sums over a window of levels do not walk: `moment(lo, hi, k)` is the
+`levels` derive from `walk(0)`, and `log_walk(reverse=False)` is `walk(0)`
+in floats (natural logs, from the bottom level up; if `reverse`, from the
+top down with a zero level last) for predicting where a scan would stop.
+Sums over a window of levels do not walk: `moment(lo, hi, k)` is the
 k-th moment sum of mult * num^k over the window, so k = 0, 1, 2 give its
 count, mass and squared mass.  On a family its terms are C(n, l) * v^l *
 u^(n-l) with v = alpha^k and u = div*beta^k, a hypergeometric series in the
@@ -202,12 +203,14 @@ class CompressedSpectrum:
             for j in range(i, -1, -1) if reverse else range(i, self.size):
                 yield mults[j], mults[j] * nums[j]
 
-    def log_walk(self) -> Iterator[tuple[float, float]]:
-        """(ln multiplicity, ln mass) from the bottom level upward, the float
-        image of `walk(0)`; a zero level has ln mass -inf."""
-        for m, v in zip(self.mults, self.value_nums):
-            log_m = math.log(m)
-            yield log_m, log_m + math.log(v) if v else -math.inf
+    def log_walk(self, reverse: bool = False) -> Iterator[tuple[float, float]]:
+        """(ln multiplicity, ln mass) from the bottom level upward (from the
+        top down if `reverse`), the float image of `walk(0)` (of
+        `walk(size - 1, True)`); a zero level has ln mass -inf."""
+        nums, mults = self.value_nums, self.mults
+        for j in range(self.size - 1, -1, -1) if reverse else range(self.size):
+            log_m = math.log(mults[j])
+            yield log_m, log_m + math.log(nums[j]) if nums[j] else -math.inf
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
@@ -268,18 +271,26 @@ class _Family(CompressedSpectrum):
         if reverse and z:
             yield self.zero_mult, 0
 
-    def log_walk(self) -> Iterator[tuple[float, float]]:
-        if self.z:
+    def log_walk(self, reverse: bool = False) -> Iterator[tuple[float, float]]:
+        if self.z and not reverse:
             yield math.log(self.zero_mult), -math.inf
         n, log = self.n, math.log
         ldiv, lratio = log(self.div), log(self.alpha) - log(self.beta)
-        lm = n * ldiv
-        lw = lm + n * log(self.beta)
+        if reverse:  # l = n: multiplicity 1, mass alpha^n
+            lm, lw, steps = 0.0, n * log(self.alpha), range(n - 1, -1, -1)
+        else:
+            lm = n * ldiv
+            lw, steps = lm + n * log(self.beta), range(n)
         yield lm, lw
-        for l in range(n):
+        for l in steps:  # across levels l and l + 1
             step = log((n - l) / (l + 1)) - ldiv
-            lm, lw = lm + step, lw + step + lratio
+            if reverse:
+                lm, lw = lm - step, lw - step - lratio
+            else:
+                lm, lw = lm + step, lw + step + lratio
             yield lm, lw
+        if self.z and reverse:
+            yield math.log(self.zero_mult), -math.inf
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k

@@ -370,6 +370,7 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
             tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
             for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
                 cases.append((spec, eps, s2_smooth(spec, eps)))
+    search = smooth._guess
     for spec, eps, want in cases:
         b, m = want[1].b_minus, spec.size
         assert 3 <= b <= m - 4
@@ -379,18 +380,18 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
             assert complement == (2 * (b + 1) > m)
         guesses, windows = [], []
 
-        def predict(_spec, _tq):
-            guesses.append(forced)
-            return forced
+        def forced_bottom(levels, fits):  # s2 guesses its bottom boundary first
+            guesses.append(fits)
+            return forced + 1 if len(guesses) == 1 else search(levels, fits)
 
         def recorded(lo, hi, k):
             windows.append((lo, hi, k))
             return type(spec).moment(spec, lo, hi, k)
 
-        monkeypatch.setattr(smooth, "_predict_b_minus", predict)
+        monkeypatch.setattr(smooth, "_guess", forced_bottom)
         monkeypatch.setattr(spec, "moment", recorded)
         assert s2_smooth(spec, eps) == want
-        assert guesses == [forced]
+        assert len(guesses) == 2  # the bottom boundary, then the top scan
         side = (forced + 1, m) if complement else (0, forced + 1)
         assert windows[:2] == [(*side, 0), (*side, 1)]
 
@@ -417,7 +418,8 @@ def test_s2_bottom_boundary_walks_a_handful_of_levels():
 
 def test_s2_bottom_sums_take_the_shorter_side():
     """Cost guard: at the n=1e4 anchor the count and mass below b_minus
-    (about 65% of the levels) are summed over at most half the levels."""
+    (about 65% of the levels), and those above the top scan's boundary, are
+    each summed over at most half the levels."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     spec = xe_spectrum(p)
     m, spans, moment = spec.size, [], spec.moment
@@ -429,7 +431,7 @@ def test_s2_bottom_sums_take_the_shorter_side():
 
     spec.moment = recorded
     s2_smooth(spec, p.epsilon_prime)
-    assert len(spans) == 2
+    assert len(spans) == 4
     assert all(span <= (m + 1) // 2 for span in spans)
 
 
@@ -443,7 +445,8 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     search, calls = smooth._last_fit, []
 
     def recorded(spec, reverse, fits, taken=0):
-        if not taken:  # a boundary walked from its end
+        assert taken  # every boundary is guessed
+        if reverse:  # a boundary searched from the top
             calls.append((spec, reverse, fits))
         return search(spec, reverse, fits, taken)
 
@@ -467,27 +470,23 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
 
 
-def test_walked_boundaries_seed_one_short_walk(monkeypatch):
-    """Cost guard: at the n=1e4 anchor the support cut (s0 on eve, h0 on
-    cond) and s2's top scan each seed one walk from the top, which yields
-    no more than the levels it takes and the one that stops it (its
-    boundary distance + 2), and sum no window."""
-    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+def _walked_past_guesses(fn, spec, eps):
+    """(reverse, levels walked past the guess) for each boundary search of
+    fn(spec, eps), and whether each sums its guess in one count window and
+    one mass window.  A search's walks yield the last guessed level and the
+    next one, which certify the guess, and one more per level it missed."""
     search, log = smooth._last_fit, []
 
     def instrumented(spec, reverse, fits, taken=0):
-        if taken:
-            return search(spec, reverse, fits, taken)
-        walks, windows, walk, moment = [], [], spec.walk, spec.moment
+        walked, windows, walk, moment = [0], [], spec.walk, spec.moment
 
         def counted(i, reverse=False):
-            walks.append([(i, reverse), 0])
             for level in walk(i, reverse):
-                walks[-1][1] += 1
+                walked[0] += 1
                 yield level
 
         def recorded(lo, hi, k):
-            windows.append((lo, hi, k))
+            windows.append(k)
             return moment(lo, hi, k)
 
         spec.walk, spec.moment = counted, recorded
@@ -495,20 +494,42 @@ def test_walked_boundaries_seed_one_short_walk(monkeypatch):
             found = search(spec, reverse, fits, taken)
         finally:
             del spec.walk, spec.moment
-        log.append((spec.size - 1 - found[0], walks, windows))
+        log.append((reverse, walked[0] - 2, windows == [0, 1]))
         return found
 
-    monkeypatch.setattr(smooth, "_last_fit", instrumented)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smooth, "_last_fit", instrumented)
+        _scan(fn, spec, eps)
+    return log
+
+
+def test_guessed_boundaries_walk_a_handful_of_levels():
+    """Cost guard: at the n=1e4 anchor the support cut (s0 on eve, h0 on
+    cond) and both s2 boundaries each walk at most 3 levels past their
+    float guess, after one window sum each for its count and mass."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
+                             (h0_smooth, conditional_spectrum, [True]),
+                             (s2_smooth, xe_spectrum, [False, True])):
+        log = _walked_past_guesses(fn, build(p), p.epsilon_prime)
+        assert [reverse for reverse, _, _ in log] == sides
+        assert all(past <= 3 and summed for _, past, summed in log)
+
+
+@pytest.mark.parametrize("d, n", [(2, 20_000), (3, 10_000)])
+@pytest.mark.parametrize("eps", [F(1, 10**12), F(1, 10**40), 1 - F(1, 10**6)],
+                         ids=["1e-12", "1e-40", "1-1e-6"])
+def test_top_guesses_do_not_cancel(d, n, eps):
+    """Cost guard: the support cut (s0, h0) and s2's top scan are guessed
+    from the top without testing 1 - (mass above) in floats, which cancels:
+    a guess made that way lands thousands of levels past the boundary for
+    a small eps.  Each walks at most 3 levels past its guess."""
+    p = ProtocolParams(d=d, n=n, beta0=F(49, 50), epsilon=F(1, 100))
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
                       (s2_smooth, xe_spectrum)):
-        spec = build(p)
-        log.clear()
-        fn(spec, p.epsilon_prime)
-        [(distance, [(start, count)], windows)] = log
-        assert distance >= 10
-        assert start == (spec.size - 1, True)
-        assert count <= distance + 2
-        assert windows == []
+        tops = [past for reverse, past, _ in _walked_past_guesses(fn, build(p), eps)
+                if reverse]
+        assert len(tops) == 1 and tops[0] <= 3
 
 
 @st.composite

@@ -303,16 +303,21 @@ def test_sums_match_direct_sums(p, data):
 @given(valid_params(max_n=40))
 @settings(max_examples=40, deadline=None)
 def test_log_walk_matches_walk(p):
-    """The float stream is the log of the exact one, from the bottom up."""
+    """The float stream is the log of the exact one, from the bottom up and
+    from the top down; read from the top, a zero level comes last."""
     for spec in _both_classes(p):
-        logs, exact = list(spec.log_walk()), list(spec.walk(0))
-        assert len(logs) == len(exact)
-        for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
-            assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
-            if mass:
-                assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
-            else:
-                assert log_mass == -math.inf
+        for reverse, start in ((False, 0), (True, spec.size - 1)):
+            logs, exact = list(spec.log_walk(reverse)), list(spec.walk(start, reverse))
+            assert len(logs) == len(exact) == spec.size
+            for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
+                assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
+                if mass:
+                    assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
+                else:
+                    assert log_mass == -math.inf
+            if spec.zero_mult:
+                zero = (math.log(spec.zero_mult), -math.inf)
+                assert logs.index(zero) == (spec.size - 1 if reverse else 0)
 
 
 def _eager_levels(p):
