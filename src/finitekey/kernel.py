@@ -124,6 +124,12 @@ def lowest_terms(num: int, *parts) -> Fraction:
     return f
 
 
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b), with -inf for ln 0, for the scans' float guesses."""
+    a, b = max(a, b), min(a, b)
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+
+
 def log2_bits(value: int | Fraction) -> float:
     """log2 of a positive int or Fraction, any magnitude, ~1e-12 relative.
 

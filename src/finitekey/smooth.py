@@ -26,12 +26,11 @@ Masses, and so every boundary, do not see g; the support cut's counts are
 g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 
 Each boundary is one search (`_last_fit`) with its own predicate, and
-each is first guessed by the same scan run in floats on logarithms
-(`_guess` over `log_walk`): the bottom of the water fill from the bottom,
-its top and the support cut from the top.  The search sums the guessed
-levels in one window and corrects the guess by single exact steps.  Since
-s_r grows with r, the comparisons at the boundary certify what a full walk
-would find, and no boundary is walked to.
+each is first guessed in floats (`_guess`), by bisecting on how many
+levels the scan takes over the logs of window sums (`log_moment`).  The
+search sums the guessed levels in one window and corrects the guess by
+single exact steps.  Since s_r grows with r, the comparisons at the
+boundary certify what a full walk would find, and no level is walked to.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
 The witness rationals (s_b, x, y) are reduced only when a field is first
@@ -41,13 +40,12 @@ reduced at once, as its float windows its numerator and denominator apart.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .kernel import log2_bits, lowest_terms, small_factors
+from .kernel import _log_add, log2_bits, lowest_terms, small_factors
 from .spectra import CompressedSpectrum
 
 __all__ = [
@@ -188,48 +186,35 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
     given back from the last (smallest) one, lam_b = num_b/(den*g).  The
     cut stops at a nonzero level, since those carry mass 1.
 
-    Its guess does not test 1 - (mass above) in floats, which cancels for a
-    small eps.  It takes levels from the top past half the mass and down to
-    one below 2^-60 of eps (what is left below weighs nothing), then gives
-    back from the bottom of those the levels whose summed mass stays within
-    eps: a sum of positive terms."""
+    It is guessed from the bottom, as the levels whose summed mass stays
+    within eps, since 1 - (mass above) in floats cancels for a small eps."""
     en, ed, den = eps.numerator, eps.denominator, spec.den
     target = (ed - en) * den  # U/den >= 1-eps iff U*ed >= target
     # ln(eps*den) from the integers: float(eps) is 1.0 for eps just below 1
     ln_eps = math.log(en * den) - math.log(ed) if en else -math.inf
-    ln_half, ln_tiny = math.log(den) - math.log(2), ln_eps - 60 * math.log(2)
-    seen = _guess(spec.log_walk(True), lambda lm, lw, lC, lW: lW <= ln_half or lw >= ln_tiny)
-    top = list(itertools.islice(spec.log_walk(True), seen))
-    given = _guess(reversed(top), lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_eps)
+    removed = _guess(spec, False, lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_eps)
     i, cnt, U, (mult, w) = _last_fit(
-        spec, True, lambda mult, w, C, W: W * ed < target, seen - given
+        spec, True, lambda mult, w, C, W: W * ed < target, spec.size - removed
     )
     kept = spec.g * cnt - spec.g * (U * ed - target) // (ed * (w // mult))
     assert kept >= 1
     return spec.size - i, kept, U
 
 
-def _log_add(a: float, b: float) -> float:
-    """ln(e^a + e^b), with -inf for ln 0."""
-    if a < b:
-        a, b = b, a
-    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
-
-
-def _guess(levels, fits) -> int:
-    """The float image of `_last_fit`: how many levels of a stream of (ln
-    mult, ln mass) pairs (`log_walk`) a scan takes, where a level is taken
-    iff fits(lm, lw, lC, lW) holds on the logs of the count and mass taken
-    before it.  Those sums add positive terms, so they do not cancel; a
-    guess can still miss near a tie, and `_last_fit` corrects it exactly."""
-    lC = lW = -math.inf
-    taken = 0
-    for lm, lw in levels:
-        if not fits(lm, lw, lC, lW):
-            break
-        taken += 1
-        lC, lW = _log_add(lC, lm), _log_add(lW, lw)
-    return taken
+def _guess(spec: CompressedSpectrum, reverse: bool, fits) -> int:
+    """The float image of `_last_fit`: how many levels its scan takes, where
+    a level is taken iff fits(lm, lw, lC, lW) holds on the logs of its count
+    and mass and of those taken before it.  It bisects on that number, each
+    probe reading four `log_moment` windows, so no level is walked.  A guess
+    can miss near a tie, and `_last_fit` corrects it exactly."""
+    m, lo, hi = spec.size, 0, spec.size  # it takes from lo to hi levels
+    while lo < hi:
+        t = (lo + hi + 1) // 2  # does it take a t-th level?
+        i = m - t if reverse else t - 1
+        before = (i + 1, m) if reverse else (0, i)
+        logs = [spec.log_moment(*w, k) for w in ((i, i + 1), before) for k in (0, 1)]
+        lo, hi = (t, hi) if fits(*logs) else (lo, t - 1)
+    return lo
 
 
 def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
@@ -280,13 +265,13 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     ln_tq = math.log(tq) if tq else -math.inf
     b_minus, C, W, _ = _last_fit(
         spec, False, lambda mult, w, C, W: _prod_le(w, C, tq + W, mult),
-        _guess(spec.log_walk(), lambda lm, lw, lC, lW: lw + lC <= _log_add(ln_tq, lW) + lm),
+        _guess(spec, False, lambda lm, lw, lC, lW: lw + lC <= _log_add(ln_tq, lW) + lm),
     )
     # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
     # costs (T - lam*Ct)/den, and a level stops it iff lam*Ct < T - tq
     top, Ct, T, _ = _last_fit(
         spec, True, lambda mult, w, C, W: not _prod_le(w, C, W - tq - 1, mult),
-        _guess(spec.log_walk(True), lambda lm, lw, lC, lW: lW <= ln_tq or (
+        _guess(spec, True, lambda lm, lw, lC, lW: lW <= ln_tq or (
             lw + lC > lW + math.log(-math.expm1(ln_tq - lW)) + lm)),
     )
 

@@ -30,16 +30,16 @@ g's primes.  Nothing of size O(n) is stored.  A scan asks for a walk from the
 level it starts at (`walk`): the first level is seeded with `pow` and
 `math.comb`, and each further step applies exact small-factor recurrences to
 (multiplicity, mass), so a scan costs only the levels it touches.  The pairs
-`levels` derive from `walk(0)`, and `log_walk(reverse=False)` is `walk(0)`
-in floats (natural logs, from the bottom level up; if `reverse`, from the
-top down with a zero level last) for predicting where a scan would stop.
-Sums over a window of levels do not walk: `moment(lo, hi, k)` is the
-k-th moment sum of mult * num^k over the window, so k = 0, 1, 2 give its
-count, mass and squared mass.  On a family its terms are C(n, l) * v^l *
-u^(n-l) with v = alpha^k and u = div*beta^k, a hypergeometric series in the
-level index, which `_series` evaluates by binary splitting over the ratio
-(n-l)*v/(l+1), with u as a weight.  One exact division closes it before the
-window's common factor v^lo * u^(n-hi+1) is multiplied back in.
+`levels` derive from `walk(0)`.  Sums over a window of levels do not walk:
+`moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the window,
+so k = 0, 1, 2 give its count, mass and squared mass.  On a family its terms
+are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
+hypergeometric series in the level index, which `_series` evaluates by
+binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
+exact division closes it before the window's common factor v^lo *
+u^(n-hi+1) is multiplied back in.  To predict where a scan stops,
+`log_moment(lo, hi, k)` is its natural log for k = 0, 1, which a family
+sums in floats from its terms nearest their mode.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .kernel import small_factors
+from .kernel import _log_add, small_factors
 
 __all__ = [
     "ProtocolParams",
@@ -203,21 +203,16 @@ class CompressedSpectrum:
             for j in range(i, -1, -1) if reverse else range(i, self.size):
                 yield mults[j], mults[j] * nums[j]
 
-    def log_walk(self, reverse: bool = False) -> Iterator[tuple[float, float]]:
-        """(ln multiplicity, ln mass) from the bottom level upward (from the
-        top down if `reverse`), the float image of `walk(0)` (of
-        `walk(size - 1, True)`); a zero level has ln mass -inf."""
-        nums, mults = self.value_nums, self.mults
-        for j in range(self.size - 1, -1, -1) if reverse else range(self.size):
-            log_m = math.log(mults[j])
-            yield log_m, log_m + math.log(nums[j]) if nums[j] else -math.inf
-
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
         levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
         mass.  A zero level counts toward k = 0 only."""
         lo, hi = max(lo, 0), max(hi, 0)
         return sum(m * v**k for m, v in zip(self.mults[lo:hi], self.value_nums[lo:hi]))
+
+    def log_moment(self, lo: int, hi: int, k: int) -> float:
+        """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum."""
+        return math.log(s) if (s := self.moment(lo, hi, k)) else -math.inf
 
 
 class _Family(CompressedSpectrum):
@@ -271,27 +266,6 @@ class _Family(CompressedSpectrum):
         if reverse and z:
             yield self.zero_mult, 0
 
-    def log_walk(self, reverse: bool = False) -> Iterator[tuple[float, float]]:
-        if self.z and not reverse:
-            yield math.log(self.zero_mult), -math.inf
-        n, log = self.n, math.log
-        ldiv, lratio = log(self.div), log(self.alpha) - log(self.beta)
-        if reverse:  # l = n: multiplicity 1, mass alpha^n
-            lm, lw, steps = 0.0, n * log(self.alpha), range(n - 1, -1, -1)
-        else:
-            lm = n * ldiv
-            lw, steps = lm + n * log(self.beta), range(n)
-        yield lm, lw
-        for l in steps:  # across levels l and l + 1
-            step = log((n - l) / (l + 1)) - ldiv
-            if reverse:
-                lm, lw = lm - step, lw - step - lratio
-            else:
-                lm, lw = lm + step, lw + step + lratio
-            yield lm, lw
-        if self.z and reverse:
-            yield math.log(self.zero_mult), -math.inf
-
     def moment(self, lo: int, hi: int, k: int) -> int:
         """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
         and u = div*beta^k: C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.
@@ -306,6 +280,39 @@ class _Family(CompressedSpectrum):
         n, v, u = self.n, self.alpha**k, self.div * self.beta**k
         Q, T = _series(lo, hi, n, v, u)
         return zero + math.comb(n, lo) * T // Q * v**lo * u ** (n - hi + 1)
+
+    def log_moment(self, lo: int, hi: int, k: int) -> float:
+        """The terms t_l fall away from the mode M, the last l with t_l /
+        t_(l-1) = (n-l+1)*v / (l*u) >= 1.  A window from M up sums from its
+        first term (`math.lgamma`) until a term falls below 2^-60 of the sum,
+        so every ratio is <= 1; one up to M is its mirror image, t_l being
+        term n-l with v, u swapped; one across M is (v+u)^n less two tails."""
+        z, n = self.z, self.n
+        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
+        lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
+        v, u = self.alpha**k, self.div * self.beta**k
+
+        def upward(l: int, end: int, v: int, u: int) -> float:  # ln(t_l + ... + t_(end-1))
+            s = t = 1.0
+            for j in range(l, end - 1):
+                t *= (n - j) * v / ((j + 1) * u)
+                if t < s * 2**-60:
+                    break
+                s += t
+            return -math.inf if l >= end else (
+                math.lgamma(n + 1) - math.lgamma(l + 1) - math.lgamma(n - l + 1)
+                + l * math.log(v) + (n - l) * math.log(u) + math.log(s))
+
+        mode = (n + 1) * v // (v + u)
+        if lo >= mode:
+            ln_s = upward(lo, hi, v, u)
+        elif hi <= mode + 1:
+            ln_s = upward(n + 1 - hi, n + 1 - lo, u, v)
+        else:
+            ln_all = n * math.log(v + u)
+            tails = upward(n + 1 - lo, n + 1, u, v), upward(hi, n + 1, v, u)
+            ln_s = ln_all + math.log1p(-sum(math.exp(t - ln_all) for t in tails))
+        return _log_add(math.log(zero), ln_s) if zero else ln_s
 
     # only perfbench/tracing.py reads these two; ROADMAP item 4 deletes them
     @cached_property

@@ -380,9 +380,9 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
             assert complement == (2 * (b + 1) > m)
         guesses, windows = [], []
 
-        def forced_bottom(levels, fits):  # s2 guesses its bottom boundary first
+        def forced_bottom(spec, reverse, fits):  # s2 guesses its bottom boundary first
             guesses.append(fits)
-            return forced + 1 if len(guesses) == 1 else search(levels, fits)
+            return forced + 1 if len(guesses) == 1 else search(spec, reverse, fits)
 
         def recorded(lo, hi, k):
             windows.append((lo, hi, k))
@@ -514,6 +514,42 @@ def test_guessed_boundaries_walk_a_handful_of_levels():
         log = _walked_past_guesses(fn, build(p), p.epsilon_prime)
         assert [reverse for reverse, _, _ in log] == sides
         assert all(past <= 3 and summed for _, past, summed in log)
+
+
+def test_guesses_bisect_over_log_moments():
+    """Cost guard: at the n=1e4 anchor each float guess (the support cut on
+    eve and on cond, both s2 boundaries on xe) bisects on the levels its
+    scan takes, reading four `log_moment` windows per probe, so it makes at
+    most 4 * (ceil(log2(m + 1)) + 1) calls and walks no level."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    guess, calls = smooth._guess, []
+
+    def counted(spec, reverse, fits):
+        calls.append(0)
+        log_moment = spec.log_moment
+
+        def recorded(lo, hi, k):
+            calls[-1] += 1
+            return log_moment(lo, hi, k)
+
+        def refused(*args):
+            raise AssertionError("a guess read exact levels")
+
+        spec.log_moment, spec.walk, spec.moment = recorded, refused, refused
+        try:
+            return guess(spec, reverse, fits)
+        finally:
+            del spec.log_moment, spec.walk, spec.moment
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smooth, "_guess", counted)
+        for fn, build, guesses in ((s0_smooth, eve_spectrum, 1),
+                                   (h0_smooth, conditional_spectrum, 1),
+                                   (s2_smooth, xe_spectrum, 2)):
+            spec, calls[:] = build(p), []
+            fn(spec, p.epsilon_prime)
+            bound = 4 * (math.ceil(math.log2(spec.size + 1)) + 1)
+            assert len(calls) == guesses and all(0 < c <= bound for c in calls)
 
 
 @pytest.mark.parametrize("d, n", [(2, 20_000), (3, 10_000)])

@@ -300,24 +300,48 @@ def test_sums_match_direct_sums(p, data):
                 assert spec.moment(lo, hi, k) == want
 
 
-@given(valid_params(max_n=40))
-@settings(max_examples=40, deadline=None)
-def test_log_walk_matches_walk(p):
-    """The float stream is the log of the exact one, from the bottom up and
-    from the top down; read from the top, a zero level comes last."""
+def _log_moments_match(spec, windows):
+    for lo, hi in windows:
+        for k in (0, 1):
+            want = spec.moment(lo, hi, k)
+            got = spec.log_moment(lo, hi, k)
+            if want:
+                assert got == pytest.approx(math.log(want), rel=1e-12, abs=1e-12)
+            else:
+                assert got == -math.inf
+
+
+@given(valid_params(max_n=40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_log_moment_matches_moment(p, data):
+    """log_moment is the log of moment at k = 0, 1 on both classes, and -inf
+    for an empty window.  Single levels, prefixes and suffixes at every
+    level give windows below, across and above the mode; (0, 1) is xe's
+    zero level, and windows past the levels are clamped."""
     for spec in _both_classes(p):
-        for reverse, start in ((False, 0), (True, spec.size - 1)):
-            logs, exact = list(spec.log_walk(reverse)), list(spec.walk(start, reverse))
-            assert len(logs) == len(exact) == spec.size
-            for (log_mult, log_mass), (mult, mass) in zip(logs, exact):
-                assert log_mult == pytest.approx(math.log(mult), rel=1e-12, abs=1e-9)
-                if mass:
-                    assert log_mass == pytest.approx(math.log(mass), rel=1e-12, abs=1e-9)
-                else:
-                    assert log_mass == -math.inf
-            if spec.zero_mult:
-                zero = (math.log(spec.zero_mult), -math.inf)
-                assert logs.index(zero) == (spec.size - 1 if reverse else 0)
+        size = spec.size
+        windows = [(i, i + 1) for i in range(size)]
+        windows += [(0, i) for i in range(size + 1)] + [(i, size) for i in range(size + 1)]
+        windows += [(-2, size + 2), (3, 1), (size, size + 2), (-3, 0)]
+        windows += [
+            (data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
+            for _ in range(4)
+        ]
+        _log_moments_match(spec, windows)
+
+
+@pytest.mark.parametrize("p", [
+    params(n=10, beta0=1 - F(1, 10**400)),
+    params(d=10**155, n=1),
+], ids=["beta0=1-1e-400", "d=1e155"])
+def test_log_moment_where_no_float_holds_the_ratio(p):
+    """alpha/beta is about 10^400 at beta0 = 1 - 10^-400 and div about
+    10^310 at d = 10^155, so no float holds them or their logs' exponential;
+    log_moment takes each step's ratio from the integers and raises no
+    exception over every window."""
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        size = spec.size
+        _log_moments_match(spec, [(i, j) for i in range(size + 1) for j in range(i, size + 1)])
 
 
 def _eager_levels(p):
