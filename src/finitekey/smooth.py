@@ -29,8 +29,9 @@ Each boundary is one search (`_last_fit`) with its own predicate, and
 each is first guessed in floats (`_guess`), by bisecting on how many
 levels the scan takes over the logs of window sums (`log_moment`).  The
 search sums the guessed levels in one window and corrects the guess by
-single exact steps.  Since s_r grows with r, the comparisons at the
-boundary certify what a full walk would find, and no level is walked to.
+closed-form reads of single levels (`level`).  Since s_r grows with r, the
+comparisons at the boundary certify what a full scan would find, and no
+level is scanned to.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
 The witness rationals (s_b, x, y) are reduced only when a field is first
@@ -157,8 +158,9 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     and mass taken before it; fits holds at the first level and, once false,
     stays false.  A guess of `taken` > 0 levels sums them in one window at
     k = 0, 1 over the shorter side (past half the levels, total_dim/g and den
-    less the rest), then single exact steps drop levels that do not fit and
-    take next ones that do.  With no guess the scan is one walk from its end."""
+    less the rest), then closed-form reads (`level`) drop levels that do not
+    fit and take next ones that do, one read per level the guess missed.
+    With no guess the scan reads from its end."""
     m, step = spec.size, -1 if reverse else 1
     i = m - taken if reverse else taken - 1  # the last level guessed
     C = W = 0
@@ -168,15 +170,10 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
         C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
         if 2 * taken > m:  # the window holds the rest
             C, W = spec.total_dim // spec.g - C, spec.den - W
-        for level in spec.walk(i, not reverse):  # guessed too far
-            mult, w = level
-            if fits(mult, w, C - mult, W - w):
-                break
-            C, W, i = C - mult, W - w, i - step
-    for mult, w in spec.walk(i + step, reverse):  # guessed too short
-        if not fits(mult, w, C, W):
-            break
-        C, W, i, level = C + mult, W + w, i + step, (mult, w)
+        while not fits(*(level := spec.level(i)), C - level[0], W - level[1]):
+            C, W, i = C - level[0], W - level[1], i - step  # guessed too far
+    while 0 <= i + step < m and fits(*(nxt := spec.level(i + step)), C, W):
+        C, W, i, level = C + nxt[0], W + nxt[1], i + step, nxt  # guessed too short
     return i, C, W, level
 
 
@@ -205,7 +202,7 @@ def _guess(spec: CompressedSpectrum, reverse: bool, fits) -> int:
     """The float image of `_last_fit`: how many levels its scan takes, where
     a level is taken iff fits(lm, lw, lC, lW) holds on the logs of its count
     and mass and of those taken before it.  It bisects on that number, each
-    probe reading four `log_moment` windows, so no level is walked.  A guess
+    probe reading four `log_moment` windows, so no level is read.  A guess
     can miss near a tie, and `_last_fit` corrects it exactly."""
     m, lo, hi = spec.size, 0, spec.size  # it takes from lo to hi levels
     while lo < hi:
@@ -252,7 +249,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
         # can move; the ball contains no lower-purity spectrum
-        mult, w = next(spec.walk(0))
+        mult, w = spec.level(0)
         lam = Fraction(w // mult, den * g)
         purity = g * mult * lam * lam
         return -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)

@@ -26,20 +26,23 @@ spectrum states none).  A degeneracy g = g_base^n makes each stored level g
 eigenvalues at 1/g of its value: g is 1 unless given, and d^n for rho_XE,
 whose nonzero levels are P(X|Y)'s repeated d^n times.  What a scan reads is
 per copy; `levels` and `total_dim` count all copies, and `g_factors` states
-g's primes.  Nothing of size O(n) is stored.  A scan asks for a walk from the
-level it starts at (`walk`): the first level is seeded with `pow` and
-`math.comb`, and each further step applies exact small-factor recurrences to
-(multiplicity, mass), so a scan costs only the levels it touches.  The pairs
-`levels` derive from `walk(0)`.  Sums over a window of levels do not walk:
-`moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the window,
-so k = 0, 1, 2 give its count, mass and squared mass.  On a family its terms
-are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
-hypergeometric series in the level index, which `_series` evaluates by
-binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
-exact division closes it before the window's common factor v^lo *
-u^(n-hi+1) is multiplied back in.  To predict where a scan stops,
-`log_moment(lo, hi, k)` is its natural log for k = 0, 1, which a family
-sums in floats from its terms nearest their mode.
+g's primes.  Nothing of size O(n) is stored.  A scan reads single levels in
+closed form: `level(i)` is the (multiplicity, mass) of level i, on a family
+one `math.comb` and two powers, so a scan costs only the levels it reads.
+The pairs `levels` are `level(i)` for every i.  A window of levels is not
+read level by level: `moment(lo, hi, k)` is the k-th moment sum of mult *
+num^k over the window, so k = 0, 1, 2 give its count, mass and squared
+mass.  On a family its terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
+and u = div*beta^k, a hypergeometric series in the level index, which
+`_series` evaluates by binary splitting over the ratio (n-l)*v/(l+1), with
+u as a weight.  One exact division closes it before the window's common
+factor v^lo * u^(n-hi+1) is multiplied back in.  To predict where a scan
+stops, `log_moment(lo, hi, k)` is its natural log for k = 0, 1, which a
+family sums in floats from its terms nearest their mode.
+
+An exact point costs time that grows faster than the bit length of its
+spectra's n-th powers, so each builder refuses, before forming any, a point
+whose largest n-th power would exceed `MAX_POWER_BITS` bits.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
 
 from .kernel import _log_add, small_factors
 
@@ -59,6 +61,25 @@ __all__ = [
     "xe_spectrum",
     "conditional_spectrum",
 ]
+
+
+# The largest n-th power (a denominator or a dimension) a builder forms, in
+# bits.  At d=2, beta0=49/50 the denominator has 6.64 bits per signal, so
+# the bound admits n up to 1.26e6 there; that exact point took 227 s and
+# 42 MB under CPython 3.11 on a 2-core Xeon.  The cost grows faster than n
+# (27 s at n=3e5, 200 s at 1e6), so n=1e8 would run for days; it is refused
+# at once.
+MAX_POWER_BITS = 2**23
+
+
+def _refuse_oversized(n: int, *bases: int) -> None:
+    """Refuse a spectrum whose largest n-th power of bases (each >= 2)
+    would exceed MAX_POWER_BITS bits, before forming it.  n alone refuses
+    an n above the bound, whose float could overflow."""
+    if n > MAX_POWER_BITS or n * math.log2(max(bases)) > MAX_POWER_BITS:
+        raise ValueError(
+            f"point too large: a spectrum's n-th power would exceed {MAX_POWER_BITS} bits"
+        )
 
 
 def smoothing_budget(epsilon) -> Fraction:
@@ -143,6 +164,9 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
 def _check_levels(nums, mults, den):
     if not nums or len(nums) != len(mults):
         raise ValueError("CompressedSpectrum: malformed level lists")
+    if any(type(x) is not int for x in (den, *nums, *mults)):
+        raise ValueError("CompressedSpectrum: numerators, multiplicities and "
+                         "denominator must be integers")
     if den < 1:
         raise ValueError("CompressedSpectrum: denominator must be positive")
     if nums[0] < 0:
@@ -162,10 +186,10 @@ class CompressedSpectrum:
     """Density-operator spectrum as strictly ascending (value, multiplicity)
     levels; values are `value_nums[i] / (den * g)`, for a degeneracy g.
 
-    Scans read levels through `walk(i, reverse)`, which yields (multiplicity,
-    mass) from level i up (or down), and no level from an i outside the
-    levels; the mass is multiplicity * numerator, so a level's numerator is
-    mass // multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a
+    Scans read levels through `level(i)`, the (multiplicity, mass) of level
+    i, which raises IndexError for an i outside [0, size); the mass is
+    multiplicity * numerator, so a level's numerator is mass //
+    multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a
     window of levels, clamped to them.  `size` is the number of levels and
     `zero_mult` the multiplicity of a zero level at index 0 (0 when there is
     none).  A grouped probability distribution is the same object: `mults`
@@ -191,17 +215,17 @@ class CompressedSpectrum:
         vals = [Fraction(v) for v, _ in levels]
         den = math.lcm(*(v.denominator for v in vals)) if vals else 1
         nums = [v.numerator * (den // v.denominator) for v in vals]
-        return CompressedSpectrum(nums, [int(m) for _, m in levels], den)
+        return CompressedSpectrum(nums, [m for _, m in levels], den)
 
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
-        return [(Fraction(w // m, self.den * self.g), m * self.g) for m, w in self.walk(0)]
+        return [(Fraction(w // m, self.den * self.g), m * self.g)
+                for m, w in map(self.level, range(self.size))]
 
-    def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
-        nums, mults = self.value_nums, self.mults
-        if 0 <= i < self.size:
-            for j in range(i, -1, -1) if reverse else range(i, self.size):
-                yield mults[j], mults[j] * nums[j]
+    def level(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self.size:
+            raise IndexError(f"level {i} outside 0..{self.size - 1}")
+        return self.mults[i], self.mults[i] * self.value_nums[i]
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
@@ -221,9 +245,7 @@ class _Family(CompressedSpectrum):
     and multiplicity C(n, l) * div^(n-l), each standing for g = g_base^n
     eigenvalues.
 
-    With alpha > beta >= 1 the numerators strictly ascend, and stepping l by
-    one multiplies the multiplicity by (n-l)/((l+1)*div) and the mass by
-    (n-l)*alpha/((l+1)*div*beta); every such division is exact.  The level
+    With alpha > beta >= 1 the numerators strictly ascend.  The level
     sums are the binomial theorem's, so the family is normalised by
     construction: den is the masses' sum (alpha + div*beta)^n, and total_dim
     is g times the multiplicities' sum (1 + div)^n plus the zero level.
@@ -240,31 +262,14 @@ class _Family(CompressedSpectrum):
         self.g, self.g_factors = g_base**n, small_factors(g_base, n)
         self.total_dim = self.g * ((1 + div) ** n + zero_mult)
 
-    def walk(self, i: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
-        z = self.z
+    def level(self, i: int) -> tuple[int, int]:
         if not 0 <= i < self.size:
-            return
-        if not reverse and i < z:
-            yield self.zero_mult, 0
-            i = z
-        if i >= z:
-            n, a, b, div = self.n, self.alpha, self.beta, self.div
-            l = i - z
-            mult = math.comb(n, l) * div ** (n - l)  # seeded, then stepped
-            w = mult * a**l * b ** (n - l)
-            yield mult, w
-            if reverse:
-                for l in range(l, 0, -1):
-                    mult = mult * (l * div) // (n - l + 1)
-                    w = w * (l * div * b) // ((n - l + 1) * a)
-                    yield mult, w
-            else:
-                for l in range(l, n):
-                    mult = mult * (n - l) // ((l + 1) * div)
-                    w = w * ((n - l) * a) // ((l + 1) * div * b)
-                    yield mult, w
-        if reverse and z:
-            yield self.zero_mult, 0
+            raise IndexError(f"level {i} outside 0..{self.size - 1}")
+        if i < self.z:
+            return self.zero_mult, 0
+        n, l = self.n, i - self.z
+        mult = math.comb(n, l) * self.div ** (n - l)
+        return mult, mult * self.alpha**l * self.beta ** (n - l)
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
@@ -324,7 +329,10 @@ class _Family(CompressedSpectrum):
 
     @cached_property
     def mults(self) -> list[int]:
-        return [mult for mult, _ in self.walk(0)]
+        mults = [self.zero_mult] * self.z + [self.div**self.n]
+        for l in range(self.n):
+            mults.append(mults[-1] * (self.n - l) // ((l + 1) * self.div))
+        return mults
 
 
 def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -338,6 +346,7 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
+    _refuse_oversized(n, q * d * (d - 1), d * d)  # den and total_dim
     if p == q:
         return CompressedSpectrum([1], [1], 1)
     return _Family(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1)
@@ -357,6 +366,7 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
+    _refuse_oversized(n, q * (d - 1), d**3)  # den and total_dim
     if p == q:
         return CompressedSpectrum([0, 1], [d ** (3 * n) - d**n, d**n], d**n)
     return _Family(n, p * (d - 1), q - p, d - 1, d ** (2 * n) - d**n, g_base=d)
@@ -372,6 +382,7 @@ def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
+    _refuse_oversized(n, q * (d - 1), d)  # den and total_dim
     if p == q:
         return CompressedSpectrum([1], [1], 1)
     return _Family(n, p * (d - 1), q - p, d - 1)

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finitekey import cli
+from finitekey import cli, spectra
 
 
 def run(capsys, argv):
@@ -55,6 +55,20 @@ def test_compute_domain_error_row(capsys):
     row = cells(lines[1])
     assert len(row) == len(cli.HEADER)
     assert row[6].startswith("ERROR:")
+
+
+def test_compute_refuses_an_oversized_point(monkeypatch, capsys):
+    """n = 1e8 is refused with an ERROR row and exit 1, before any
+    spectrum is built: an exact point that size would run for days."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized spectrum was built")
+
+    monkeypatch.setattr(spectra, "_Family", refuse)
+    rc, lines = run(capsys, ["compute", "--n", "100000000", "--error-rate", "0.02",
+                             "--epsilon", "0.01"])
+    assert rc == 1
+    row = cells(lines[1])
+    assert row[1] == "100000000" and row[6].startswith("ERROR:point too large")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from finitekey import keyrate
+from finitekey import keyrate, spectra
 from finitekey.kernel import log2_bits
 from finitekey.keyrate import (
     key_length,
@@ -150,6 +150,22 @@ def test_key_length_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("an oversized spectrum was built")
+
+
+def test_key_length_refuses_an_oversized_point(monkeypatch):
+    """n = 1e8 would form a 6.6e8-bit denominator and run for days, so
+    key_length refuses it before any family is built.  At beta0 = 1 the
+    analytic branch builds no n-copy spectrum and runs."""
+    monkeypatch.setattr(spectra, "_Family", _refuse_to_build)
+    params = ProtocolParams(d=2, n=10**8, beta0=F(49, 50), epsilon=F(1, 100))
+    with pytest.raises(ValueError, match="too large"):
+        key_length(params)
+    perfect = ProtocolParams(d=2, n=10**8, beta0=F(1), epsilon=F(1, 100))
+    assert key_length(perfect).s2_bits == 10**8
 
 
 def test_sweep_reads_an_iterator_grid_once():

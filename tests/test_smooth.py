@@ -314,7 +314,7 @@ def _reference_bottom_walk(spec, eps):
     den = spec.den
     en, ed = eps.numerator, eps.denominator
     tq = en * den // ed
-    levels = spec.walk(0)
+    levels = map(spec.level, range(spec.size))
     C, W = next(levels)
     b_minus = 0
     for mult, w in levels:
@@ -398,22 +398,20 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
     """Cost guard: the bottom boundary of the n=1e4 anchor point (about
-    6,500 levels up) is found without walking to it."""
+    6,500 levels up) is found without reading the levels up to it.  Both
+    searches, the top scan's included, read at most 5 single levels."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     spec = xe_spectrum(p)
-    walks, walk = [], spec.walk
+    reads, level = [], spec.level
 
-    def counted(i, reverse=False):
-        walks.append([(i, reverse), 0])
-        for level in walk(i, reverse):
-            walks[-1][1] += 1
-            yield level
+    def counted(i):
+        reads.append(i)
+        return level(i)
 
-    spec.walk = counted
+    spec.level = counted
     _, sol = s2_smooth(spec, p.epsilon_prime)
     assert sol.b_minus == 6487
-    top = (spec.size - 1, True)
-    assert sum(count for start, count in walks if start != top) <= 5
+    assert len(reads) <= 5
 
 
 def test_s2_bottom_sums_take_the_shorter_side():
@@ -437,11 +435,12 @@ def test_s2_bottom_sums_take_the_shorter_side():
 
 def test_walked_boundaries_correct_forced_misses(monkeypatch):
     """The support cut (s0) and s2's top scan, searched from a wrong guess
-    of 1, true - 3, true + 3 or all m levels, return what their walk from
-    the top returns, on families (xe with its zero level) and their explicit
-    rebuilds.  Each boundary lies past half the levels in some cases (beta0
-    = 3/5) and below it in others (8911/10000), so the guesses next to it
-    sum the complement in some and the guessed levels in others."""
+    of 1, true - 3, true + 3 or all m levels, return what their unguessed
+    scan from the top returns, on families (xe with its zero level) and
+    their explicit rebuilds.  Each boundary lies past half the levels in
+    some cases (beta0 = 3/5) and below it in others (8911/10000), so the
+    guesses next to it sum the complement in some and the guessed levels in
+    others."""
     search, calls = smooth._last_fit, []
 
     def recorded(spec, reverse, fits, taken=0):
@@ -470,31 +469,30 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
 
 
-def _walked_past_guesses(fn, spec, eps):
-    """(reverse, levels walked past the guess) for each boundary search of
+def _read_past_guesses(fn, spec, eps):
+    """(reverse, levels read past the guess) for each boundary search of
     fn(spec, eps), and whether each sums its guess in one count window and
-    one mass window.  A search's walks yield the last guessed level and the
-    next one, which certify the guess, and one more per level it missed."""
+    one mass window.  A search reads the last guessed level and the next
+    one, which certify the guess, and one more per level it missed."""
     search, log = smooth._last_fit, []
 
     def instrumented(spec, reverse, fits, taken=0):
-        walked, windows, walk, moment = [0], [], spec.walk, spec.moment
+        reads, windows, level, moment = [0], [], spec.level, spec.moment
 
-        def counted(i, reverse=False):
-            for level in walk(i, reverse):
-                walked[0] += 1
-                yield level
+        def counted(i):
+            reads[0] += 1
+            return level(i)
 
         def recorded(lo, hi, k):
             windows.append(k)
             return moment(lo, hi, k)
 
-        spec.walk, spec.moment = counted, recorded
+        spec.level, spec.moment = counted, recorded
         try:
             found = search(spec, reverse, fits, taken)
         finally:
-            del spec.walk, spec.moment
-        log.append((reverse, walked[0] - 2, windows == [0, 1]))
+            del spec.level, spec.moment
+        log.append((reverse, reads[0] - 2, windows == [0, 1]))
         return found
 
     with pytest.MonkeyPatch.context() as patch:
@@ -505,13 +503,13 @@ def _walked_past_guesses(fn, spec, eps):
 
 def test_guessed_boundaries_walk_a_handful_of_levels():
     """Cost guard: at the n=1e4 anchor the support cut (s0 on eve, h0 on
-    cond) and both s2 boundaries each walk at most 3 levels past their
+    cond) and both s2 boundaries each read at most 3 levels past their
     float guess, after one window sum each for its count and mass."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
                              (h0_smooth, conditional_spectrum, [True]),
                              (s2_smooth, xe_spectrum, [False, True])):
-        log = _walked_past_guesses(fn, build(p), p.epsilon_prime)
+        log = _read_past_guesses(fn, build(p), p.epsilon_prime)
         assert [reverse for reverse, _, _ in log] == sides
         assert all(past <= 3 and summed for _, past, summed in log)
 
@@ -520,7 +518,7 @@ def test_guesses_bisect_over_log_moments():
     """Cost guard: at the n=1e4 anchor each float guess (the support cut on
     eve and on cond, both s2 boundaries on xe) bisects on the levels its
     scan takes, reading four `log_moment` windows per probe, so it makes at
-    most 4 * (ceil(log2(m + 1)) + 1) calls and walks no level."""
+    most 4 * (ceil(log2(m + 1)) + 1) calls and reads no level."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     guess, calls = smooth._guess, []
 
@@ -535,11 +533,11 @@ def test_guesses_bisect_over_log_moments():
         def refused(*args):
             raise AssertionError("a guess read exact levels")
 
-        spec.log_moment, spec.walk, spec.moment = recorded, refused, refused
+        spec.log_moment, spec.level, spec.moment = recorded, refused, refused
         try:
             return guess(spec, reverse, fits)
         finally:
-            del spec.log_moment, spec.walk, spec.moment
+            del spec.log_moment, spec.level, spec.moment
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smooth, "_guess", counted)
@@ -559,11 +557,11 @@ def test_top_guesses_do_not_cancel(d, n, eps):
     """Cost guard: the support cut (s0, h0) and s2's top scan are guessed
     from the top without testing 1 - (mass above) in floats, which cancels:
     a guess made that way lands thousands of levels past the boundary for
-    a small eps.  Each walks at most 3 levels past its guess."""
+    a small eps.  Each reads at most 3 levels past its guess."""
     p = ProtocolParams(d=d, n=n, beta0=F(49, 50), epsilon=F(1, 100))
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
                       (s2_smooth, xe_spectrum)):
-        tops = [past for reverse, past, _ in _walked_past_guesses(fn, build(p), eps)
+        tops = [past for reverse, past, _ in _read_past_guesses(fn, build(p), eps)
                 if reverse]
         assert len(tops) == 1 and tops[0] <= 3
 
@@ -690,7 +688,7 @@ def _reference_scans(spec, eps):
     """(s0, s2, h0) as (float.hex, witness repr) or the error message, from
     level-by-level walks with every rational an eagerly reduced Fraction:
     the scans as they were before their witnesses became integer pairs."""
-    levels = list(spec.walk(0))  # (mult, mass) ascending
+    levels = [spec.level(i) for i in range(spec.size)]  # (mult, mass) ascending
     den, m = spec.den, len(levels)
     en, ed = eps.numerator, eps.denominator
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitekey import cli
+from finitekey import cli, spectra
 from finitekey.asymptotic import asymptotic_rate
 from finitekey.keyrate import key_length
 from finitekey.smooth import h0_smooth, s0_smooth, s2_smooth
@@ -25,10 +25,14 @@ def params(d=2, n=1, beta0=F(9, 10), epsilon=F(1, 2)):
     return ProtocolParams(d=d, n=n, beta0=beta0, epsilon=epsilon)
 
 
+def rows(spec):
+    """(multiplicity, mass) of every level, in order, read off level(i)."""
+    return [spec.level(i) for i in range(spec.size)]
+
+
 def lists(spec):
-    """(numerators, stored multiplicities) of every level, read off walk(0)."""
-    rows = list(spec.walk(0))
-    return [w // m for m, w in rows], [m for m, _ in rows]
+    """(numerators, stored multiplicities) of every level, read off level(i)."""
+    return [w // m for m, w in rows(spec)], [m for m, _ in rows(spec)]
 
 
 @st.composite
@@ -191,8 +195,7 @@ def test_mass_streams_match_levels(p):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         # level (v, m) is stored as m / g eigenvalues carrying mass m * v
         direct = [(m // spec.g, m * v * spec.den) for v, m in spec.levels]
-        assert list(spec.walk(0)) == direct
-        assert list(spec.walk(spec.size - 1, reverse=True)) == direct[::-1]
+        assert rows(spec) == direct
 
 
 @given(valid_params(), st.integers(-1, 7), st.integers(-1, 7))
@@ -216,16 +219,14 @@ def test_squared_mass_window(p, lo, hi):
 @settings(max_examples=30, deadline=None)
 def test_family_streams_match_explicit_levels(p):
     """Rebuilding through from_levels stores explicit level lists; their
-    streams must agree with the closed-form family's recurrences."""
+    levels and windows must agree with the closed-form family's."""
     spec = eve_spectrum(p)
     plain = CompressedSpectrum.from_levels(spec.levels)
 
-    def masses(s, reverse=False):
-        start = s.size - 1 if reverse else 0
-        return [(m, F(w, s.den)) for m, w in s.walk(start, reverse)]
+    def masses(s):
+        return [(m, F(w, s.den)) for m, w in rows(s)]
 
     assert masses(plain) == masses(spec)
-    assert masses(plain, reverse=True) == masses(spec, reverse=True)
     m = spec.size
     for lo in range(m):
         for hi in range(lo, m):
@@ -236,23 +237,22 @@ def test_family_streams_match_explicit_levels(p):
                 )
 
 
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("rebuild", [False, True])
-def test_walk_outside_the_levels_yields_nothing(rebuild, reverse):
-    """A walk started outside [0, size) yields no level on either class, in
-    either direction, as `moment` clamps its window; inside, it starts at
-    its own level."""
+def test_level_outside_the_levels_raises_index_error(rebuild):
+    """level(i) raises IndexError for i outside [0, size) on either class:
+    the lists do not wrap a negative i, and the family reads no level past
+    n.  Inside, it is the i-th level, xe-like zero level included."""
     spec = _Family(5, 3, 1, 2, zero_mult=4)
     if rebuild:
         spec = CompressedSpectrum.from_levels(spec.levels)
-    m, rows = spec.size, [(4, 0)] + [
+    m, want = spec.size, [(4, 0)] + [
         (math.comb(5, l) * 2 ** (5 - l), math.comb(5, l) * 2 ** (5 - l) * 3**l)
         for l in range(6)
     ]
     for i in (-2, -1, m, m + 1):
-        assert list(spec.walk(i, reverse)) == []
-    for i in range(m):
-        assert list(spec.walk(i, reverse)) == (rows[i::-1] if reverse else rows[i:])
+        with pytest.raises(IndexError):
+            spec.level(i)
+    assert rows(spec) == want
 
 
 @given(
@@ -298,6 +298,18 @@ def test_sums_match_direct_sums(p, data):
             for k in (0, 1, 2):
                 want = sum(mults[i] * nums[i] ** k for i in inside)
                 assert spec.moment(lo, hi, k) == want
+
+
+@given(valid_params(max_n=40))
+@settings(max_examples=60, deadline=None)
+def test_level_is_a_one_level_window(p):
+    """level(i) is the count and mass of the window [i, i+1) on families,
+    their explicit rebuilds and xe's zero level, where the mass is 0."""
+    for spec in _both_classes(p):
+        for i in range(spec.size):
+            assert spec.level(i) == (spec.moment(i, i + 1, 0), spec.moment(i, i + 1, 1))
+        if spec.zero_mult:
+            assert spec.level(0) == (spec.zero_mult, 0)
 
 
 def _log_moments_match(spec, windows):
@@ -381,12 +393,9 @@ def test_lazy_lists_match_eager_construction(p):
     g, (nums, mults) = xe.g, lists(xe)
     assert (nums, [g * m for m in mults], g * xe.den, xe.total_dim) == want_xe
     assert (*lists(cond), cond.den, cond.total_dim) == want_cond
-    # a walk seeded at any level continues the same lists, either way
+    # the lists the benchmark's tracer reads, each by its own recurrence
     for spec, (nums, mults, _, _) in ((eve, want_eve), (xe, want_xe), (cond, want_cond)):
-        rows = [(m // spec.g, m // spec.g * v) for v, m in zip(nums, mults)]
-        for i in range(len(rows)):
-            assert list(spec.walk(i)) == rows[i:]
-            assert list(spec.walk(i, reverse=True)) == rows[i::-1]
+        assert (spec.value_nums, spec.mults) == (nums, [m // spec.g for m in mults])
 
 
 def test_no_package_path_reads_family_lists(monkeypatch):
@@ -419,8 +428,26 @@ def test_xe_is_the_conditional_spectrum_d_n_times(p):
     d, n = p.d, p.n
     xe, cond = xe_spectrum(p), conditional_spectrum(p)
     assert (xe.g, xe.den) == (d**n, cond.den)
-    assert list(xe.walk(1)) == list(cond.walk(0))
-    assert next(xe.walk(0)) == (d ** (2 * n) - d**n, 0)
+    assert rows(xe)[1:] == rows(cond)
+    assert xe.level(0) == (d ** (2 * n) - d**n, 0)
+
+
+def test_builders_refuse_oversized_points(monkeypatch):
+    """Each builder, on both of its branches, refuses a point whose largest
+    n-th power would exceed MAX_POWER_BITS before it builds anything, and
+    admits the README's n = 1e6 point.  Both classes are stubbed, so no
+    spectrum is built either way."""
+    built = []
+    monkeypatch.setattr(spectra, "_Family", lambda *args, **kw: built.append(args))
+    monkeypatch.setattr(spectra, "CompressedSpectrum", lambda *args: built.append(args))
+    for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
+        for beta0 in (F(49, 50), F(1)):
+            for n in (10**8, 10**400):  # 10^400: beyond every float
+                with pytest.raises(ValueError, match="too large"):
+                    build(params(n=n, beta0=beta0))
+            built.clear()
+            build(params(n=10**6, beta0=beta0))
+            assert len(built) == 1
 
 
 # eve at d=2, n=3, beta0=49/50: alpha=97, beta=1, div=3, g = 1
@@ -464,6 +491,30 @@ def test_family_rejects_inconsistent_identities(family):
 def test_rejects_malformed_levels(nums, mults, den, match):
     with pytest.raises(ValueError, match=match):
         CompressedSpectrum(nums, mults, den)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: CompressedSpectrum([0.5], [2], 1), id="float-numerator"),
+        pytest.param(lambda: CompressedSpectrum([1], [1.0], 1), id="float-multiplicity"),
+        pytest.param(lambda: CompressedSpectrum([1], [1], 1.0), id="float-denominator"),
+        pytest.param(lambda: CompressedSpectrum([1], [True], 1), id="bool-multiplicity"),
+        pytest.param(
+            lambda: CompressedSpectrum.from_levels([(F(1, 2), 2.9)]),
+            id="from-levels-float-multiplicity",
+        ),
+        pytest.param(
+            lambda: CompressedSpectrum.from_levels([(F(1, 4), "4")]),
+            id="from-levels-str-multiplicity",
+        ),
+    ],
+)
+def test_rejects_non_integer_levels(build):
+    """Every numerator, multiplicity and the denominator must be an int
+    (not a bool), even where a float or a truncated value would sum to 1."""
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
 
 
 def test_rejects_unsorted_levels():
