@@ -255,6 +255,37 @@ def test_level_outside_the_levels_raises_index_error(rebuild):
     assert rows(spec) == want
 
 
+def walk(spec, i, reverse=False):
+    """The levels read off level(j) for j = i, i+1, ... (i, i-1, ... when
+    reverse) until level(j) raises IndexError."""
+    out = []
+    while True:
+        try:
+            out.append(spec.level(i))
+        except IndexError:
+            return out
+        i += -1 if reverse else 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_walk_outside_the_levels_yields_nothing(rebuild, reverse):
+    """A walk over level(i) started outside [0, size) yields no level on
+    either class, in either direction; inside, it starts at its own level
+    and stops at the first or last level, as level(i) wraps no index."""
+    spec = _Family(5, 3, 1, 2, zero_mult=4)
+    if rebuild:
+        spec = CompressedSpectrum.from_levels(spec.levels)
+    m, want = spec.size, [(4, 0)] + [
+        (math.comb(5, l) * 2 ** (5 - l), math.comb(5, l) * 2 ** (5 - l) * 3**l)
+        for l in range(6)
+    ]
+    for i in (-2, -1, m, m + 1):
+        assert walk(spec, i, reverse) == []
+    for i in range(m):
+        assert walk(spec, i, reverse) == (want[i::-1] if reverse else want[i:])
+
+
 @given(
     st.integers(0, 40), st.integers(0, 60), st.integers(0, 80),
     st.integers(2, 9), st.integers(2, 9),
