@@ -12,33 +12,32 @@ builds all three in compressed (value, multiplicity) form as one type,
 
 A spectrum keeps integer level numerators over one common denominator so the
 entropy scans downstream run on plain integers, and is given only what
-defines it.  `CompressedSpectrum(value_nums, mults, den)` holds explicit
-levels as two lists (`from_levels(levels)` builds them from pairs), checked
-level by level; its `total_dim` is sum(mults).  The three protocol spectra
-are its subclass `_Family(n, alpha, beta, div, zero_mult=0, g_base=1)`, whose
-levels are closed forms in single-copy numbers: above an optional zero level,
-level l = 0..n has numerator alpha^l * beta^(n-l) and multiplicity
-C(n, l) * div^(n-l).  By the binomial theorem these sum to den =
-(alpha + div*beta)^n and to (1 + div)^n, so normalisation and the dimension
-count hold by construction.  `den_factors` states den's primes (trial
-division of alpha + div*beta up to `kernel.small_factors`' bound; an explicit
-spectrum states none).  A degeneracy g = g_base^n makes each stored level g
-eigenvalues at 1/g of its value: g is 1 unless given, and d^n for rho_XE,
-whose nonzero levels are P(X|Y)'s repeated d^n times.  What a scan reads is
-per copy; `levels` and `total_dim` count all copies, and `g_factors` states
-g's primes.  Nothing of size O(n) is stored.  A scan reads single levels in
-closed form: `level(i)` is the (multiplicity, mass) of level i, on a family
-one `math.comb` and two powers, so a scan costs only the levels it reads.
-The pairs `levels` are `level(i)` for every i.  A window of levels is not
-read level by level: `moment(lo, hi, k)` is the k-th moment sum of mult *
-num^k over the window, so k = 0, 1, 2 give its count, mass and squared
-mass.  On a family its terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
-and u = div*beta^k, a hypergeometric series in the level index, which
-`_series` evaluates by binary splitting over the ratio (n-l)*v/(l+1), with
-u as a weight.  One exact division closes it before the window's common
-factor v^lo * u^(n-hi+1) is multiplied back in.  To predict where a scan
-stops, `log_moment(lo, hi, k)` is its natural log for k = 0, 1, which a
-family sums in floats from its terms nearest their mode.
+defines it: `CompressedSpectrum(n, alpha, beta, div, zero_mult=0,
+g_factors=({}, 1))`, whose levels are closed forms in single-copy numbers.
+Above an optional zero level, level l = 0..n has numerator alpha^l *
+beta^(n-l) and multiplicity C(n, l) * div^(n-l).  By the binomial theorem
+these sum to den = (alpha + div*beta)^n and to (1 + div)^n, so
+normalisation and the dimension count hold by construction.  `den_factors`
+states den's primes (trial division of alpha + div*beta up to
+`kernel.small_factors`' bound).  A degeneracy g, given as the
+`small_factors` table `g_factors`, makes each stored level g eigenvalues at
+1/g of its value: g is 1 unless given, and d^n for rho_XE, whose nonzero
+levels are P(X|Y)'s repeated d^n times.  At beta0 = 1 every spectrum is the
+family at n = 0: one level of value 1, for rho_XE over a zero level.  What a
+scan reads is per copy; `levels` and `total_dim` count all copies.  Nothing
+of size O(n) is stored.  A scan reads single levels in closed form:
+`level(i)` is the (multiplicity, mass) of level i, one `math.comb` and two
+powers, so a scan costs only the levels it reads.  The pairs `levels` are
+`level(i)` for every i.  A window of levels is not read level by level:
+`moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the window,
+so k = 0, 1, 2 give its count, mass and squared mass.  Its terms are
+C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
+hypergeometric series in the level index, which `_series` evaluates by
+binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
+exact division closes it before the window's common factor v^lo *
+u^(n-hi+1) is multiplied back in.  To predict where a scan stops,
+`log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
+from the terms nearest their mode.
 
 An exact point costs time that grows faster than the bit length of its
 spectra's n-th powers, so each builder refuses, before forming any, a point
@@ -161,106 +160,50 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
     return Q, T
 
 
-def _check_levels(nums, mults, den):
-    if not nums or len(nums) != len(mults):
-        raise ValueError("CompressedSpectrum: malformed level lists")
-    if any(type(x) is not int for x in (den, *nums, *mults)):
-        raise ValueError("CompressedSpectrum: numerators, multiplicities and "
-                         "denominator must be integers")
-    if den < 1:
-        raise ValueError("CompressedSpectrum: denominator must be positive")
-    if nums[0] < 0:
-        raise ValueError("CompressedSpectrum: negative level value")
-    prev = -1
-    for v in nums:
-        if v <= prev:
-            raise ValueError("CompressedSpectrum: level values must be strictly ascending")
-        prev = v
-    if any(c < 1 for c in mults):
-        raise ValueError("CompressedSpectrum: multiplicities must be >= 1")
-    if sum(m * v for v, m in zip(nums, mults)) != den:
-        raise ValueError("CompressedSpectrum: spectrum does not sum to 1 exactly")
-
-
 class CompressedSpectrum:
-    """Density-operator spectrum as strictly ascending (value, multiplicity)
-    levels; values are `value_nums[i] / (den * g)`, for a degeneracy g.
+    """Density-operator spectrum as strictly ascending levels in closed
+    form: an optional zero level of multiplicity zero_mult (index 0 when
+    present), then for l = 0..n numerator alpha^l beta^(n-l) and
+    multiplicity C(n, l) * div^(n-l).  Each level stands for g eigenvalues
+    at value numerator / (den * g), for the degeneracy g = rest *
+    prod(p**e for p, e in primes) given as g_factors = (primes, rest).
+
+    With alpha > beta >= 1 the numerators strictly ascend.  The level sums
+    are the binomial theorem's, so the spectrum is normalised by
+    construction: den is the masses' sum (alpha + div*beta)^n, and
+    total_dim is g times the multiplicities' sum (1 + div)^n plus the zero
+    level.  Any n, alpha, beta, div, zero_mult or g that is not an int (a
+    bool included) is refused.
 
     Scans read levels through `level(i)`, the (multiplicity, mass) of level
     i, which raises IndexError for an i outside [0, size); the mass is
     multiplicity * numerator, so a level's numerator is mass //
-    multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a
-    window of levels, clamped to them.  `size` is the number of levels and
-    `zero_mult` the multiplicity of a zero level at index 0 (0 when there is
-    none).  A grouped probability distribution is the same object: `mults`
-    count strings and `total_dim`, their sum, is the number of strings.
-    `den_factors` and `g_factors` are (primes, rest) with den (or g) =
-    rest * prod(p**e for p, e in primes); explicit levels know no primes.
+    multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a window of
+    levels, clamped to them.  `size` is the number of levels and
+    `zero_mult` the multiplicity of a zero level at index 0 (0 when there
+    is none).  A grouped probability distribution is the same object:
+    multiplicities count strings and `total_dim` is the number of strings.  `den_factors` and `g_factors` are (primes, rest) with den
+    (or g) = rest * prod(p**e for p, e in primes).
     """
 
-    g = 1
-    g_factors = ({}, 1)
-
-    def __init__(self, value_nums, mults, den: int):
-        nums, mults = list(value_nums), list(mults)
-        _check_levels(nums, mults, den)
-        self.value_nums, self.mults = nums, mults
-        self.den, self.total_dim, self.den_factors = den, sum(mults), ({}, den)
-        self.size = len(nums)
-        self.zero_mult = mults[0] if nums[0] == 0 else 0
-
-    @staticmethod
-    def from_levels(levels) -> "CompressedSpectrum":
-        """Build from explicit (Fraction, multiplicity) pairs (ascending)."""
-        vals = [Fraction(v) for v, _ in levels]
-        den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-        nums = [v.numerator * (den // v.denominator) for v in vals]
-        return CompressedSpectrum(nums, [m for _, m in levels], den)
-
-    @cached_property
-    def levels(self) -> list[tuple[Fraction, int]]:
-        return [(Fraction(w // m, self.den * self.g), m * self.g)
-                for m, w in map(self.level, range(self.size))]
-
-    def level(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.size:
-            raise IndexError(f"level {i} outside 0..{self.size - 1}")
-        return self.mults[i], self.mults[i] * self.value_nums[i]
-
-    def moment(self, lo: int, hi: int, k: int) -> int:
-        """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
-        levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
-        mass.  A zero level counts toward k = 0 only."""
-        lo, hi = max(lo, 0), max(hi, 0)
-        return sum(m * v**k for m, v in zip(self.mults[lo:hi], self.value_nums[lo:hi]))
-
-    def log_moment(self, lo: int, hi: int, k: int) -> float:
-        """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum."""
-        return math.log(s) if (s := self.moment(lo, hi, k)) else -math.inf
-
-
-class _Family(CompressedSpectrum):
-    """Closed-form levels: an optional zero level of multiplicity zero_mult
-    (index 0 when present), then for l = 0..n numerator alpha^l beta^(n-l)
-    and multiplicity C(n, l) * div^(n-l), each standing for g = g_base^n
-    eigenvalues.
-
-    With alpha > beta >= 1 the numerators strictly ascend.  The level
-    sums are the binomial theorem's, so the family is normalised by
-    construction: den is the masses' sum (alpha + div*beta)^n, and total_dim
-    is g times the multiplicities' sum (1 + div)^n plus the zero level.
-    """
-
-    def __init__(self, n, alpha, beta, div, zero_mult=0, g_base=1):
-        if n < 0 or not alpha > beta >= 1 or div < 1 or g_base < 1 or zero_mult < 0:
+    def __init__(self, n, alpha, beta, div, zero_mult=0, g_factors=({}, 1)):
+        primes, rest = g_factors
+        g = rest * math.prod(p**e for p, e in primes.items())
+        if (any(type(x) is not int for x in (n, alpha, beta, div, zero_mult, g))
+                or n < 0 or not alpha > beta >= 1 or div < 1 or zero_mult < 0 or g < 1):
             raise ValueError("CompressedSpectrum: malformed level family")
         self.n, self.alpha, self.beta, self.div = n, alpha, beta, div
         self.zero_mult, self.z = zero_mult, 1 if zero_mult else 0  # z: index of l = 0
         self.size = self.z + n + 1
         base = alpha + div * beta
         self.den, self.den_factors = base**n, small_factors(base, n)
-        self.g, self.g_factors = g_base**n, small_factors(g_base, n)
-        self.total_dim = self.g * ((1 + div) ** n + zero_mult)
+        self.g, self.g_factors = g, g_factors
+        self.total_dim = g * ((1 + div) ** n + zero_mult)
+
+    @cached_property
+    def levels(self) -> list[tuple[Fraction, int]]:
+        return [(Fraction(w // m, self.den * self.g), m * self.g)
+                for m, w in map(self.level, range(self.size))]
 
     def level(self, i: int) -> tuple[int, int]:
         if not 0 <= i < self.size:
@@ -272,11 +215,14 @@ class _Family(CompressedSpectrum):
         return mult, mult * self.alpha**l * self.beta ** (n - l)
 
     def moment(self, lo: int, hi: int, k: int) -> int:
-        """The window's terms are C(n, l) * v^l * u^(n-l) with v = alpha^k
-        and u = div*beta^k: C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.
-        C(n, lo) * T // Q is exact, as each term over v^lo * u^(n-hi+1) is
-        an integer, and is taken before those powers are put back, so the
-        quotient stays narrow."""
+        """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
+        levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
+        mass.  A zero level counts toward k = 0 only.  The window's terms
+        are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k:
+        C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.  C(n, lo) * T // Q
+        is exact, as each term over v^lo * u^(n-hi+1) is an integer, and is
+        taken before those powers are put back, so the quotient stays
+        narrow."""
         z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
@@ -287,7 +233,8 @@ class _Family(CompressedSpectrum):
         return zero + math.comb(n, lo) * T // Q * v**lo * u ** (n - hi + 1)
 
     def log_moment(self, lo: int, hi: int, k: int) -> float:
-        """The terms t_l fall away from the mode M, the last l with t_l /
+        """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum.
+        The terms t_l fall away from the mode M, the last l with t_l /
         t_(l-1) = (n-l+1)*v / (l*u) >= 1.  A window from M up sums from its
         first term (`math.lgamma`) until a term falls below 2^-60 of the sum,
         so every ratio is <= 1; one up to M is its mirror image, t_l being
@@ -341,15 +288,16 @@ def eve_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     Levels l = 0..n: value A^l * B^(n-l) with A = (beta0(d+1)-1)/d and
     B = (1-beta0)/(d(d-1)), multiplicity C(n,l)*(d^2-1)^(n-l); total
     dimension d^(2n).  All eigenvalues are nonzero, so the levels carry the
-    full rank.  At beta0 = 1 the state is pure: single level
-    (1, x1) on an effectively one-dimensional support.
+    full rank.  At beta0 = 1 the state is pure: one level of value 1 on
+    an effectively one-dimensional support, the family at n = 0, where any
+    alpha > beta >= 1 and div give that same level.
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     _refuse_oversized(n, q * d * (d - 1), d * d)  # den and total_dim
     if p == q:
-        return CompressedSpectrum([1], [1], 1)
-    return _Family(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1)
+        return CompressedSpectrum(0, 2, 1, 1)
+    return CompressedSpectrum(n, (p * (d + 1) - q) * (d - 1), q - p, d * d - 1)
 
 
 def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -361,15 +309,16 @@ def xe_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     These are P(X|Y)'s levels, each d^n times at 1/d^n of its value, so they
     are stored as `conditional_spectrum`'s with degeneracy g = d^n, over a
     zero level of d^(2n) - d^n per copy.  At beta0 = 1 only the uniform
-    level d^-n (x d^n) survives and the zero multiplicity grows to
-    d^(3n) - d^n.
+    level d^-n (x d^n) survives: cond's one level of value 1 with the same
+    degeneracy, over a zero level of d^(2n) - 1 per copy.
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     _refuse_oversized(n, q * (d - 1), d**3)  # den and total_dim
+    g = small_factors(d, n)
     if p == q:
-        return CompressedSpectrum([0, 1], [d ** (3 * n) - d**n, d**n], d**n)
-    return _Family(n, p * (d - 1), q - p, d - 1, d ** (2 * n) - d**n, g_base=d)
+        return CompressedSpectrum(0, 2, 1, 1, d ** (2 * n) - 1, g)
+    return CompressedSpectrum(n, p * (d - 1), q - p, d - 1, d ** (2 * n) - d**n, g)
 
 
 def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
@@ -378,11 +327,11 @@ def conditional_spectrum(params: ProtocolParams) -> CompressedSpectrum:
     The distribution is the same for every y: a string agreeing with y in l
     positions has probability beta0^l * beta1^(n-l), and there are
     C(n,l)*(d-1)^(n-l) such strings; support d^n.  At beta0 = 1 the
-    conditional distribution is deterministic.
+    conditional distribution is deterministic: one level of value 1.
     """
     d, n = params.d, params.n
     p, q = params.beta0.numerator, params.beta0.denominator
     _refuse_oversized(n, q * (d - 1), d)  # den and total_dim
     if p == q:
-        return CompressedSpectrum([1], [1], 1)
-    return _Family(n, p * (d - 1), q - p, d - 1)
+        return CompressedSpectrum(0, 2, 1, 1)
+    return CompressedSpectrum(n, p * (d - 1), q - p, d - 1)

@@ -63,7 +63,7 @@ def test_compute_refuses_an_oversized_point(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("an oversized spectrum was built")
 
-    monkeypatch.setattr(spectra, "_Family", refuse)
+    monkeypatch.setattr(spectra, "CompressedSpectrum", refuse)
     rc, lines = run(capsys, ["compute", "--n", "100000000", "--error-rate", "0.02",
                              "--epsilon", "0.01"])
     assert rc == 1

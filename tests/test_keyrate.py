@@ -158,12 +158,16 @@ def _refuse_to_build(*args, **kwargs):
 
 def test_key_length_refuses_an_oversized_point(monkeypatch):
     """n = 1e8 would form a 6.6e8-bit denominator and run for days, so
-    key_length refuses it before any family is built.  At beta0 = 1 the
-    analytic branch builds no n-copy spectrum and runs."""
-    monkeypatch.setattr(spectra, "_Family", _refuse_to_build)
+    key_length refuses it before any spectrum is built.  At beta0 = 1 the
+    analytic branch calls no builder of an n-copy spectrum and runs; only
+    asymptotic_rate builds its single-copy spectra."""
+    monkeypatch.setattr(spectra, "CompressedSpectrum", _refuse_to_build)
     params = ProtocolParams(d=2, n=10**8, beta0=F(49, 50), epsilon=F(1, 100))
     with pytest.raises(ValueError, match="too large"):
         key_length(params)
+    monkeypatch.undo()
+    for build in ("eve_spectrum", "xe_spectrum", "conditional_spectrum"):
+        monkeypatch.setattr(keyrate, build, _refuse_to_build)
     perfect = ProtocolParams(d=2, n=10**8, beta0=F(1), epsilon=F(1, 100))
     assert key_length(perfect).s2_bits == 10**8
 

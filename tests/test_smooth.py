@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from listed import ListedSpectrum
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from finitekey import smooth
 from finitekey.kernel import _strip, log2_bits, lowest_terms
@@ -25,7 +26,6 @@ from finitekey.smooth import (
     s2_smooth,
 )
 from finitekey.spectra import (
-    CompressedSpectrum,
     ProtocolParams,
     conditional_spectrum,
     eve_spectrum,
@@ -78,7 +78,7 @@ def test_s0_beta0_one():
 
 def test_s0_deep_removal_partial_level():
     # remove the whole bottom level and part of the next
-    spec = CompressedSpectrum.from_levels([(F(1, 16), 4), (F(1, 8), 2), (F(1, 2), 1)])
+    spec = ListedSpectrum.from_levels([(F(1, 16), 4), (F(1, 8), 2), (F(1, 2), 1)])
     bits, tr = s0_smooth(spec, F(3, 8))
     # 4/16 = 1/4 <= 3/8, then (3/8 - 1/4) / (1/8) = 1 entry of the next level
     assert tr.b == 1 and tr.k == 5 and tr.remaining_rank == 2
@@ -126,7 +126,7 @@ def test_s2_nontrivial_b_minus():
 
 
 def test_s2_crossing_error():
-    spec = CompressedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)])
+    spec = ListedSpectrum.from_levels([(F(1, 4), 2), (F(1, 2), 1)])
     with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum"):
         s2_smooth(spec, F(9, 10))
 
@@ -135,7 +135,7 @@ def test_s2_crossing_error_at_any_size():
     """x and y too long to print in decimal still raise the typed error,
     with the exact values kept on it."""
     D = 4 * 3**10000
-    spec = CompressedSpectrum.from_levels([(F(1, 4) - F(1, D), 1), (F(3, 4) + F(1, D), 1)])
+    spec = ListedSpectrum.from_levels([(F(1, 4) - F(1, D), 1), (F(3, 4) + F(1, D), 1)])
     with pytest.raises(EpsilonTooLargeError, match="epsilon too large for spectrum") as exc:
         s2_smooth(spec, F(1, 3))
     assert (exc.value.x, exc.value.y) == (F(7, 12) - F(1, D), F(5, 12) + F(1, D))
@@ -143,7 +143,7 @@ def test_s2_crossing_error_at_any_size():
 
 
 def test_s2_single_level_never_errors():
-    spec = CompressedSpectrum.from_levels([(F(1, 4), 4)])
+    spec = ListedSpectrum.from_levels([(F(1, 4), 4)])
     for eps in (0, F(1, 100), F(99, 100)):
         bits, sol = s2_smooth(spec, eps)
         assert sol.purity == F(1, 4) and bits == 2.0
@@ -240,7 +240,7 @@ def small_spectrum(draw):
     zeros = draw(st.integers(0, 3))
     if zeros:
         levels = [(F(0), zeros)] + levels
-    return CompressedSpectrum.from_levels(levels)
+    return ListedSpectrum.from_levels(levels)
 
 
 @given(small_spectrum(), st.integers(0, 99))
@@ -301,7 +301,7 @@ def test_family_scans_match_explicit_rebuilds(mass_on_top, p, eps):
     either side of its middle level."""
     assume(_mass_on_top(p) == mass_on_top)
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
-        plain = CompressedSpectrum.from_levels(spec.levels)
+        plain = ListedSpectrum.from_levels(spec.levels)
         for fn in (s0_smooth, s2_smooth, h0_smooth):
             assert _scan(fn, spec, eps) == _scan(fn, plain, eps)
 
@@ -341,7 +341,7 @@ def _bottom_budgets(levels):
 def test_s2_matches_reference_bottom_walk(p, rebuild, data):
     for family in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         # the reference walks explicit levels (degeneracy 1)
-        plain = CompressedSpectrum.from_levels(family.levels)
+        plain = ListedSpectrum.from_levels(family.levels)
         spec = plain if rebuild else family
         eps = data.draw(st.sampled_from(_bottom_budgets(plain.levels)))
         b_minus, x = _reference_bottom_walk(plain, eps)
@@ -363,7 +363,7 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
     cases = []
     for beta0 in (F(49, 50), F(8911, 10000)):
         family = xe_spectrum(params(n=120, beta0=beta0))
-        for spec in (family, CompressedSpectrum.from_levels(family.levels)):
+        for spec in (family, ListedSpectrum.from_levels(family.levels)):
             b = s2_smooth(spec, F(1, 640000))[1].b_minus
             assert (2 * (b + 1) > spec.size) == (beta0 == F(49, 50))
             below = spec.levels[:b]
@@ -454,7 +454,7 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     for beta0 in (F(3, 5), F(8911, 10000)):
         for family in (eve_spectrum(params(n=120, beta0=beta0)),
                        xe_spectrum(params(n=120, beta0=beta0))):
-            for spec in (family, CompressedSpectrum.from_levels(family.levels)):
+            for spec in (family, ListedSpectrum.from_levels(family.levels)):
                 for eps, fn in itertools.product((F(1, 100), F(1, 2)), sides):
                     calls.clear()
                     _scan(fn, spec, eps)
@@ -779,7 +779,7 @@ def test_scans_match_eager_fraction_reference(p, data):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         budgets = _identity_budgets(spec, q, p.d)
         eps_list = data.draw(st.lists(st.sampled_from(budgets), min_size=1, max_size=4))
-        rebuilt = CompressedSpectrum.from_levels(spec.levels)
+        rebuilt = ListedSpectrum.from_levels(spec.levels)
         for eps in eps_list:
             want = _reference_scans(rebuilt, eps)
             assert _canon_scans(spec, eps) == want

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listed import ListedSpectrum
 from finitekey import cli, spectra
 from finitekey.asymptotic import asymptotic_rate
 from finitekey.keyrate import key_length
@@ -13,7 +14,6 @@ from finitekey.smooth import h0_smooth, s0_smooth, s2_smooth
 from finitekey.spectra import (
     CompressedSpectrum,
     ProtocolParams,
-    _Family,
     _series,
     conditional_spectrum,
     eve_spectrum,
@@ -128,6 +128,33 @@ def test_conditional_beta0_one():
     assert s.total_dim == 1
 
 
+def _outcome(fn, spec, eps):
+    try:
+        return fn(spec, eps)
+    except ValueError as exc:
+        return type(exc), exc.args
+
+
+def test_beta0_one_families_are_the_explicit_spectra():
+    """At beta0 = 1 the builders return one-level families.  Their levels,
+    sizes, dimensions and den * g are those of the explicit lists [1], [1],
+    1 (eve, cond) and [0, 1], [d^(3n) - d^n, d^n], d^n (xe), and every scan
+    gives the same float and witness on both, for every d up to 64."""
+    for d in range(2, 65):
+        for n in (1, 2, 7):
+            p = params(d=d, n=n, beta0=F(1))
+            one = ListedSpectrum([1], [1], 1)
+            xe_listed = ListedSpectrum([0, 1], [d ** (3 * n) - d**n, d**n], d**n)
+            pairs = ((eve_spectrum(p), one), (xe_spectrum(p), xe_listed),
+                     (conditional_spectrum(p), one))
+            for spec, listed in pairs:
+                assert (spec.levels, spec.size) == (listed.levels, listed.size)
+                assert (spec.total_dim, spec.den * spec.g) == (listed.total_dim, listed.den)
+                for fn in (s0_smooth, s2_smooth, h0_smooth):
+                    for eps in (F(0), F(1, 10**6), F(1, 3), F(99, 100)):
+                        assert _outcome(fn, spec, eps) == _outcome(fn, listed, eps)
+
+
 # --- invariants -------------------------------------------------------------
 
 @given(valid_params())
@@ -204,7 +231,7 @@ def test_squared_mass_window(p, lo, hi):
     """Both classes clamp a window reaching past either end themselves; the
     inclusive window lo..hi is moment(lo, hi + 1, k)."""
     family = xe_spectrum(p)
-    plain = CompressedSpectrum.from_levels(family.levels)
+    plain = ListedSpectrum.from_levels(family.levels)
     for spec in (family, plain):
         for k in (0, 1, 2):
             direct = sum(
@@ -221,7 +248,7 @@ def test_family_streams_match_explicit_levels(p):
     """Rebuilding through from_levels stores explicit level lists; their
     levels and windows must agree with the closed-form family's."""
     spec = eve_spectrum(p)
-    plain = CompressedSpectrum.from_levels(spec.levels)
+    plain = ListedSpectrum.from_levels(spec.levels)
 
     def masses(s):
         return [(m, F(w, s.den)) for m, w in rows(s)]
@@ -242,9 +269,9 @@ def test_level_outside_the_levels_raises_index_error(rebuild):
     """level(i) raises IndexError for i outside [0, size) on either class:
     the lists do not wrap a negative i, and the family reads no level past
     n.  Inside, it is the i-th level, xe-like zero level included."""
-    spec = _Family(5, 3, 1, 2, zero_mult=4)
+    spec = CompressedSpectrum(5, 3, 1, 2, zero_mult=4)
     if rebuild:
-        spec = CompressedSpectrum.from_levels(spec.levels)
+        spec = ListedSpectrum.from_levels(spec.levels)
     m, want = spec.size, [(4, 0)] + [
         (math.comb(5, l) * 2 ** (5 - l), math.comb(5, l) * 2 ** (5 - l) * 3**l)
         for l in range(6)
@@ -273,9 +300,9 @@ def test_walk_outside_the_levels_yields_nothing(rebuild, reverse):
     """A walk over level(i) started outside [0, size) yields no level on
     either class, in either direction; inside, it starts at its own level
     and stops at the first or last level, as level(i) wraps no index."""
-    spec = _Family(5, 3, 1, 2, zero_mult=4)
+    spec = CompressedSpectrum(5, 3, 1, 2, zero_mult=4)
     if rebuild:
-        spec = CompressedSpectrum.from_levels(spec.levels)
+        spec = ListedSpectrum.from_levels(spec.levels)
     m, want = spec.size, [(4, 0)] + [
         (math.comb(5, l) * 2 ** (5 - l), math.comb(5, l) * 2 ** (5 - l) * 3**l)
         for l in range(6)
@@ -308,7 +335,7 @@ def test_series_matches_fraction_sum(lo, length, n, v, u):
 def _both_classes(p):
     for family in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         yield family
-        yield CompressedSpectrum.from_levels(family.levels)
+        yield ListedSpectrum.from_levels(family.levels)
 
 
 @given(valid_params(max_n=40), st.data())
@@ -389,9 +416,13 @@ def test_log_moment_where_no_float_holds_the_ratio(p):
 
 def _eager_levels(p):
     """(nums, mults, den, total) of eve, xe and cond, built as complete lists
-    the way the eager constructors did before the spectra became lazy."""
+    the way the eager constructors did before the spectra became lazy, and
+    at beta0 = 1 the explicit one- and two-level lists they built."""
     d, n = p.d, p.n
     a, q = p.beta0.numerator, p.beta0.denominator
+    if a == q:
+        one = [1], [1], 1, 1
+        return one, ([0, 1], [d ** (3 * n) - d**n, d**n], d**n, d ** (3 * n)), one
 
     def geometric(alpha, beta, mult0, div):
         nums, mults = [beta**n], [mult0]
@@ -415,8 +446,10 @@ def _eager_levels(p):
 @settings(max_examples=60, deadline=None)
 def test_lazy_lists_match_eager_construction(p):
     eve, xe, cond = eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)
-    if p.beta0 == 1:
-        return  # explicit single-level spectra, no family
+    # the lists the benchmark's tracer reads are the per-copy levels
+    for spec in (eve, xe, cond):
+        listed = zip(spec.value_nums, spec.mults)
+        assert [(F(v, spec.den * spec.g), m * spec.g) for v, m in listed] == spec.levels
     want_eve, want_xe, want_cond = _eager_levels(p)
     assert (*lists(eve), eve.den, eve.total_dim) == want_eve
     # xe stores one of its g = d^n copies: g times fewer eigenvalues, each
@@ -435,8 +468,8 @@ def test_no_package_path_reads_family_lists(monkeypatch):
     def refuse(self):
         raise AssertionError("a family's level lists were read")
 
-    monkeypatch.setattr(_Family, "value_nums", property(refuse))
-    monkeypatch.setattr(_Family, "mults", property(refuse))
+    monkeypatch.setattr(CompressedSpectrum, "value_nums", property(refuse))
+    monkeypatch.setattr(CompressedSpectrum, "mults", property(refuse))
     p = params(d=3, n=60, beta0=F(9, 10), epsilon=F(1, 100))
     key_length(p)
     asymptotic_rate(3, F(9, 10))
@@ -453,23 +486,21 @@ def test_no_package_path_reads_family_lists(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_xe_is_the_conditional_spectrum_d_n_times(p):
     """rho_XE's nonzero levels are P(X|Y)'s, each d^n times at 1/d^n of its
-    value: xe stores cond's levels with degeneracy d^n over one zero level."""
-    if p.beta0 == 1:
-        return  # explicit spectra, no family
+    value: xe stores cond's levels with degeneracy d^n over one zero level.
+    At beta0 = 1 cond is one level, so that zero level is d^(2n) - 1."""
     d, n = p.d, p.n
     xe, cond = xe_spectrum(p), conditional_spectrum(p)
     assert (xe.g, xe.den) == (d**n, cond.den)
     assert rows(xe)[1:] == rows(cond)
-    assert xe.level(0) == (d ** (2 * n) - d**n, 0)
+    assert xe.level(0) == (d ** (2 * n) - (1 if p.beta0 == 1 else d**n), 0)
 
 
 def test_builders_refuse_oversized_points(monkeypatch):
     """Each builder, on both of its branches, refuses a point whose largest
     n-th power would exceed MAX_POWER_BITS before it builds anything, and
-    admits the README's n = 1e6 point.  Both classes are stubbed, so no
-    spectrum is built either way."""
+    admits the README's n = 1e6 point.  The spectrum class is stubbed, so
+    no spectrum is built either way."""
     built = []
-    monkeypatch.setattr(spectra, "_Family", lambda *args, **kw: built.append(args))
     monkeypatch.setattr(spectra, "CompressedSpectrum", lambda *args: built.append(args))
     for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
         for beta0 in (F(49, 50), F(1)):
@@ -486,7 +517,7 @@ EVE_FAMILY = dict(n=3, alpha=97, beta=1, div=3)
 
 
 def test_family_accepts_consistent_den_and_total():
-    spec = _Family(**EVE_FAMILY)
+    spec = CompressedSpectrum(**EVE_FAMILY)
     assert (spec.den, spec.total_dim) == (100**3, 4**3)
     assert spec.levels == eve_spectrum(params(n=3, beta0=F(49, 50))).levels
 
@@ -496,12 +527,18 @@ def test_family_accepts_consistent_den_and_total():
     [
         pytest.param(dict(EVE_FAMILY, alpha=1), id="family4-64-64-malformed"),
         pytest.param(dict(EVE_FAMILY, beta=0), id="family5-912673-64-malformed"),
-        pytest.param(dict(EVE_FAMILY, g_base=0), id="family6-0-0-malformed"),
+        pytest.param(dict(EVE_FAMILY, g_factors=({}, 0)), id="family6-0-0-malformed"),
+        pytest.param(dict(EVE_FAMILY, alpha=97.0), id="float-alpha-malformed"),
+        pytest.param(dict(EVE_FAMILY, div=True), id="bool-div-malformed"),
+        pytest.param(dict(EVE_FAMILY, zero_mult=4.0), id="float-zero-mult-malformed"),
     ],
 )
 def test_family_rejects_inconsistent_identities(family):
+    """An inconsistent family, a degeneracy below 1, and any parameter that
+    is not an int (a bool included) are refused, even where a float would
+    give the same levels."""
     with pytest.raises(ValueError, match="malformed"):
-        _Family(**family)
+        CompressedSpectrum(**family)
 
 
 @pytest.mark.parametrize(
@@ -521,22 +558,22 @@ def test_family_rejects_inconsistent_identities(family):
 )
 def test_rejects_malformed_levels(nums, mults, den, match):
     with pytest.raises(ValueError, match=match):
-        CompressedSpectrum(nums, mults, den)
+        ListedSpectrum(nums, mults, den)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda: CompressedSpectrum([0.5], [2], 1), id="float-numerator"),
-        pytest.param(lambda: CompressedSpectrum([1], [1.0], 1), id="float-multiplicity"),
-        pytest.param(lambda: CompressedSpectrum([1], [1], 1.0), id="float-denominator"),
-        pytest.param(lambda: CompressedSpectrum([1], [True], 1), id="bool-multiplicity"),
+        pytest.param(lambda: ListedSpectrum([0.5], [2], 1), id="float-numerator"),
+        pytest.param(lambda: ListedSpectrum([1], [1.0], 1), id="float-multiplicity"),
+        pytest.param(lambda: ListedSpectrum([1], [1], 1.0), id="float-denominator"),
+        pytest.param(lambda: ListedSpectrum([1], [True], 1), id="bool-multiplicity"),
         pytest.param(
-            lambda: CompressedSpectrum.from_levels([(F(1, 2), 2.9)]),
+            lambda: ListedSpectrum.from_levels([(F(1, 2), 2.9)]),
             id="from-levels-float-multiplicity",
         ),
         pytest.param(
-            lambda: CompressedSpectrum.from_levels([(F(1, 4), "4")]),
+            lambda: ListedSpectrum.from_levels([(F(1, 4), "4")]),
             id="from-levels-str-multiplicity",
         ),
     ],
@@ -550,15 +587,15 @@ def test_rejects_non_integer_levels(build):
 
 def test_rejects_unsorted_levels():
     with pytest.raises(ValueError):
-        CompressedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)])
+        ListedSpectrum.from_levels([(F(1, 2), 1), (F(1, 4), 2)])
 
 
 def test_rejects_negative_level_value():
     with pytest.raises(ValueError, match="negative level value"):
-        CompressedSpectrum([-1, 3], [1, 1], 2)
+        ListedSpectrum([-1, 3], [1, 1], 2)
 
 
 def test_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
-        CompressedSpectrum.from_levels([(F(1, 4), 1), (F(1, 2), 1)])
+        ListedSpectrum.from_levels([(F(1, 4), 1), (F(1, 2), 1)])
 
