@@ -28,8 +28,9 @@ g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 Each boundary is one search (`_last_fit`) with its own predicate, and
 each is first guessed in floats (`_guess`), by bisecting on how many
 levels the scan takes over the logs of window sums (`log_moment`).  The
-search sums the guessed levels in one window and corrects the guess by
-closed-form reads of single levels (`level`).  Since s_r grows with r, the
+search sums the guessed levels in one window, reads the last of them in
+closed form (`level`) and corrects the guess by recurrence steps to the
+neighbouring levels (`step_level`).  Since s_r grows with r, the
 comparisons at the boundary certify what a full scan would find, and no
 level is scanned to.
 
@@ -156,23 +157,24 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     0 (down from m-1 if `reverse`), and the count C and mass W it took, i's
     included.  Level i is taken iff fits(mult, w, C, W) holds on the count
     and mass taken before it; fits holds at the first level and, once false,
-    stays false.  A guess of `taken` > 0 levels sums them in one window at
-    k = 0, 1 over the shorter side (past half the levels, total_dim/g and den
-    less the rest), then closed-form reads (`level`) drop levels that do not
-    fit and take next ones that do, one read per level the guess missed.
-    With no guess the scan reads from its end."""
+    stays false.  A guess of `taken` levels (at least the first) sums them in
+    one window at k = 0, 1 over the shorter side (past half the levels,
+    total_dim/g and den less the rest).  One closed-form read (`level`) of
+    the last guessed level follows, then recurrence steps (`step_level`)
+    drop levels that do not fit and take next ones that do, one step per
+    level the guess missed."""
     m, step = spec.size, -1 if reverse else 1
+    taken = max(taken, 1)
     i = m - taken if reverse else taken - 1  # the last level guessed
-    C = W = 0
-    if taken:
-        cut = m - taken if reverse else taken  # guessed: [cut, m) or [0, cut)
-        lo, hi = (0, cut) if reverse == (2 * taken > m) else (cut, m)
-        C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
-        if 2 * taken > m:  # the window holds the rest
-            C, W = spec.total_dim // spec.g - C, spec.den - W
-        while not fits(*(level := spec.level(i)), C - level[0], W - level[1]):
-            C, W, i = C - level[0], W - level[1], i - step  # guessed too far
-    while 0 <= i + step < m and fits(*(nxt := spec.level(i + step)), C, W):
+    cut = m - taken if reverse else taken  # guessed: [cut, m) or [0, cut)
+    lo, hi = (0, cut) if reverse == (2 * taken > m) else (cut, m)
+    C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
+    if 2 * taken > m:  # the window holds the rest
+        C, W = spec.total_dim // spec.g - C, spec.den - W
+    level = spec.level(i)
+    while not fits(*level, C - level[0], W - level[1]):  # guessed too far
+        C, W, i, level = C - level[0], W - level[1], i - step, spec.step_level(i, level, -step)
+    while 0 <= i + step < m and fits(*(nxt := spec.step_level(i, level, step)), C, W):
         C, W, i, level = C + nxt[0], W + nxt[1], i + step, nxt  # guessed too short
     return i, C, W, level
 

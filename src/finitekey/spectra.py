@@ -25,17 +25,22 @@ states den's primes (trial division of alpha + div*beta up to
 levels are P(X|Y)'s repeated d^n times.  At beta0 = 1 every spectrum is the
 family at n = 0: one level of value 1, for rho_XE over a zero level.  What a
 scan reads is per copy; `levels` and `total_dim` count all copies.  Nothing
-of size O(n) is stored.  A scan reads single levels in closed form:
+of size O(n) is stored.  A scan reads one level in closed form and steps
+to its neighbours by recurrence, so it costs only the levels it reads:
 `level(i)` is the (multiplicity, mass) of level i, one `math.comb` and two
-powers, so a scan costs only the levels it reads.  The pairs `levels` are
-`level(i)` for every i.  A window of levels is not read level by level:
-`moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the window,
-so k = 0, 1, 2 give its count, mass and squared mass.  Its terms are
-C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
+powers, and `step_level(i, level, +-1)` is level i+-1 from level i's, one
+big-by-small product and one exact division for each of the two.  The pairs
+`levels` are `level(i)` for every i.  A window of levels is not read level
+by level: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over
+the window, so k = 0, 1, 2 give its count, mass and squared mass.  Its
+terms are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
 hypergeometric series in the level index, which `_series` evaluates by
 binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
 exact division closes it before the window's common factor v^lo *
-u^(n-hi+1) is multiplied back in.  To predict where a scan stops,
+u^(n-hi+1) is multiplied back in.  A window is summed from the end of the
+family nearer to it: one nearer the top is its mirror image, term n-l with
+v and u swapped, so its `math.comb` is C(n, min(lo, n+1-hi)), which is 1
+for a window that reaches either end.  To predict where a scan stops,
 `log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
 from the terms nearest their mode.
 
@@ -64,10 +69,10 @@ __all__ = [
 
 # The largest n-th power (a denominator or a dimension) a builder forms, in
 # bits.  At d=2, beta0=49/50 the denominator has 6.64 bits per signal, so
-# the bound admits n up to 1.26e6 there; that exact point took 227 s and
-# 42 MB under CPython 3.11 on a 2-core Xeon.  The cost grows faster than n
-# (27 s at n=3e5, 200 s at 1e6), so n=1e8 would run for days; it is refused
-# at once.
+# the bound admits n up to 1.26e6 there; that exact point took 192 s and
+# 41 MB under CPython 3.11 on a 2-core Xeon.  The cost grows faster than n
+# (1.6 s at n=1e5, 122 s at 1e6), so n=1e8 would run for days; it is
+# refused at once.
 MAX_POWER_BITS = 2**23
 
 
@@ -176,14 +181,15 @@ class CompressedSpectrum:
     bool included) is refused.
 
     Scans read levels through `level(i)`, the (multiplicity, mass) of level
-    i, which raises IndexError for an i outside [0, size); the mass is
-    multiplicity * numerator, so a level's numerator is mass //
-    multiplicity.  `moment(lo, hi, k)` sums mult * num^k over a window of
-    levels, clamped to them.  `size` is the number of levels and
-    `zero_mult` the multiplicity of a zero level at index 0 (0 when there
-    is none).  A grouped probability distribution is the same object:
-    multiplicities count strings and `total_dim` is the number of strings.  `den_factors` and `g_factors` are (primes, rest) with den
-    (or g) = rest * prod(p**e for p, e in primes).
+    i, which raises IndexError for an i outside [0, size), and step to the
+    next through `step_level`; the mass is multiplicity * numerator, so a
+    level's numerator is mass // multiplicity.  `moment(lo, hi, k)` sums
+    mult * num^k over a window of levels, clamped to them.  `size` is the
+    number of levels and `zero_mult` the multiplicity of a zero level at
+    index 0 (0 when there is none).  A grouped probability distribution is
+    the same object: multiplicities count strings and `total_dim` is the
+    number of strings.  `den_factors` and `g_factors` are (primes, rest)
+    with den (or g) = rest * prod(p**e for p, e in primes).
     """
 
     def __init__(self, n, alpha, beta, div, zero_mult=0, g_factors=({}, 1)):
@@ -206,6 +212,9 @@ class CompressedSpectrum:
                 for m, w in map(self.level, range(self.size))]
 
     def level(self, i: int) -> tuple[int, int]:
+        """(multiplicity, mass) of level i in closed form: one `math.comb`
+        and two powers.  A scan reads one level so, and its neighbours by
+        `step_level`."""
         if not 0 <= i < self.size:
             raise IndexError(f"level {i} outside 0..{self.size - 1}")
         if i < self.z:
@@ -213,6 +222,26 @@ class CompressedSpectrum:
         n, l = self.n, i - self.z
         mult = math.comb(n, l) * self.div ** (n - l)
         return mult, mult * self.alpha**l * self.beta ** (n - l)
+
+    def step_level(self, i: int, level: tuple[int, int], step: int) -> tuple[int, int]:
+        """level(i + step) for step = +-1, from level = level(i).  Family
+        levels l and l+1 have multiplicities in the ratio (l+1)*div : n-l and
+        masses in the ratio (l+1)*div*beta : (n-l)*alpha, so each is one
+        big-by-small product and one exact division.  A step to or from the
+        zero level reads the level it steps to."""
+        j = i + step
+        if not 0 <= j < self.size:
+            raise IndexError(f"level {j} outside 0..{self.size - 1}")
+        if j < self.z:
+            return self.zero_mult, 0
+        if i < self.z:  # l = 0: numerator beta^n, multiplicity div^n
+            mult = self.div**self.n
+            return mult, mult * self.beta**self.n
+        (mult, mass), l = level, min(i, j) - self.z  # the step joins l and l+1
+        a, b = self.n - l, (l + 1) * self.div  # mult(l+1) = mult(l) * a / b
+        if step > 0:
+            return mult * a // b, mass * (a * self.alpha) // (b * self.beta)
+        return mult * b // a, mass * (b * self.beta) // (a * self.alpha)
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
@@ -222,13 +251,18 @@ class CompressedSpectrum:
         C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.  C(n, lo) * T // Q
         is exact, as each term over v^lo * u^(n-hi+1) is an integer, and is
         taken before those powers are put back, so the quotient stays
-        narrow."""
+        narrow.  A window nearer the top of the family (n+1-hi < lo) is
+        summed as its mirror image, term n-l with v and u swapped, so the
+        `math.comb` is C(n, min(lo, n+1-hi)) and the series starts at the
+        nearer end."""
         z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
         lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
         if hi <= lo:
             return zero
         n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+        if n + 1 - hi < lo:  # nearer the top: the mirror image, from l = n down
+            lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v
         Q, T = _series(lo, hi, n, v, u)
         return zero + math.comb(n, lo) * T // Q * v**lo * u ** (n - hi + 1)
 

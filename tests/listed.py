@@ -2,12 +2,13 @@
 
 `ListedSpectrum(value_nums, mults, den)` stores every level of a spectrum
 in two lists, checked level by level, and reads them with the interface
-the scans use (`level`, `moment`, `log_moment`, `levels`, `size`,
-`zero_mult`, `den`, `total_dim`, `g` and the factor tables).  Each sum is a
-plain Python sum over the lists, so a `CompressedSpectrum` rebuilt through
-`ListedSpectrum.from_levels(spec.levels)` checks the closed forms, and the
-scans' results on it check theirs.  It lives with the tests (imported as
-``from listed import ...``); the package builds only closed-form spectra.
+the scans use (`level`, `step_level`, `moment`, `log_moment`, `levels`,
+`size`, `zero_mult`, `den`, `total_dim`, `g` and the factor tables).  Each
+sum is a plain Python sum over the lists, so a `CompressedSpectrum` rebuilt
+through `ListedSpectrum.from_levels(spec.levels)` checks the closed forms,
+and the scans' results on it check theirs.  It lives with the tests
+(imported as ``from listed import ...``); the package builds only
+closed-form spectra.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class ListedSpectrum:
         if not 0 <= i < self.size:
             raise IndexError(f"level {i} outside 0..{self.size - 1}")
         return self.mults[i], self.mults[i] * self.value_nums[i]
+
+    def step_level(self, i: int, level: tuple[int, int], step: int) -> tuple[int, int]:
+        """level(i + step): explicit levels are read, not stepped."""
+        return self.level(i + step)
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the

@@ -39,6 +39,23 @@ def test_perfect_correlations_exact():
         assert res.s0_bits == 0.0 and res.h0_bits == 0.0
 
 
+@pytest.mark.parametrize("n, ell, s2, s0, h0", [
+    (1_000, "0x1.8791714d8531ep+8", "0x1.0a87829c21210p+10",
+     "0x1.96c0d0e64b27ep+8", "0x1.fd04416feeb11p+7"),
+    (10_000, "0x1.8d509bc8d250ap+12", "0x1.5a8ca9f94cb70p+13",
+     "0x1.6ff85ef6ad4b8p+11", "0x1.bbdfb8d892aa0p+10"),
+    (20_000, "0x1.a3421a9c24751p+13", "0x1.5d42209da4700p+14",
+     "0x1.5cc3f5bb1fa48p+12", "0x1.a1d77a15bac86p+11"),
+])
+def test_anchor_floats_are_pinned_to_the_bit(n, ell, s2, s0, h0):
+    """The README's anchor points (d=2, beta0=49/50, eps=1/100) give these
+    floats to the last bit.  The CLI prints 12 digits, so a one-ulp drift
+    in any exact step or float guess shows only here."""
+    res = key_length(ProtocolParams(d=2, n=n, beta0=F(49, 50), epsilon=F(1, 100)))
+    got = (res.ell_bits, res.s2_bits, res.s0_bits, res.h0_bits)
+    assert [x.hex() for x in got] == [ell, s2, s0, h0]
+
+
 def test_composition_single_copy():
     p = ProtocolParams(d=2, n=1, beta0=F(9, 10), epsilon=F(4, 5))
     assert p.epsilon_prime == F(1, 100)

@@ -399,19 +399,12 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
     """Cost guard: the bottom boundary of the n=1e4 anchor point (about
     6,500 levels up) is found without reading the levels up to it.  Both
-    searches, the top scan's included, read at most 5 single levels."""
+    searches, the top scan's included, read at most 5 single levels, in
+    closed form or by a recurrence step."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
-    spec = xe_spectrum(p)
-    reads, level = [], spec.level
-
-    def counted(i):
-        reads.append(i)
-        return level(i)
-
-    spec.level = counted
-    _, sol = s2_smooth(spec, p.epsilon_prime)
+    (_, sol), searches, _ = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
     assert sol.b_minus == 6487
-    assert len(reads) <= 5
+    assert sum(reads + steps for _, reads, steps, _ in searches) <= 5
 
 
 def test_s2_bottom_sums_take_the_shorter_side():
@@ -469,36 +462,60 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
 
 
-def _read_past_guesses(fn, spec, eps):
-    """(reverse, levels read past the guess) for each boundary search of
-    fn(spec, eps), and whether each sums its guess in one count window and
-    one mass window.  A search reads the last guessed level and the next
-    one, which certify the guess, and one more per level it missed."""
-    search, log = smooth._last_fit, []
+def _instrumented(fn, spec, eps):
+    """(result, searches, windows) of fn(spec, eps), or of its
+    EpsilonTooLargeError as (x, y).  windows lists every window the
+    scans sum, as (lo, hi, k, the k of each `math.comb` it takes), and
+    searches holds (reverse, closed-form `level` reads, `step_level` steps,
+    its windows) for each boundary search, in order."""
+    search, comb = smooth._last_fit, math.comb
+    level, step_level, moment = spec.level, spec.step_level, spec.moment
+    counts, combs, windows, searches = [0, 0], [], [], []
+
+    def counted(i):
+        counts[0] += 1
+        return level(i)
+
+    def stepped(i, read, step):
+        counts[1] += 1
+        return step_level(i, read, step)
+
+    def summed(lo, hi, k):
+        start = len(combs)
+        total = moment(lo, hi, k)
+        windows.append((lo, hi, k, combs[start:]))
+        return total
+
+    def recorded_comb(n, k):
+        combs.append(k)
+        return comb(n, k)
 
     def instrumented(spec, reverse, fits, taken=0):
-        reads, windows, level, moment = [0], [], spec.level, spec.moment
-
-        def counted(i):
-            reads[0] += 1
-            return level(i)
-
-        def recorded(lo, hi, k):
-            windows.append(k)
-            return moment(lo, hi, k)
-
-        spec.level, spec.moment = counted, recorded
-        try:
-            found = search(spec, reverse, fits, taken)
-        finally:
-            del spec.level, spec.moment
-        log.append((reverse, reads[0] - 2, windows == [0, 1]))
+        before, start = list(counts), len(windows)
+        found = search(spec, reverse, fits, taken)
+        searches.append((reverse, counts[0] - before[0], counts[1] - before[1],
+                         windows[start:]))
         return found
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smooth, "_last_fit", instrumented)
-        _scan(fn, spec, eps)
-    return log
+        patch.setattr(math, "comb", recorded_comb)
+        patch.setattr(spec, "level", counted)
+        patch.setattr(spec, "step_level", stepped)
+        patch.setattr(spec, "moment", summed)
+        result = _scan(fn, spec, eps)
+    return result, searches, windows
+
+
+def _read_past_guesses(fn, spec, eps):
+    """(reverse, levels read past the guess) for each boundary search of
+    fn(spec, eps), and whether each sums its guess in one count window and
+    one mass window.  A search reads the last guessed level and the next
+    one, which certify the guess, and one more per level it missed; a read
+    is a closed-form `level` or a `step_level` step."""
+    _, searches, _ = _instrumented(fn, spec, eps)
+    return [(reverse, reads + steps - 2, [k for _, _, k, _ in windows] == [0, 1])
+            for reverse, reads, steps, windows in searches]
 
 
 def test_guessed_boundaries_walk_a_handful_of_levels():
@@ -514,11 +531,58 @@ def test_guessed_boundaries_walk_a_handful_of_levels():
         assert all(past <= 3 and summed for _, past, summed in log)
 
 
+def test_searches_read_one_level_and_sum_from_the_nearer_end():
+    """Cost guard: at the n=1e4 anchor each of the four boundary searches
+    (the support cut on eve and on cond, both s2 boundaries on xe) makes
+    one closed-form `level` read and steps to every other level it reads.
+    Each window takes its one `math.comb` at the family end nearer to it:
+    C(n, 0) for the eight windows anchored at an end, and C(n, min(lo,
+    n+1-hi)) in family indices for s2's middle, which lies near the top."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    n, logs = p.n, []
+    for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
+                      (s2_smooth, xe_spectrum)):
+        spec = build(p)
+        _, searches, windows = _instrumented(fn, spec, p.epsilon_prime)
+        logs += searches
+        inside = [w for *_, ws in searches for w in ws]
+        assert all(combs == [0] for *_, combs in inside)
+        if fn is s2_smooth:
+            [(lo, hi, k, combs)] = [w for w in windows if w not in inside]
+            lo, hi = lo - spec.z, min(hi, spec.size) - spec.z  # family indices
+            assert k == 2 and combs == [min(lo, n + 1 - hi)]
+            assert 0 < n + 1 - hi < lo
+    assert len(logs) == 4
+    assert all(reads == 1 for _, reads, _, _ in logs)
+    assert sum(len(ws) for *_, ws in logs) == 8
+
+
+def test_s2_forced_far_miss_steps_to_the_boundary(monkeypatch):
+    """A guess of one level for s2's bottom boundary at the n=1e4 anchor,
+    about 6,500 levels short, is corrected by recurrence steps after one
+    closed-form read, and s2 returns the witness it returns unforced."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    want = s2_smooth(xe_spectrum(p), p.epsilon_prime)
+    search, guesses = smooth._guess, []
+
+    def forced_bottom(spec, reverse, fits):  # s2 guesses its bottom boundary first
+        guesses.append(reverse)
+        return 1 if len(guesses) == 1 else search(spec, reverse, fits)
+
+    monkeypatch.setattr(smooth, "_guess", forced_bottom)
+    got, searches, _ = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
+    assert got == want
+    assert guesses == [False, True] and len(searches) == 2
+    _, reads, steps, _ = searches[0]
+    assert reads == 1
+    assert steps == want[1].b_minus + 1  # to levels 1..b_minus and the first unfit
+
+
 def test_guesses_bisect_over_log_moments():
     """Cost guard: at the n=1e4 anchor each float guess (the support cut on
     eve and on cond, both s2 boundaries on xe) bisects on the levels its
     scan takes, reading four `log_moment` windows per probe, so it makes at
-    most 4 * (ceil(log2(m + 1)) + 1) calls and reads no level."""
+    most 4 * (ceil(log2(m + 1)) + 1) calls and reads or steps to no level."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     guess, calls = smooth._guess, []
 
@@ -533,11 +597,12 @@ def test_guesses_bisect_over_log_moments():
         def refused(*args):
             raise AssertionError("a guess read exact levels")
 
-        spec.log_moment, spec.level, spec.moment = recorded, refused, refused
+        spec.log_moment = recorded
+        spec.level = spec.step_level = spec.moment = refused
         try:
             return guess(spec, reverse, fits)
         finally:
-            del spec.log_moment, spec.level, spec.moment
+            del spec.log_moment, spec.level, spec.step_level, spec.moment
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smooth, "_guess", counted)

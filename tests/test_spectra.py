@@ -3,7 +3,7 @@ from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listed import ListedSpectrum
@@ -36,8 +36,8 @@ def lists(spec):
 
 
 @st.composite
-def valid_params(draw, max_n=5):
-    d = draw(st.integers(2, 3))
+def valid_params(draw, max_n=5, d=None):
+    d = draw(st.integers(2, 3)) if d is None else d
     n = draw(st.integers(1, max_n))
     q = draw(st.integers(2, 40))
     p = draw(st.integers(q // d + 1, q))
@@ -351,11 +351,38 @@ def test_sums_match_direct_sums(p, data):
             (data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
             for _ in range(4)
         ]
+        # a family window [lo, hi) is summed from its top end when
+        # n+1-hi < lo in family indices, i.e. hi > t = size + z - lo here
+        z = 1 if spec.zero_mult else 0
+        lo = data.draw(st.integers(z, (size + z) // 2))
+        t = size + z - lo
+        windows += [(lo, t), (lo - 1, t), (lo + 1, t), (lo, t - 1), (lo, t + 1)]
         for lo, hi in windows:
             inside = range(max(lo, 0), min(hi, size))
             for k in (0, 1, 2):
                 want = sum(mults[i] * nums[i] ** k for i in inside)
                 assert spec.moment(lo, hi, k) == want
+
+
+@given(st.one_of(valid_params(max_n=12), valid_params(max_n=12, d=5),
+                 valid_params(max_n=12, d=7)))
+@example(params(d=5, n=6, beta0=F(3, 5)))
+@example(params(d=7, n=4, beta0=F(5, 7)))
+@settings(max_examples=80, deadline=None)
+def test_step_reads_the_neighbouring_level(p):
+    """step_level(i, level(i), +-1) is level(i +- 1) on eve, xe and cond:
+    up from the bottom and down from the top, into and out of xe's zero
+    level, and at d = 5, 7, where div > 1 on every spectrum and beta > 1.
+    A step past either end raises IndexError, as level does."""
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        read = rows(spec)
+        for i in range(spec.size):
+            for step in (-1, 1):
+                if 0 <= i + step < spec.size:
+                    assert spec.step_level(i, read[i], step) == read[i + step]
+                else:
+                    with pytest.raises(IndexError):
+                        spec.step_level(i, read[i], step)
 
 
 @given(valid_params(max_n=40))
