@@ -25,14 +25,16 @@ A spectrum of degeneracy g (`spectra`; d^n for rho_XE) is scanned per copy.
 Masses, and so every boundary, do not see g; the support cut's counts are
 g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 
-Each boundary is one search (`_last_fit`) with its own predicate, and
-each is first guessed in floats (`_guess`), by bisecting on how many
-levels the scan takes over the logs of window sums (`log_moment`).  The
-search sums the guessed levels in one window, reads the last of them in
-closed form (`level`) and corrects the guess by recurrence steps to the
-neighbouring levels (`step_level`).  Since s_r grows with r, the
-comparisons at the boundary certify what a full scan would find, and no
-level is scanned to.
+Each boundary is one search (`_last_fit`) with its own predicate, tested
+against one integer budget tq = floor(eps*den): a mass or cost times den
+is an integer, so it is within eps iff that integer is at most tq.  Each
+is first guessed in floats (`_guess`) as the same test in logs, sums
+through `_log_add`, by bisecting on how many levels the scan takes over
+the logs of window sums (`log_moment`).  The search sums the guessed
+levels in one window, reads the last of them in closed form (`level`) and
+corrects the guess by recurrence steps to the neighbouring levels
+(`step_level`).  Since s_r grows with r, the comparisons at the boundary
+certify what a full scan would find, and no level is scanned to.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
 The witness rationals (s_b, x, y) are reduced only when a field is first
@@ -188,14 +190,13 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
     It is guessed from the bottom, as the levels whose summed mass stays
     within eps, since 1 - (mass above) in floats cancels for a small eps."""
     en, ed, den = eps.numerator, eps.denominator, spec.den
-    target = (ed - en) * den  # U/den >= 1-eps iff U*ed >= target
-    # ln(eps*den) from the integers: float(eps) is 1.0 for eps just below 1
-    ln_eps = math.log(en * den) - math.log(ed) if en else -math.inf
-    removed = _guess(spec, False, lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_eps)
+    tq = en * den // ed  # W/den < 1-eps iff W < den - tq, for W an integer
+    ln_tq = math.log(tq) if tq else -math.inf
+    removed = _guess(spec, False, lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_tq)
     i, cnt, U, (mult, w) = _last_fit(
-        spec, True, lambda mult, w, C, W: W * ed < target, spec.size - removed
+        spec, True, lambda mult, w, C, W: W < den - tq, spec.size - removed
     )
-    kept = spec.g * cnt - spec.g * (U * ed - target) // (ed * (w // mult))
+    kept = spec.g * cnt - spec.g * (U * ed - (ed - en) * den) // (ed * (w // mult))
     assert kept >= 1
     return spec.size - i, kept, U
 
@@ -247,13 +248,12 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     rationals throughout.
     """
     eps = _as_budget(eps)
-    den, g, m = spec.den, spec.g, spec.size
+    den, m = spec.den, spec.size
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
         # can move; the ball contains no lower-purity spectrum
-        mult, w = spec.level(0)
-        lam = Fraction(w // mult, den * g)
-        purity = g * mult * lam * lam
+        [(lam, count)] = spec.levels  # count includes the g copies
+        purity = count * lam * lam
         return -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)
     en, ed = eps.numerator, eps.denominator
     tq = en * den // ed  # s*den <= tq iff s <= eps, for s*den an integer
@@ -264,14 +264,13 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     ln_tq = math.log(tq) if tq else -math.inf
     b_minus, C, W, _ = _last_fit(
         spec, False, lambda mult, w, C, W: _prod_le(w, C, tq + W, mult),
-        _guess(spec, False, lambda lm, lw, lC, lW: lw + lC <= _log_add(ln_tq, lW) + lm),
+        _guess(spec, False, lambda lm, lw, lC, lW: lw - lm + lC <= _log_add(ln_tq, lW)),
     )
     # top scan, mirrored: lowering the Ct top levels (mass T) to lam = w/mult
     # costs (T - lam*Ct)/den, and a level stops it iff lam*Ct < T - tq
     top, Ct, T, _ = _last_fit(
         spec, True, lambda mult, w, C, W: not _prod_le(w, C, W - tq - 1, mult),
-        _guess(spec, True, lambda lm, lw, lC, lW: lW <= ln_tq or (
-            lw + lC > lW + math.log(-math.expm1(ln_tq - lW)) + lm)),
+        _guess(spec, True, lambda lm, lw, lC, lW: lW <= _log_add(ln_tq, lw - lm + lC)),
     )
 
     # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and

@@ -97,8 +97,7 @@ class ProtocolParams:
 
     d: signal dimension (qudit), n: sifted-key length, beta0: probability
     that Alice's and Bob's sifted symbols agree, epsilon: security parameter
-    of the final key.  Derived: beta1 = (1-beta0)/(d-1) per wrong symbol,
-    epsilon_prime = `smoothing_budget(epsilon)`.
+    of the final key.  Derived: epsilon_prime = `smoothing_budget(epsilon)`.
     """
 
     d: int
@@ -119,14 +118,6 @@ class ProtocolParams:
             )
         if not (0 < self.epsilon < 1):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-    @property
-    def beta1(self) -> Fraction:
-        return (1 - self.beta0) / (self.d - 1)
-
-    @property
-    def error_rate(self) -> Fraction:
-        return 1 - self.beta0
 
     @property
     def epsilon_prime(self) -> Fraction:

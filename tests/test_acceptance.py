@@ -145,7 +145,7 @@ def test_c7_closed_forms_exact():
         for n in (1, 2, 3):
             for beta0 in (F(17, 20), F(19, 20)):
                 p = ProtocolParams(d=d, n=n, beta0=beta0, epsilon=F(1, 2))
-                b1 = p.beta1
+                b1 = (1 - beta0) / (d - 1)
                 _, sol = s2_smooth(xe_spectrum(p), 0)
                 assert sol.purity == (beta0**2 + (d - 1) * b1**2) ** n / F(d) ** n
                 _, tr = s0_smooth(eve_spectrum(p), 0)

@@ -408,7 +408,9 @@ def test_readme_commands_parse():
 
 def test_package_runs_without_numpy():
     """numpy is a test dependency only: every module of the package imports,
-    and the CLI computes a point, with numpy unavailable."""
+    and the CLI computes a point, with numpy unavailable.  The point leaves
+    `concurrent.futures` unimported: `sweep` imports its pool only when it
+    runs one, which keeps a one-point run's start-up short."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = "\n".join([
         "import importlib, pkgutil, sys",
@@ -416,8 +418,10 @@ def test_package_runs_without_numpy():
         "import finitekey, finitekey.cli",
         "for mod in pkgutil.iter_modules(finitekey.__path__):",
         "    importlib.import_module('finitekey.' + mod.name)",
-        "raise SystemExit(finitekey.cli.main(['compute', '--n', '100',",
-        "    '--beta0', '0.98', '--epsilon', '0.01']))",
+        "status = finitekey.cli.main(['compute', '--n', '100',",
+        "    '--beta0', '0.98', '--epsilon', '0.01'])",
+        "assert 'concurrent.futures' not in sys.modules, 'compute imported the pool'",
+        "raise SystemExit(status)",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),

@@ -106,7 +106,8 @@ def test_s2_zero_eps_closed_form():
     for d, n, b0 in [(2, 1, F(9, 10)), (2, 3, F(17, 20)), (3, 2, F(19, 20))]:
         p = params(d=d, n=n, beta0=b0)
         _, sol = s2_smooth(xe_spectrum(p), 0)
-        assert sol.purity == (b0**2 + (d - 1) * p.beta1**2) ** n / F(d) ** n
+        b1 = (1 - b0) / (d - 1)
+        assert sol.purity == (b0**2 + (d - 1) * b1**2) ** n / F(d) ** n
 
 
 def test_s2_beta0_one_uniform():
@@ -616,13 +617,14 @@ def test_guesses_bisect_over_log_moments():
 
 
 @pytest.mark.parametrize("d, n", [(2, 20_000), (3, 10_000)])
-@pytest.mark.parametrize("eps", [F(1, 10**12), F(1, 10**40), 1 - F(1, 10**6)],
-                         ids=["1e-12", "1e-40", "1-1e-6"])
+@pytest.mark.parametrize("eps", [F(0), F(1, 10**12), F(1, 10**40), 1 - F(1, 10**6)],
+                         ids=["0", "1e-12", "1e-40", "1-1e-6"])
 def test_top_guesses_do_not_cancel(d, n, eps):
     """Cost guard: the support cut (s0, h0) and s2's top scan are guessed
     from the top without testing 1 - (mass above) in floats, which cancels:
     a guess made that way lands thousands of levels past the boundary for
-    a small eps.  Each reads at most 3 levels past its guess."""
+    a small eps, and eps = 0 guesses against ln 0 = -inf.  Each reads at
+    most 3 levels past its guess."""
     p = ProtocolParams(d=d, n=n, beta0=F(49, 50), epsilon=F(1, 100))
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
                       (s2_smooth, xe_spectrum)):

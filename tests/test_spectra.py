@@ -48,9 +48,10 @@ def valid_params(draw, max_n=5, d=None):
 
 def test_params_derived_fields():
     p = params(d=3, beta0=F(4, 5))
-    assert p.beta1 == F(1, 10)
-    assert p.error_rate == F(1, 5)
-    assert p.beta0 + (p.d - 1) * p.beta1 == 1
+    beta1, error_rate = (1 - p.beta0) / (p.d - 1), 1 - p.beta0
+    assert beta1 == F(1, 10)
+    assert error_rate == F(1, 5)
+    assert p.beta0 + (p.d - 1) * beta1 == 1
 
 
 def test_params_epsilon_prime():
@@ -81,7 +82,8 @@ def test_params_validation(kw):
 
 
 def test_params_accepts_boundary_beta0_one():
-    assert params(beta0=F(1)).beta1 == 0
+    p = params(beta0=F(1))
+    assert (1 - p.beta0) / (p.d - 1) == 0
 
 
 # --- worked examples --------------------------------------------------------
