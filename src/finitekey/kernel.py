@@ -12,6 +12,12 @@ powers (a bit trick for 2), and what is left of the ints meets it in one
 gcd on their own width, since gcd(a, b*c) = gcd(a, b) * gcd(a, c) for
 coprime b and c.  With no table that is one gcd, as in `Fraction`.
 
+Every quotient whose divisor can be wide, here and in the scans, is taken
+by `big_divmod`.  CPython up to 3.11 divides big ints by schoolbook, in
+time proportional to the quotient's width times the divisor's, and
+`big_divmod` divides recursively where both are wide; that includes the
+reduction's numerator modulo the ints, which brings it to their width.
+
 Precision is lost on purpose in one routine, `log2_bits`, which turns an
 exact positive quantity into float bits; the one exception is the asymptotic
 entropy sum, which keeps `math.log2` on every level a float can hold.
@@ -25,7 +31,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["rational_from_decimal", "log2_bits", "small_factors", "lowest_terms"]
+__all__ = ["rational_from_decimal", "log2_bits", "small_factors", "lowest_terms", "big_divmod"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -39,6 +45,15 @@ _WINDOW = 96
 # protocol denominators such as q*d*(d-1) or that of eps', whose primes are
 # almost always tiny; a cofactor with no prime below the bound is kept whole.
 _TRIAL = 1 << 10
+
+# Width in bits of a divisor or a quotient up to which `big_divmod` leaves
+# a division to the builtin, whose schoolbook cost is the product of the
+# two widths; CPython 3.12's recursive division uses 4000 bits too.  On a
+# 2-core Xeon under CPython 3.11, a 2n-by-n-bit recursive division costs
+# what the builtin does at n = 4000, 0.85 of it at 6000 and 0.45 at 32000,
+# and S2 at n = 2e4 and 1e5 times the same to 1% for any limit from 1000
+# to 8000.
+_DIV_LIMIT = 4000
 
 
 def rational_from_decimal(text: str) -> Fraction:
@@ -90,17 +105,74 @@ def _strip(v: int, p: int, cap) -> tuple[int, int]:
         return k, v >> k
     k, powers = 0, [p]
     while k + (step := 1 << (len(powers) - 1)) <= cap:
-        q, r = divmod(v, powers[-1])
+        q, r = big_divmod(v, powers[-1])
         if r:
             break
         v, k = q, k + step
         powers.append(powers[-1] * powers[-1])
     for i in range(len(powers) - 2, -1, -1):
         if k + (1 << i) <= cap:
-            q, r = divmod(v, powers[i])
+            q, r = big_divmod(v, powers[i])
             if not r:
                 v, k = q, k + (1 << i)
     return k, v
+
+
+def big_divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for b > 0, in time that grows as a multiplication's
+    (Karatsuba's, in CPython) rather than as the product of the quotient's
+    and the divisor's widths.  A quotient of a >= 0 by b, both wider than
+    _DIV_LIMIT bits, is taken by Burnikel & Ziegler's recursive division
+    ("Fast Recursive Division", MPI-I-98-1-022, 1998): a is read as digits
+    in base 2^n, n the width of b, and each digit of the quotient is one
+    2-by-1 division (`_div2n1n`).  The builtin divmod is the recursion's
+    base case, and takes every other quotient.  CPython 3.12 and later run
+    the same algorithm inside divmod, so this costs them little more."""
+    n = b.bit_length()
+    if a < 0 or n <= _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    if a >> n < b:  # a < b * 2^n: one quotient digit
+        return _div2n1n(a, b, n)
+    # the quotient of a's upper digits, then that of their remainder (below
+    # b) followed by the lower digits; each call has fewer digits than a
+    s = a.bit_length() // n // 2 * n
+    q, r = big_divmod(a >> s, b)
+    q2, r = big_divmod(r << s | a & ((1 << s) - 1), b)
+    return q << s | q2, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^n: its
+    quotient is one n-bit digit, whose two halves are each a 3-by-2 division
+    in digits of half the width (`_div3n2n`).  An odd n is made even by
+    doubling a and b, which keeps the quotient and doubles the remainder."""
+    if a.bit_length() - n <= _DIV_LIMIT:  # at least the quotient's width
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 * 2^h + a3, b) for b = b1 * 2^h + b2 of 2h bits, a3 < 2^h
+    and a12 < b, so the quotient is below 2^h.  It is estimated from
+    the top digits alone, as a12 // b1 (`_div2n1n` at half the width) or
+    2^h - 1 when that digit would overflow.  Since b's top bit is set, the
+    estimate is at most 2 too high, and the loop corrects it."""
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q, r = q - 1, r + b
+    return q, r
 
 
 def lowest_terms(num: int, *parts) -> Fraction:
@@ -118,9 +190,9 @@ def lowest_terms(num: int, *parts) -> Fraction:
         v, rest = _strip(rest, p, math.inf)
         k, num = _strip(num, p, e + v)
         den *= p ** (e + v - k)
-    g = math.gcd(num % rest, rest)
+    g = math.gcd(big_divmod(num, rest)[1], rest)
     f = object.__new__(Fraction)
-    f._numerator, f._denominator = num // g, den * (rest // g)
+    f._numerator, f._denominator = big_divmod(num, g)[0], den * big_divmod(rest, g)[0]
     return f
 
 

@@ -140,11 +140,22 @@ def threshold_error_rate(d: int, n: int, epsilon) -> float:
     """Error rate at which the raw key length crosses zero, to within 1e-4.
 
     Every error rate tried lies on the lattice e = k*THRESHOLD_TOL, which
-    keeps the exact spectra's denominators small.  Brackets the first sign
-    change of ell on the coarse grid of multiples of 0.01 (ell oscillates
-    near threshold, so bisecting blindly can catch a false root), then
-    bisects lattice indices, rounding each midpoint half to even.  Invalid
-    (d, n, epsilon) raise ValueError before any evaluation."""
+    keeps the exact spectra's denominators small.  The threshold is the
+    midpoint (k + 1/2)*THRESHOLD_TOL of the first lattice step with
+    ell(k) > 0 >= ell(k+1), counting k up from 1.  ell is not monotone in
+    the error rate.  Over every lattice point at six (d, n, epsilon) with
+    d = 2, 3 and n = 250 to 4000, it rose at hundreds of steps, by at most
+    0.35 bits where n <= 1000 and once to 1.0 bit one step below the zero,
+    yet changed sign exactly once at each.  Near the zero at d = 2,
+    n = 2e4 it falls 11 to 13 bits a step, with no rise.
+
+    The search brackets a sign change on the coarse grid of multiples of
+    0.01 (COARSE_STEPS lattice steps): the first with ell <= 0 tops the
+    bracket.  It then bisects lattice indices, rounding each midpoint half
+    to even, down to one step with ell(k) > 0 >= ell(k+1).  That is the
+    threshold whenever ell changes sign once below the top of the coarse
+    bracket; with more sign changes in the bracket it may be a later one.
+    Invalid (d, n, epsilon) raise ValueError before any evaluation."""
     epsilon = ProtocolParams(d=d, n=n, beta0=1, epsilon=epsilon).epsilon
 
     def ell(k: int) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .kernel import _log_add, log2_bits, lowest_terms, small_factors
+from .kernel import _log_add, big_divmod, log2_bits, lowest_terms, small_factors
 from .spectra import CompressedSpectrum
 
 __all__ = [
@@ -172,7 +172,7 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     lo, hi = (0, cut) if reverse == (2 * taken > m) else (cut, m)
     C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
     if 2 * taken > m:  # the window holds the rest
-        C, W = spec.total_dim // spec.g - C, spec.den - W
+        C, W = big_divmod(spec.total_dim, spec.g)[0] - C, spec.den - W
     level = spec.level(i)
     while not fits(*level, C - level[0], W - level[1]):  # guessed too far
         C, W, i, level = C - level[0], W - level[1], i - step, spec.step_level(i, level, -step)
@@ -196,7 +196,8 @@ def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int
     i, cnt, U, (mult, w) = _last_fit(
         spec, True, lambda mult, w, C, W: W < den - tq, spec.size - removed
     )
-    kept = spec.g * cnt - spec.g * (U * ed - (ed - en) * den) // (ed * (w // mult))
+    num = big_divmod(w, mult)[0]  # num_b, as lam_b = num_b/(den*g)
+    kept = spec.g * cnt - big_divmod(spec.g * (U * ed - (ed - en) * den), ed * num)[0]
     assert kept >= 1
     return spec.size - i, kept, U
 

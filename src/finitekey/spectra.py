@@ -36,11 +36,11 @@ the window, so k = 0, 1, 2 give its count, mass and squared mass.  Its
 terms are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
 hypergeometric series in the level index, which `_series` evaluates by
 binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
-exact division closes it before the window's common factor v^lo *
-u^(n-hi+1) is multiplied back in.  A window is summed from the end of the
-family nearer to it: one nearer the top is its mirror image, term n-l with
-v and u swapped, so its `math.comb` is C(n, min(lo, n+1-hi)), which is 1
-for a window that reaches either end.  To predict where a scan stops,
+exact division (`kernel.big_divmod`) closes it before the window's common
+factor v^lo * u^(n-hi+1) is multiplied back in.  A window is summed from
+the end of the family nearer to it: one nearer the top is its mirror
+image, term n-l with v and u swapped, so its `math.comb` is
+C(n, min(lo, n+1-hi)), which is 1 for a window that reaches either end.  To predict where a scan stops,
 `log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
 from the terms nearest their mode.
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kernel import _log_add, small_factors
+from .kernel import _log_add, big_divmod, small_factors
 
 __all__ = [
     "ProtocolParams",
@@ -69,9 +69,9 @@ __all__ = [
 
 # The largest n-th power (a denominator or a dimension) a builder forms, in
 # bits.  At d=2, beta0=49/50 the denominator has 6.64 bits per signal, so
-# the bound admits n up to 1.26e6 there; that exact point took 192 s and
-# 41 MB under CPython 3.11 on a 2-core Xeon.  The cost grows faster than n
-# (1.6 s at n=1e5, 122 s at 1e6), so n=1e8 would run for days; it is
+# the bound admits n up to 1.26e6 there; that exact point took 64 s and
+# 43 MB under CPython 3.11 on a 2-core Xeon.  The cost grows faster than n
+# (0.93 s at n=1e5, 43 s at 1e6), so n=1e8 would run for days; it is
 # refused at once.
 MAX_POWER_BITS = 2**23
 
@@ -136,23 +136,29 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
     (P1*P2, Q1*Q2, T1*Q2*u^(j-mid) + P1*T2).  The weight u stays out of the
     ratio, so Q depends on the range alone.  The operands stay balanced, so
     the cost is a few big multiplications instead of one per term.  Short
-    ranges are folded term by term on small integers.
+    ranges are folded term by term on small integers.  The halves of one
+    depth have at most two lengths, so each weight u^(j-mid) is raised once.
+    P is formed only where it is read: a left half's P1 always is, a right
+    half's only when its parent's is, and the whole range's never.
     """
+    weights = {}
 
-    def split(i: int, j: int) -> tuple[int, int, int]:
+    def split(i: int, j: int, want_p: bool) -> tuple[int, int, int]:
         if j - i <= 16:
             P, Q, T = 1, 1, 0
             for r in range(i, j):
                 P, Q, T = P * (n - r) * v, Q * (r + 1), (T * u + P) * (r + 1)
             return P, Q, T
         mid = (i + j) // 2
-        P1, Q1, T1 = split(i, mid)
-        P2, Q2, T2 = split(mid, j)
-        return P1 * P2, Q1 * Q2, T1 * Q2 * u ** (j - mid) + P1 * T2
+        P1, Q1, T1 = split(i, mid, True)
+        P2, Q2, T2 = split(mid, j, want_p)
+        if j - mid not in weights:
+            weights[j - mid] = u ** (j - mid)
+        return P1 * P2 if want_p else 0, Q1 * Q2, T1 * Q2 * weights[j - mid] + P1 * T2
 
     if hi <= lo:
         return 1, 0
-    _, Q, T = split(lo, hi)
+    _, Q, T = split(lo, hi, False)
     return Q, T
 
 
@@ -199,7 +205,7 @@ class CompressedSpectrum:
 
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
-        return [(Fraction(w // m, self.den * self.g), m * self.g)
+        return [(Fraction(big_divmod(w, m)[0], self.den * self.g), m * self.g)
                 for m, w in map(self.level, range(self.size))]
 
     def level(self, i: int) -> tuple[int, int]:
@@ -255,7 +261,7 @@ class CompressedSpectrum:
         if n + 1 - hi < lo:  # nearer the top: the mirror image, from l = n down
             lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v
         Q, T = _series(lo, hi, n, v, u)
-        return zero + math.comb(n, lo) * T // Q * v**lo * u ** (n - hi + 1)
+        return zero + big_divmod(math.comb(n, lo) * T, Q)[0] * v**lo * u ** (n - hi + 1)
 
     def log_moment(self, lo: int, hi: int, k: int) -> float:
         """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum.

@@ -407,20 +407,27 @@ def test_readme_commands_parse():
 # --- runtime dependencies ----------------------------------------------------
 
 def test_package_runs_without_numpy():
-    """numpy is a test dependency only: every module of the package imports,
-    and the CLI computes a point, with numpy unavailable.  The point leaves
+    """The package needs only the standard library: every module of it
+    imports, and the CLI computes a point, with numpy unavailable, and every
+    top-level module imported on the way (past those the interpreter loaded
+    at start-up) is in the standard library or is finitekey.  So no import
+    of gmpy2 or mpmath, say, can slip in.  The point leaves
     `concurrent.futures` unimported: `sweep` imports its pool only when it
     runs one, which keeps a one-point run's start-up short."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = "\n".join([
         "import importlib, pkgutil, sys",
         "sys.modules['numpy'] = None",
+        "at_start = set(sys.modules)",
         "import finitekey, finitekey.cli",
         "for mod in pkgutil.iter_modules(finitekey.__path__):",
         "    importlib.import_module('finitekey.' + mod.name)",
         "status = finitekey.cli.main(['compute', '--n', '100',",
         "    '--beta0', '0.98', '--epsilon', '0.01'])",
         "assert 'concurrent.futures' not in sys.modules, 'compute imported the pool'",
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - at_start}",
+        "other = tops - set(sys.stdlib_module_names) - {'finitekey'}",
+        "assert not other, f'imported outside the standard library: {sorted(other)}'",
         "raise SystemExit(status)",
     ])
     proc = subprocess.run(

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitekey.kernel import log2_bits, rational_from_decimal, small_factors
+from finitekey import kernel
+from finitekey.kernel import big_divmod, log2_bits, rational_from_decimal, small_factors
 
 
 def test_decimal_parsing_exact():
@@ -117,3 +119,53 @@ def test_small_factors_keeps_a_large_cofactor_whole():
     assert small_factors(1000003) == ({1000003: 1}, 1)  # below bound**2: proved prime
     assert small_factors(1) == ({}, 1)
     assert small_factors(2**10 * 3**4 * 5) == ({2: 10, 3: 4, 5: 1}, 1)
+
+
+@st.composite
+def division_operands(draw, limit):
+    """(a, b) with b > 0 for a division limit: divisor and quotient widths
+    on both sides of it (odd divisor widths among them, the padded case),
+    b a power of two or all ones, a below b, a an exact multiple of b, a
+    negative, and quotients up to 12 divisor widths long (the digit loop)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    nb = draw(st.one_of(st.integers(1, 3 * limit), st.sampled_from([limit + 1, 2 * limit + 1])))
+    b = draw(st.sampled_from([rnd.getrandbits(nb) | 1 << (nb - 1), 1 << (nb - 1), (1 << nb) - 1]))
+    qb = draw(st.one_of(st.integers(0, 3 * limit), st.integers(1, 12).map(lambda k: k * nb)))
+    a = draw(st.sampled_from([
+        rnd.getrandbits(nb + qb), rnd.randrange(b), b * rnd.getrandbits(qb),
+        (1 << nb + qb) - 1, -rnd.getrandbits(nb + qb),
+    ]))
+    return a, b
+
+
+@given(division_operands(kernel._DIV_LIMIT))
+@settings(max_examples=150, deadline=None)
+def test_big_divmod_matches_divmod(ab):
+    a, b = ab
+    assert big_divmod(*ab) == divmod(a, b)
+
+
+@given(division_operands(8))
+@settings(max_examples=300, deadline=None)
+def test_big_divmod_matches_divmod_at_a_low_limit(ab):
+    """With the limit at 8 bits, small operands recurse many levels deep."""
+    with mock.patch.object(kernel, "_DIV_LIMIT", 8):
+        assert big_divmod(*ab) == divmod(*ab)
+
+
+def test_big_divmod_recurses_only_past_the_limit():
+    """The 2-by-1 recursion runs when both the divisor and the quotient are
+    wider than the limit, and the builtin takes every other division."""
+    calls, real = [], kernel._div2n1n
+
+    def counted(a, b, n):
+        calls.append(n)
+        return real(a, b, n)
+
+    b = 3**3000 + 1  # 4755 bits, above the 4000-bit limit
+    with mock.patch.object(kernel, "_div2n1n", counted):
+        for a in (b << 3000, b * 7**999, 5**2000 << 3000):
+            assert big_divmod(a, b) == divmod(a, b)
+        assert calls == []  # a quotient at most 3000 bits wide, or b too narrow
+        assert big_divmod(b * b * b + 12345, b) == (b * b, 12345)
+        assert calls and min(calls) < kernel._DIV_LIMIT < max(calls)

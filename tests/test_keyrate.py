@@ -9,6 +9,7 @@ import pytest
 from finitekey import keyrate, spectra
 from finitekey.kernel import log2_bits
 from finitekey.keyrate import (
+    THRESHOLD_TOL,
     key_length,
     n_for_ntilde,
     sweep,
@@ -202,6 +203,20 @@ def test_sweep_reads_an_iterator_grid_once():
 def test_threshold_small_n():
     thr = threshold_error_rate(2, 500, F(1, 100))
     assert 0.039 <= thr <= 0.041
+
+
+def test_threshold_is_the_first_sign_change_of_the_lattice():
+    """At (d=2, n=300, eps=1/100) ell at every lattice point k = 1..320,
+    past the top (k = 300) of the coarse bracket, changes sign once, from
+    k = 281 to 282; the threshold is that step's midpoint."""
+    def ell(k):
+        beta0 = 1 - k * THRESHOLD_TOL
+        return key_length(ProtocolParams(d=2, n=300, beta0=beta0, epsilon=F(1, 100))).ell_bits
+
+    ells = [ell(k) for k in range(1, 321)]
+    steps = [k for k in range(1, 320) if (ells[k - 1] > 0) != (ells[k] > 0)]
+    assert ells[0] > 0 and steps == [281]
+    assert threshold_error_rate(2, 300, F(1, 100)) == float((2 * steps[0] + 1) * THRESHOLD_TOL / 2)
 
 
 def test_threshold_grows_with_n():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listed import ListedSpectrum
-from finitekey import cli, spectra
+from finitekey import cli, kernel, spectra
 from finitekey.asymptotic import asymptotic_rate
 from finitekey.keyrate import key_length
 from finitekey.smooth import h0_smooth, s0_smooth, s2_smooth
@@ -364,6 +364,23 @@ def test_sums_match_direct_sums(p, data):
             for k in (0, 1, 2):
                 want = sum(mults[i] * nums[i] ** k for i in inside)
                 assert spec.moment(lo, hi, k) == want
+
+
+def test_sums_match_direct_sums_past_the_division_limit(monkeypatch):
+    """At n = 2000 the windows' closing divisions are wider than the
+    kernel's division limit, so `big_divmod` recurses, and every moment is
+    still the direct sum: k = 0, 1, 2, windows at both ends of the family
+    and across its middle."""
+    calls, real = [], kernel._div2n1n
+    monkeypatch.setattr(kernel, "_div2n1n", lambda *a: calls.append(a[2]) or real(*a))
+    p = params(n=2000, beta0=F(49, 50), epsilon=F(1, 100))
+    for spec in (eve_spectrum(p), xe_spectrum(p)):  # xe's has a zero level
+        size, levels = spec.size, [(m, w // m) for m, w in rows(spec)]
+        for lo, hi in [(0, 700), (1, 1300), (1300, size), (700, size - 1), (600, 1400)]:
+            for k in (0, 1, 2):
+                want = sum(m * num**k for m, num in levels[lo:hi])
+                assert spec.moment(lo, hi, k) == want
+    assert calls
 
 
 @given(st.one_of(valid_params(max_n=12), valid_params(max_n=12, d=5),
