@@ -23,6 +23,15 @@ exact positive quantity into float bits; the one exception is the asymptotic
 entropy sum, which keeps `math.log2` on every level a float can hold.
 Everything upstream (thresholds, floors, tie-breaks) is integer or rational
 comparison, never floating point.
+
+Away from 1, `log2_bits` reads of each int only its bit length and top
+_WINDOW bits (`_top`).  So a float needs no exact value when those are
+certified: `_enclose` bounds an int as lo * 2**s <= v <= hi * 2**s by its
+top bits, `_enc_prod`, `_enc_sum` and `_enc_pow` carry such enclosures
+through products, sums and powers by truncating lo down and hi up, and
+`_enc_top` reads what `log2_bits` would read of every int enclosed, or
+says that two of them differ.  s2's purity takes its float so, with the
+exact reduction as its fallback (`smooth._purity_log2`).
 """
 
 from __future__ import annotations
@@ -40,6 +49,12 @@ _LN2 = math.log(2)
 # Mantissa window for huge-integer logarithms: 53 float bits plus slack, so
 # the window truncation error (2^-96 relative) stays far below float rounding.
 _WINDOW = 96
+
+# Bits an enclosure (`_enclose`) keeps beyond the width of the divisor of
+# the quotient it must resolve.  A few truncated products cost a few of
+# them, so the top _WINDOW bits read off the quotient's two ends disagree
+# only where it lies within a few parts in 2^190 of a change in them.
+_GUARD = 192
 
 # Trial-division bound of `small_factors`.  The integers it factors are
 # protocol denominators such as q*d*(d-1) or that of eps', whose primes are
@@ -65,12 +80,6 @@ def rational_from_decimal(text: str) -> Fraction:
     if not _DECIMAL_RE.match(text):
         raise ValueError(f"not a decimal literal: {text!r}")
     return Fraction(text)
-
-
-def _log2_int(v: int) -> float:
-    # v = (v >> shift) * 2**shift with the top _WINDOW bits kept exactly.
-    shift = max(v.bit_length() - _WINDOW, 0)
-    return shift + math.log2(v >> shift)
 
 
 def small_factors(m: int, n: int = 1) -> tuple[dict[int, int], int]:
@@ -218,4 +227,71 @@ def log2_bits(value: int | Fraction) -> float:
         # 1/2 < value < 2: big-int true division is correctly rounded, and
         # log1p keeps full relative accuracy for results near 0.
         return math.log1p((num - den) / den) / _LN2
-    return _log2_int(num) - _log2_int(den)
+    return _log2_tops(_top(num), _top(den))
+
+
+def _top(v: int) -> tuple[int, int]:
+    """(shift, v >> shift) for an int v >= 1, shift = max(bit length -
+    _WINDOW, 0): all that `log2_bits` reads of v away from 1."""
+    shift = max(v.bit_length() - _WINDOW, 0)
+    return shift, v >> shift
+
+
+def _log2_tops(num: tuple[int, int], den: tuple[int, int]) -> float:
+    """log2_bits(num/den) away from 1, from `_top` of each: v = top * 2**shift
+    with the top _WINDOW bits kept exactly."""
+    return num[0] + math.log2(num[1]) - (den[0] + math.log2(den[1]))
+
+
+def _enclose(v: int, prec: int) -> tuple[int, int, int]:
+    """An enclosure (lo, hi, s) of an int v >= 0, lo * 2**s <= v <= hi * 2**s:
+    v's top prec bits and one unit above them, or v itself (s = 0) when it
+    has no more bits."""
+    s = max(v.bit_length() - prec, 0)
+    lo = v >> s
+    return lo, lo + (s > 0), s
+
+
+def _rounded(lo: int, hi: int, s: int, prec: int) -> tuple[int, int, int]:
+    """The enclosure (lo, hi, s) widened to hi's top prec bits: lo rounded
+    down and hi up."""
+    t = max(hi.bit_length() - prec, 0)
+    return lo >> t, -(-hi >> t), s + t
+
+
+def _enc_prod(encs, prec: int) -> tuple[int, int, int]:
+    """An enclosure of the product of enclosed ints >= 0, kept to prec bits
+    after each product."""
+    lo, hi, s = 1, 1, 0
+    for a, b, t in encs:
+        lo, hi, s = _rounded(lo * a, hi * b, s + t, prec)
+    return lo, hi, s
+
+
+def _enc_sum(encs, prec: int) -> tuple[int, int, int]:
+    """An enclosure of the sum of enclosed ints >= 0, each end rounded to the
+    coarsest scale among them, then kept to prec bits."""
+    s = max(t for _, _, t in encs)
+    lo = sum(a >> s - t for a, _, t in encs)
+    hi = -sum(-b >> s - t for _, b, t in encs)
+    return _rounded(lo, hi, s, prec)
+
+
+def _enc_pow(p: int, e: int, prec: int) -> tuple[int, int, int]:
+    """An enclosure of p**e for ints p >= 1, e >= 0, by squaring from e's
+    top bit down, kept to prec bits after each product."""
+    r = (1, 1, 0)
+    for bit in bin(e)[2:]:
+        r = _enc_prod((r, r, (p, p, 0)) if bit == "1" else (r, r), prec)
+    return r
+
+
+def _enc_top(enc: tuple[int, int, int]) -> tuple[int, int] | None:
+    """`_top` of every int in the enclosure (lo, hi, s), lo >= 1, or None
+    when two of them differ in bit length or in their top _WINDOW bits."""
+    lo, hi, s = enc
+    n = lo.bit_length()
+    t = max(n - _WINDOW, 0)
+    if hi.bit_length() != n or lo >> t != hi >> t or (s and n < _WINDOW):
+        return None
+    return t + s, lo >> t

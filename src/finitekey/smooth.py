@@ -37,9 +37,13 @@ corrects the guess by recurrence steps to the neighbouring levels
 certify what a full scan would find, and no level is scanned to.
 
 No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
-The witness rationals (s_b, x, y) are reduced only when a field is first
-read, and s2's test x >= y is the integer test X*Ct >= Y*C.  The purity is
-reduced at once, as its float windows its numerator and denominator apart.
+The witness rationals (s_b, x, y and the purity) are reduced only when a
+field is first read, and s2's test x >= y is the integer test Y*C <= X*Ct,
+mostly decided by bit lengths (`_prod_le`).  s2's float is log2_bits of the
+reduced purity, certified without forming it (`_purity_log2`): residues
+and one gcd give what the reduction divides out, and integer enclosures
+(`kernel._enclose`) give the reduced pair's bit lengths and top bits.
+Where they do not settle these, the float reads the purity witness.
 """
 
 from __future__ import annotations
@@ -49,7 +53,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .kernel import _log_add, big_divmod, log2_bits, lowest_terms, small_factors
+from .kernel import (
+    _GUARD, _enc_pow, _enc_prod, _enc_sum, _enc_top, _enclose, _log2_tops, _log_add, _strip,
+    big_divmod, log2_bits, lowest_terms, small_factors,
+)
 from .spectra import CompressedSpectrum
 
 __all__ = [
@@ -246,7 +253,9 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     b_minus = max{r : s_r^- <= eps} (cost of raising the r lowest levels)
     is predicted in floats and certified exactly; b_plus likewise from the
     top.  The leftover budget fixes the flat values x and y.  Exact
-    rationals throughout.
+    rationals throughout; the purity witness is reduced only when read, and
+    the float, -log2_bits of it, is certified without it (`_purity_log2`)
+    or else read from it.
     """
     eps = _as_budget(eps)
     den, m = spec.den, spec.size
@@ -280,18 +289,88 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     ed_factors = small_factors(ed)
     xy = (spec.den_factors, spec.g_factors, ed_factors)
     x, y = partial(lowest_terms, X, *xy, C), partial(lowest_terms, Y, *xy, Ct)
-    if X * Ct >= Y * C:  # x >= y
+    # x >= y; Y > 0, as the top scan stops only past the budget (T > tq) or at den
+    if _prod_le(Y, C, X, Ct):
         raise EpsilonTooLargeError(x(), y())
     mid = spec.moment(b_minus + 1, top, 2)  # the untouched middle
-    # g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 over (ed*den)^2 * C * Ct * g, in
-    # lowest terms because log2_bits windows the numerator and denominator apart
-    purity = lowest_terms(
-        X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct,
-        *xy, spec.den_factors, ed_factors, C * Ct,
-    )
-    return -log2_bits(purity), WaterfillSolution(
+    parts = (X, Y, C, Ct, mid, ed, (*xy, spec.den_factors, ed_factors))
+    purity = partial(_purity, *parts)
+    bits = _purity_log2(*parts)
+    if bits is None:  # not certified: the witness's own exact path
+        purity = purity()
+        bits = log2_bits(purity)
+    return -bits, WaterfillSolution(
         b_minus=b_minus, b_plus=m - 1 - top, x=x, y=y, purity=purity
     )
+
+
+def _purity(X, Y, C, Ct, mid, ed, tables) -> Fraction:
+    """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 in lowest terms: N =
+    X^2*Ct + Y^2*C + mid*ed^2*C*Ct over the tables' product (ed*den)^2 * g
+    times C*Ct."""
+    return lowest_terms(X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, *tables, C * Ct)
+
+
+def _valuation(p: int, cap: int, terms) -> int:
+    """min(v_p(N), cap) for s2's purity numerator N, read off N mod p^J
+    formed from the residues of its terms (X, Y, C, Ct, mid, ed^2): J
+    doubles from 32 until the residue is nonzero or J reaches cap.  Residues
+    modulo 2^J are masks."""
+    J = 32
+    while True:
+        J = min(J, cap)
+        q = p**J
+        red = (lambda v: v & q - 1) if p == 2 else (lambda v: v % q)
+        X, Y, C, Ct, mid, ed2 = map(red, terms)
+        r = red(X * X * Ct + Y * Y * C + mid * ed2 * C * Ct)
+        if r or J == cap:
+            return _strip(r, p, cap)[0]
+        J *= 2
+
+
+def _purity_log2(X, Y, C, Ct, mid, ed, tables) -> float | None:
+    """log2_bits(_purity(...)), certified without forming N or reducing it,
+    or None when it is not certified.  lowest_terms divides N and the
+    denominator by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p + v_p(C*Ct))
+    for each known prime p of exponent e_p in the tables (`_valuation`), and
+    h the gcd of N with rest, C*Ct less those primes.  Since the mid term
+    vanishes modulo C*Ct, N = Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
+    N and the reduced denominator prod(p^(e_p + v_p - k_p)) * rest/h are
+    enclosed to bitlen(K) + _GUARD bits, and N/K's ends read the reduced
+    numerator's bit length and top bits.  None when a table's rest is not 1,
+    when the ends differ in those, or when log2_bits would take its branch
+    near 1."""
+    if any(rest != 1 for _, rest in tables):
+        return None
+    primes = {}
+    for table, _ in tables:
+        for p, e in table.items():
+            primes[p] = primes.get(p, 0) + e
+    terms, K, dens = (X, Y, C, Ct, mid, ed * ed), 1, []
+    rest_c, rest_t = C, Ct
+    for p, e in primes.items():
+        vc, rest_c = _strip(rest_c, p, math.inf)
+        vt, rest_t = _strip(rest_t, p, math.inf)
+        k = _valuation(p, e + vc + vt, terms)
+        K *= p**k
+        dens.append((p, e + vc + vt - k))
+    rest = rest_c * rest_t
+    xm, ym = big_divmod(X, C)[1], big_divmod(Y, Ct)[1]
+    r = Ct * big_divmod(xm * xm, C)[1] + C * big_divmod(ym * ym, Ct)[1]
+    h = math.gcd(big_divmod(r, rest)[1], rest)
+    K *= h
+    dens.append((big_divmod(rest, h)[0], 1))
+    prec = K.bit_length() + _GUARD
+    X, Y, C, Ct, mid, ed2 = (_enclose(v, prec) for v in terms)  # enclosures from here
+    products = ((X, X, Ct), (Y, Y, C), (mid, ed2, C, Ct))
+    lo, hi, s = _enc_sum([_enc_prod(f, prec) for f in products], prec)
+    num = _enc_top((lo // K, -(-hi // K), s))
+    den = _enc_top(_enc_prod([_enc_pow(p, e, prec) for p, e in dens], prec))
+    if num is None or den is None:
+        return None
+    if den[0] + den[1].bit_length() < num[0] + num[1].bit_length() + 2:
+        return None  # the purity may lie above 1/4: log2_bits' branch near 1
+    return _log2_tops(num, den)
 
 
 def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:

@@ -944,3 +944,129 @@ def test_key_length_gcd_operands_stay_narrow(monkeypatch):
     monkeypatch.setattr(math, "gcd", recording)
     key_length(p)
     assert widths and max(widths) <= den_bits // 2
+
+
+# --- the certified purity float ---------------------------------------------
+
+def _s2_counting(monkeypatch, spec, eps):
+    """(bits, sol, calls): s2_smooth(spec, eps) with `lowest_terms` and the
+    purity's exact path counted; calls keeps counting after it returns."""
+    calls = {"lowest_terms": 0, "_purity": 0}
+    for name in calls:
+        real = getattr(smooth, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(smooth, name, counted)
+    bits, sol = s2_smooth(spec, eps)
+    return bits, sol, calls
+
+
+@st.composite
+def _certified_case(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3000))
+    q = draw(st.sampled_from([10, 20, 50, 100, 1000]))
+    p = draw(st.integers(q // d + 1, q - 1))
+    eps = draw(st.sampled_from([F(1, 100), F(1, 10**10), F(1, 10**40), F(1, 2)]))
+    return ProtocolParams(d=d, n=n, beta0=F(p, q), epsilon=eps)
+
+
+@given(_certified_case())
+@settings(max_examples=60, deadline=None)
+def test_s2_float_is_log2_bits_of_the_purity_read_after(p):
+    """s2's float, taken from residues and leading bits, is to the bit
+    -log2_bits of the reduced purity that the witness reads afterwards."""
+    try:
+        bits, sol = s2_smooth(xe_spectrum(p), p.epsilon_prime)
+    except EpsilonTooLargeError:
+        return
+    assert bits == -log2_bits(sol.purity)
+
+
+def test_s2_certified_float_makes_no_reduction(monkeypatch):
+    """Cost guard: at the n=1e4 anchor s2_smooth neither forms the purity's
+    numerator nor calls `lowest_terms`; reading `.purity` calls it once."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    bits, sol, calls = _s2_counting(monkeypatch, xe_spectrum(p), p.epsilon_prime)
+    assert calls == {"lowest_terms": 0, "_purity": 0}
+    assert bits.hex() == "0x1.5a8ca9f94cb70p+13"
+    purity = sol.purity
+    assert sol.purity is purity
+    assert calls == {"lowest_terms": 1, "_purity": 1}
+    assert bits == -log2_bits(purity)
+    assert math.gcd(purity.numerator, purity.denominator) == 1
+
+
+def _assert_exact_path_ran(monkeypatch, spec, eps):
+    """s2_smooth(spec, eps), checked to have read its float off the purity
+    witness, reduced once inside the call."""
+    bits, sol, calls = _s2_counting(monkeypatch, spec, eps)
+    assert calls == {"lowest_terms": 1, "_purity": 1}
+    assert type(sol.__dict__["purity"]) is F
+    assert bits == -log2_bits(sol.purity)
+    return bits, sol
+
+
+def test_s2_falls_back_on_a_prime_above_the_trial_bound(monkeypatch):
+    """1065023 = 1031 * 1033 has no prime below `small_factors`' bound and is
+    too large to be proved prime by them, so den's table keeps it whole as
+    its rest: the float comes from the exact path.  (A prime such as 1031
+    is proved prime by the trial division and needs no fallback.)"""
+    q = 1031 * 1033
+    spec = xe_spectrum(params(n=40, beta0=F(q - 1, q)))
+    assert spec.den_factors[1] != 1
+    _assert_exact_path_ran(monkeypatch, spec, F(1, 640000))
+
+
+def test_s2_falls_back_near_purity_one(monkeypatch):
+    """At n=1 the purity lies above 1/4, where log2_bits may take its branch
+    near 1 on the exact ratio: the float comes from the exact path."""
+    spec = xe_spectrum(params(n=1, beta0=F(49, 50)))
+    assert F(1, 4) < _assert_exact_path_ran(monkeypatch, spec, F(1, 640000))[1].purity <= 1
+
+
+@pytest.mark.parametrize("guard", [0, 96])
+def test_s2_falls_back_when_the_top_bits_are_undecided(monkeypatch, guard):
+    """With too few guard bits the ends of N/K's enclosure differ: with
+    none they hold too few bits to read 96 of, and with 96 (at this point)
+    they differ in the last of them.  The exact path gives the same float."""
+    p = ProtocolParams(d=2, n=2000, beta0=F(49, 50), epsilon=F(1, 100))
+    want = s2_smooth(xe_spectrum(p), p.epsilon_prime)[0]
+    monkeypatch.setattr(smooth, "_GUARD", guard)
+    assert _assert_exact_path_ran(monkeypatch, xe_spectrum(p), p.epsilon_prime)[0] == want
+
+
+def test_s2_valuation_reaches_its_cap(monkeypatch):
+    """eve's den at d=3, beta0=5/8 is 48^n, and at n=50 the purity's
+    numerator holds all of its 3^100 and more: the valuation doubles J
+    past 32 and 64 up to its cap.  The float is still certified."""
+    spec = eve_spectrum(params(d=3, n=50, beta0=F(5, 8)))
+    want = -log2_bits(s2_smooth(spec, F(1, 640000))[1].purity)
+    valuation, capped = smooth._valuation, []
+
+    def recorded(p, cap, terms):
+        k = valuation(p, cap, terms)
+        if k == cap:
+            capped.append((p, cap))
+        return k
+
+    monkeypatch.setattr(smooth, "_valuation", recorded)
+    bits, _, calls = _s2_counting(monkeypatch, spec, F(1, 640000))
+    assert calls == {"lowest_terms": 0, "_purity": 0}
+    assert bits == want
+    assert any(p == 3 and cap > 64 for p, cap in capped)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 200), st.integers(0, 200),
+       st.lists(st.integers(0, 2**300), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_valuation_matches_the_formed_numerator(p, shared, extra, terms):
+    """`_valuation` is min(v_p(N), cap) for N = X^2*Ct + Y^2*C + mid*ed2*C*Ct
+    formed in full, with p^shared put into every term so J must double."""
+    X, Y, C, Ct, mid, ed2 = (t * p**shared for t in terms)
+    N = X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
+    for cap in (0, shared + extra, 10**6):
+        assert smooth._valuation(p, cap, (X, Y, C, Ct, mid, ed2)) == _strip(N, p, cap)[0]

@@ -32,7 +32,8 @@ def rows(spec):
 
 def lists(spec):
     """(numerators, stored multiplicities) of every level, read off level(i)."""
-    return [w // m for m, w in rows(spec)], [m for m, _ in rows(spec)]
+    read = rows(spec)
+    return [w // m for m, w in read], [m for m, _ in read]
 
 
 @st.composite
