@@ -3,20 +3,12 @@
 Rationals are `fractions.Fraction` and unbounded counts are plain `int`: both
 are exact and of arbitrary precision.  A `Fraction` is put in lowest terms
 when it is built, by a gcd whose cost grows as the square of the operands'
-width.  So the scans reduce their large rationals through `lowest_terms`,
-given the numerator and the denominator's parts: `small_factors` tables of
-n-th powers of small integers, and ints whose primes are unknown.
-Each known prime's exponent is its table exponents plus its valuation in
-the ints; `_strip` takes the common power out of the numerator by doubling
-powers (a bit trick for 2), and what is left of the ints meets it in one
-gcd on their own width, since gcd(a, b*c) = gcd(a, b) * gcd(a, c) for
-coprime b and c.  With no table that is one gcd, as in `Fraction`.
+width; the scans build theirs only as witnesses, when one is read.
 
 Every quotient whose divisor can be wide, here and in the scans, is taken
 by `big_divmod`.  CPython up to 3.11 divides big ints by schoolbook, in
 time proportional to the quotient's width times the divisor's, and
-`big_divmod` divides recursively where both are wide; that includes the
-reduction's numerator modulo the ints, which brings it to their width.
+`big_divmod` divides recursively where both are wide.
 
 Precision is lost on purpose in one routine, `log2_bits`, which turns an
 exact positive quantity into float bits; the one exception is the asymptotic
@@ -31,7 +23,11 @@ top bits, `_enc_prod`, `_enc_sum` and `_enc_pow` carry such enclosures
 through products, sums and powers by truncating lo down and hi up, and
 `_enc_top` reads what `log2_bits` would read of every int enclosed, or
 says that two of them differ.  s2's purity takes its float so, with the
-exact reduction as its fallback (`smooth._purity_log2`).
+purity witness as its fallback (`smooth._purity_log2`).  To read the
+reduced purity's bit lengths it must know what reducing divides out, so
+the denominators' primes come as `small_factors` tables of n-th powers of
+small integers, and `_strip` takes a prime's power out of an int by
+doubling powers (a bit trick for 2).
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["rational_from_decimal", "log2_bits", "small_factors", "lowest_terms", "big_divmod"]
+__all__ = ["rational_from_decimal", "log2_bits", "small_factors", "big_divmod"]
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 
@@ -182,27 +178,6 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, 
     while r < 0:
         q, r = q - 1, r + b
     return q, r
-
-
-def lowest_terms(num: int, *parts) -> Fraction:
-    """num / prod(parts) in lowest terms; each part is a positive int or a
-    `small_factors` table (primes, rest) standing for its product.  The
-    reduced pair goes into the Fraction's two slots, skipping its gcd."""
-    primes, rest = {}, 1
-    for part in parts:
-        table, part_rest = ({}, part) if isinstance(part, int) else part
-        for p, e in table.items():
-            primes[p] = primes.get(p, 0) + e
-        rest *= part_rest
-    den = 1
-    for p, e in primes.items():
-        v, rest = _strip(rest, p, math.inf)
-        k, num = _strip(num, p, e + v)
-        den *= p ** (e + v - k)
-    g = math.gcd(big_divmod(num, rest)[1], rest)
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = big_divmod(num, g)[0], den * big_divmod(rest, g)[0]
-    return f
 
 
 def _log_add(a: float, b: float) -> float:

@@ -36,9 +36,9 @@ corrects the guess by recurrence steps to the neighbouring levels
 (`step_level`).  Since s_r grows with r, the comparisons at the boundary
 certify what a full scan would find, and no level is scanned to.
 
-No full-width gcd runs on the way to the floats (`kernel.lowest_terms`).
-The witness rationals (s_b, x, y and the purity) are reduced only when a
-field is first read, and s2's test x >= y is the integer test Y*C <= X*Ct,
+No full-width gcd runs on the way to the floats.  The witness rationals
+(s_b, x, y and the purity) are built as Fractions only when a field is
+first read (`_Lazy`), and s2's test x >= y is the integer test Y*C <= X*Ct,
 mostly decided by bit lengths (`_prod_le`).  s2's float is log2_bits of the
 reduced purity, certified without forming it (`_purity_log2`): residues
 and one gcd give what the reduction divides out, and integer enclosures
@@ -55,7 +55,7 @@ from functools import partial
 
 from .kernel import (
     _GUARD, _enc_pow, _enc_prod, _enc_sum, _enc_top, _enclose, _log2_tops, _log_add, _strip,
-    big_divmod, log2_bits, lowest_terms, small_factors,
+    big_divmod, log2_bits, small_factors,
 )
 from .spectra import CompressedSpectrum
 
@@ -84,12 +84,12 @@ class EpsilonTooLargeError(ValueError):
                 f"meets lowered ceiling {float(self.y)!r}")
 
 
-class _LowestTerms:
+class _Lazy:
     """Type of a witness field holding an exact rational, which the scans
-    may hand over as a `partial` of `lowest_terms`: it is called on first
-    read and its result kept, so a witness nobody reads costs no gcd.  Reads
-    always return a Fraction, and the dataclass's repr, == and fields see
-    only those."""
+    may hand over as a `partial` of `_ratio` (or `_purity`): it is called on
+    first read and its result kept, so a witness nobody reads costs no
+    product and no gcd.  Reads always return a Fraction, and the
+    dataclass's repr, == and fields see only those."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -114,7 +114,7 @@ class RankTrimResult:
     b: int
     k: int
     remaining_rank: int
-    s_b: Fraction = _LowestTerms()
+    s_b: Fraction = _Lazy()
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class WaterfillSolution:
 
     b_minus: int
     b_plus: int
-    x: Fraction = _LowestTerms()
-    y: Fraction = _LowestTerms()
-    purity: Fraction = _LowestTerms()
+    x: Fraction = _Lazy()
+    y: Fraction = _Lazy()
+    purity: Fraction = _Lazy()
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,12 @@ class SupportCutResult:
 
     b: int
     k: int
-    s_b: Fraction = _LowestTerms()
+    s_b: Fraction = _Lazy()
+
+
+def _ratio(num: int, *factors: int) -> Fraction:
+    """num / prod(factors) as a Fraction, for a lazy witness field."""
+    return Fraction(num, math.prod(factors))
 
 
 def _as_budget(eps) -> Fraction:
@@ -242,7 +247,7 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
         b=nonzero - included,
         k=spec.total_dim - spec.g * spec.zero_mult - remaining,
         remaining_rank=remaining,
-        s_b=partial(lowest_terms, spec.den - U, spec.den_factors),
+        s_b=partial(_ratio, spec.den - U, spec.den),
     )
 
 
@@ -253,7 +258,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     b_minus = max{r : s_r^- <= eps} (cost of raising the r lowest levels)
     is predicted in floats and certified exactly; b_plus likewise from the
     top.  The leftover budget fixes the flat values x and y.  Exact
-    rationals throughout; the purity witness is reduced only when read, and
+    rationals throughout; the purity witness is built only when read, and
     the float, -log2_bits of it, is certified without it (`_purity_log2`)
     or else read from it.
     """
@@ -285,17 +290,17 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
 
     # the leftover budget sets the flat values: x = (W/den + eps)/(C*g) and
     # y = (T/den - eps)/(Ct*g), here over the common factor ed*den*g
-    X, Y = en * den + ed * W, ed * T - en * den
-    ed_factors = small_factors(ed)
-    xy = (spec.den_factors, spec.g_factors, ed_factors)
-    x, y = partial(lowest_terms, X, *xy, C), partial(lowest_terms, Y, *xy, Ct)
+    X, Y, g = en * den + ed * W, ed * T - en * den, spec.g
+    x, y = partial(_ratio, X, ed, den, g, C), partial(_ratio, Y, ed, den, g, Ct)
     # x >= y; Y > 0, as the top scan stops only past the budget (T > tq) or at den
     if _prod_le(Y, C, X, Ct):
         raise EpsilonTooLargeError(x(), y())
     mid = spec.moment(b_minus + 1, top, 2)  # the untouched middle
-    parts = (X, Y, C, Ct, mid, ed, (*xy, spec.den_factors, ed_factors))
-    purity = partial(_purity, *parts)
-    bits = _purity_log2(*parts)
+    terms = (X, Y, C, Ct, mid, ed)
+    purity = partial(_purity, *terms, den, g)
+    ed_factors = small_factors(ed)
+    tables = (spec.den_factors, spec.g_factors, ed_factors, spec.den_factors, ed_factors)
+    bits = _purity_log2(*terms, tables)
     if bits is None:  # not certified: the witness's own exact path
         purity = purity()
         bits = log2_bits(purity)
@@ -304,11 +309,10 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     )
 
 
-def _purity(X, Y, C, Ct, mid, ed, tables) -> Fraction:
-    """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2 in lowest terms: N =
-    X^2*Ct + Y^2*C + mid*ed^2*C*Ct over the tables' product (ed*den)^2 * g
-    times C*Ct."""
-    return lowest_terms(X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, *tables, C * Ct)
+def _purity(X, Y, C, Ct, mid, ed, den, g) -> Fraction:
+    """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2: N = X^2*Ct + Y^2*C +
+    mid*ed^2*C*Ct over (ed*den)^2 * g * C*Ct."""
+    return _ratio(X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, ed, ed, den, den, g, C, Ct)
 
 
 def _valuation(p: int, cap: int, terms) -> int:
@@ -330,7 +334,8 @@ def _valuation(p: int, cap: int, terms) -> int:
 
 def _purity_log2(X, Y, C, Ct, mid, ed, tables) -> float | None:
     """log2_bits(_purity(...)), certified without forming N or reducing it,
-    or None when it is not certified.  lowest_terms divides N and the
+    or None when it is not certified.  The tables are `small_factors` of the
+    denominator (ed*den)^2 * g less C*Ct, and reducing divides N and the
     denominator by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p + v_p(C*Ct))
     for each known prime p of exponent e_p in the tables (`_valuation`), and
     h the gcd of N with rest, C*Ct less those primes.  Since the mid term
@@ -384,5 +389,5 @@ def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     """
     eps = _as_budget(eps)
     b, k, U = _support_cut(spec, eps)
-    s_b = partial(lowest_terms, U, spec.den_factors)
+    s_b = partial(_ratio, U, spec.den)
     return log2_bits(k), SupportCutResult(b=b, k=k, s_b=s_b)

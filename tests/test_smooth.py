@@ -7,13 +7,13 @@ from fractions import Fraction as F
 from statistics import NormalDist
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from listed import ListedSpectrum
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from finitekey import smooth
-from finitekey.kernel import _strip, log2_bits, lowest_terms
+from finitekey.kernel import _strip, log2_bits
 from finitekey.keyrate import key_length
 from finitekey.smooth import (
     EpsilonTooLargeError,
@@ -751,8 +751,14 @@ def test_random_perturbations_never_beat_minimum():
 
 # --- lazy witnesses and the prime-stripped purity ----------------------------
 
+def _fields(w):
+    """A witness's class and each field's type and value: what its repr
+    shows, without printing ints, which str() refuses past 4300 digits."""
+    return type(w), [(type(v), v) for v in (getattr(w, f.name) for f in dataclasses.fields(w))]
+
+
 def _reference_scans(spec, eps):
-    """(s0, s2, h0) as (float.hex, witness repr) or the error message, from
+    """(s0, s2, h0) as (float.hex, `_fields`) or the error message, from
     level-by-level walks with every rational an eagerly reduced Fraction:
     the scans as they were before their witnesses became integer pairs."""
     levels = [spec.level(i) for i in range(spec.size)]  # (mult, mass) ascending
@@ -798,7 +804,7 @@ def _reference_scans(spec, eps):
             purity = C * x * x + F(mid, den * den) + Ct * y * y
             s2 = -log2_bits(purity), WaterfillSolution(b_minus, b_plus, x, y, purity)
     return tuple(
-        (out[0].hex(), repr(out[1])) if isinstance(out[0], float) else out
+        (out[0].hex(), _fields(out[1])) if isinstance(out[0], float) else out
         for out in (s0, s2, h0)
     )
 
@@ -811,7 +817,7 @@ def _canon_scans(spec, eps):
         except EpsilonTooLargeError as exc:
             out.append((exc.x, exc.y))
         else:
-            out.append((bits.hex(), repr(w)))
+            out.append((bits.hex(), _fields(w)))
     return tuple(out)
 
 
@@ -837,15 +843,21 @@ def _identity_budgets(spec, q, d):
 
 
 @given(_identity_case(), st.data())
+@example(params(n=1000, beta0=F(49, 50), epsilon=F(1, 100)), None)
 @settings(max_examples=60, deadline=None)
 def test_scans_match_eager_fraction_reference(p, data):
-    """float.hex, every witness repr and every error message equal those of
+    """float.hex, every witness field and every error message equal those of
     the eager-Fraction reference (run on the explicit rebuild, whose
-    degeneracy is 1), on families and their explicit rebuilds."""
+    degeneracy is 1), on families and their explicit rebuilds.  The example
+    (no data) reads every witness at n=1000 at 0 and the key length's
+    budget."""
     q = p.beta0.denominator
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
-        budgets = _identity_budgets(spec, q, p.d)
-        eps_list = data.draw(st.lists(st.sampled_from(budgets), min_size=1, max_size=4))
+        if data is None:
+            eps_list = [F(0), p.epsilon_prime]
+        else:
+            budgets = _identity_budgets(spec, q, p.d)
+            eps_list = data.draw(st.lists(st.sampled_from(budgets), min_size=1, max_size=4))
         rebuilt = ListedSpectrum.from_levels(spec.levels)
         for eps in eps_list:
             want = _reference_scans(rebuilt, eps)
@@ -873,40 +885,6 @@ def test_witness_fields_have_no_default():
     with pytest.raises(TypeError):
         WaterfillSolution(0, 0, F(1, 2), F(1, 2))
     assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(WaterfillSolution))
-
-
-@given(
-    st.integers(0, 10**40),
-    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 40), max_size=4),
-    st.integers(1, 10**30),
-    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1000003]), max_size=8),
-)
-@settings(max_examples=300, deadline=None)
-def test_lowest_terms_matches_fraction(num, primes, rest, shared):
-    # multiply num and rest by common primes, known or not, so both the
-    # stripping and the leftover gcd have something to find
-    common = math.prod(shared)
-    num, rest = num * common, rest * common
-    den = rest * math.prod(p**e for p, e in primes.items())
-    f = F(num, den)  # == on Fractions compares the pairs, reduced or not
-    assert lowest_terms(num, (primes, rest)) == f
-    # s2's shape: the known primes split over two tables, and an int part
-    first = {p: e // 2 for p, e in primes.items()}
-    second = {p: e - e // 2 for p, e in primes.items()}
-    assert lowest_terms(num, (first, common), (second, 1), rest // common) == f
-
-
-def test_lowest_terms_leftover_gcd_above_one():
-    # 13 and 1000003 are unknown primes shared by num and rest: the gcd on
-    # what is left of rest finds them; 2 and 3 come from the known primes
-    num = 2**9 * 3 * 13 * 1000003 * 17
-    rest = 2 * 13 * 1000003**2 * 19
-    primes = {2: 5, 3: 2}
-    assert math.gcd(num, rest // 2) == 13 * 1000003
-    f = F(num, rest * 2**5 * 3**2)
-    assert lowest_terms(num, (primes, rest)) == f
-    assert lowest_terms(-num, (primes, rest)) == -f
-    assert lowest_terms(0, (primes, rest)) == 0
 
 
 @given(st.integers(-(10**30), 10**30), st.sampled_from([2, 3, 5, 7]),
@@ -949,9 +927,10 @@ def test_key_length_gcd_operands_stay_narrow(monkeypatch):
 # --- the certified purity float ---------------------------------------------
 
 def _s2_counting(monkeypatch, spec, eps):
-    """(bits, sol, calls): s2_smooth(spec, eps) with `lowest_terms` and the
-    purity's exact path counted; calls keeps counting after it returns."""
-    calls = {"lowest_terms": 0, "_purity": 0}
+    """(bits, sol, calls): s2_smooth(spec, eps) with every witness
+    construction (`_ratio`) and the purity's exact path counted; calls keeps
+    counting after it returns, in any scan."""
+    calls = {"_ratio": 0, "_purity": 0}
     for name in calls:
         real = getattr(smooth, name)
 
@@ -987,24 +966,30 @@ def test_s2_float_is_log2_bits_of_the_purity_read_after(p):
 
 
 def test_s2_certified_float_makes_no_reduction(monkeypatch):
-    """Cost guard: at the n=1e4 anchor s2_smooth neither forms the purity's
-    numerator nor calls `lowest_terms`; reading `.purity` calls it once."""
+    """Cost guard: at the n=1e4 anchor s2_smooth does not form the purity's
+    numerator, and none of the three scans builds a witness; reading
+    `.purity` builds it once, and each other field its own."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     bits, sol, calls = _s2_counting(monkeypatch, xe_spectrum(p), p.epsilon_prime)
-    assert calls == {"lowest_terms": 0, "_purity": 0}
+    rank = s0_smooth(eve_spectrum(p), p.epsilon_prime)[1]
+    cut = h0_smooth(conditional_spectrum(p), p.epsilon_prime)[1]
+    assert calls == {"_ratio": 0, "_purity": 0}
     assert bits.hex() == "0x1.5a8ca9f94cb70p+13"
     purity = sol.purity
     assert sol.purity is purity
-    assert calls == {"lowest_terms": 1, "_purity": 1}
+    assert calls == {"_ratio": 1, "_purity": 1}
     assert bits == -log2_bits(purity)
     assert math.gcd(purity.numerator, purity.denominator) == 1
+    for witness in (rank.s_b, cut.s_b, sol.x, sol.y):
+        assert type(witness) is F
+    assert calls == {"_ratio": 5, "_purity": 1}
 
 
 def _assert_exact_path_ran(monkeypatch, spec, eps):
     """s2_smooth(spec, eps), checked to have read its float off the purity
     witness, reduced once inside the call."""
     bits, sol, calls = _s2_counting(monkeypatch, spec, eps)
-    assert calls == {"lowest_terms": 1, "_purity": 1}
+    assert calls == {"_ratio": 1, "_purity": 1}
     assert type(sol.__dict__["purity"]) is F
     assert bits == -log2_bits(sol.purity)
     return bits, sol
@@ -1055,7 +1040,7 @@ def test_s2_valuation_reaches_its_cap(monkeypatch):
 
     monkeypatch.setattr(smooth, "_valuation", recorded)
     bits, _, calls = _s2_counting(monkeypatch, spec, F(1, 640000))
-    assert calls == {"lowest_terms": 0, "_purity": 0}
+    assert calls == {"_ratio": 0, "_purity": 0}
     assert bits == want
     assert any(p == 3 and cap > 64 for p, cap in capped)
 
