@@ -18,16 +18,16 @@ comparison, never floating point.
 
 Away from 1, `log2_bits` reads of each int only its bit length and top
 _WINDOW bits (`_top`).  So a float needs no exact value when those are
-certified: `_enclose` bounds an int as lo * 2**s <= v <= hi * 2**s by its
-top bits, `_enc_prod`, `_enc_sum` and `_enc_pow` carry such enclosures
-through products, sums and powers by truncating lo down and hi up, and
-`_enc_top` reads what `log2_bits` would read of every int enclosed, or
-says that two of them differ.  s2's purity takes its float so, with the
-purity witness as its fallback (`smooth._purity_log2`).  To read the
-reduced purity's bit lengths it must know what reducing divides out, so
-the denominators' primes come as `small_factors` tables of n-th powers of
-small integers, and `_strip` takes a prime's power out of an int by
-doubling powers (a bit trick for 2).
+certified.  An enclosure (`_Enc`) bounds an int as lo * 2**s <= v <= hi *
+2**s by its top bits, and carries that through products, sums and
+quotients by an int, rounding lo down and hi up after each; its `top`
+reads what `log2_bits` would read of every int enclosed, or says that two
+of them differ.  s2's purity takes its float so, with the purity witness
+as its fallback (`smooth._purity_log2`).  To read the reduced purity's bit
+lengths it must know what reducing divides out, so the denominators'
+primes come as `small_factors` tables of n-th powers of small integers,
+and `_strip` takes a prime's power out of an int by doubling powers (a bit
+trick for 2).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _LN2 = math.log(2)
 # the window truncation error (2^-96 relative) stays far below float rounding.
 _WINDOW = 96
 
-# Bits an enclosure (`_enclose`) keeps beyond the width of the divisor of
+# Bits an enclosure (`_Enc`) keeps beyond the width of the divisor of
 # the quotient it must resolve.  A few truncated products cost a few of
 # them, so the top _WINDOW bits read off the quotient's two ends disagree
 # only where it lies within a few parts in 2^190 of a change in them.
@@ -218,55 +218,38 @@ def _log2_tops(num: tuple[int, int], den: tuple[int, int]) -> float:
     return num[0] + math.log2(num[1]) - (den[0] + math.log2(den[1]))
 
 
-def _enclose(v: int, prec: int) -> tuple[int, int, int]:
-    """An enclosure (lo, hi, s) of an int v >= 0, lo * 2**s <= v <= hi * 2**s:
-    v's top prec bits and one unit above them, or v itself (s = 0) when it
-    has no more bits."""
-    s = max(v.bit_length() - prec, 0)
-    lo = v >> s
-    return lo, lo + (s > 0), s
+class _Enc:
+    """An enclosure lo * 2**s <= v <= hi * 2**s of an int v >= 0, kept to
+    prec bits: after every operation lo is rounded down and hi up to hi's
+    top prec bits.  `_Enc(v, prec)` encloses v itself.  A product or sum of
+    two enclosures, or one's quotient `// K` by an int K >= 1, encloses
+    that of the ints enclosed; `top` reads what `log2_bits` would read of
+    every one of them."""
 
+    __slots__ = ("lo", "hi", "s", "prec")
 
-def _rounded(lo: int, hi: int, s: int, prec: int) -> tuple[int, int, int]:
-    """The enclosure (lo, hi, s) widened to hi's top prec bits: lo rounded
-    down and hi up."""
-    t = max(hi.bit_length() - prec, 0)
-    return lo >> t, -(-hi >> t), s + t
+    def __init__(self, lo: int, prec: int, hi: int | None = None, s: int = 0):
+        hi = lo if hi is None else hi
+        t = max(hi.bit_length() - prec, 0)
+        self.lo, self.hi, self.s, self.prec = lo >> t, -(-hi >> t), s + t, prec
 
+    def __mul__(self, other: _Enc) -> _Enc:
+        return _Enc(self.lo * other.lo, self.prec, self.hi * other.hi, self.s + other.s)
 
-def _enc_prod(encs, prec: int) -> tuple[int, int, int]:
-    """An enclosure of the product of enclosed ints >= 0, kept to prec bits
-    after each product."""
-    lo, hi, s = 1, 1, 0
-    for a, b, t in encs:
-        lo, hi, s = _rounded(lo * a, hi * b, s + t, prec)
-    return lo, hi, s
+    def __add__(self, other: _Enc) -> _Enc:
+        s = max(self.s, other.s)  # each end rounded to the coarser scale
+        a, b = s - self.s, s - other.s
+        return _Enc((self.lo >> a) + (other.lo >> b), self.prec,
+                    -(-self.hi >> a) - (-other.hi >> b), s)
 
+    def __floordiv__(self, K: int) -> _Enc:
+        return _Enc(self.lo // K, self.prec, -(-self.hi // K), self.s)
 
-def _enc_sum(encs, prec: int) -> tuple[int, int, int]:
-    """An enclosure of the sum of enclosed ints >= 0, each end rounded to the
-    coarsest scale among them, then kept to prec bits."""
-    s = max(t for _, _, t in encs)
-    lo = sum(a >> s - t for a, _, t in encs)
-    hi = -sum(-b >> s - t for _, b, t in encs)
-    return _rounded(lo, hi, s, prec)
-
-
-def _enc_pow(p: int, e: int, prec: int) -> tuple[int, int, int]:
-    """An enclosure of p**e for ints p >= 1, e >= 0, by squaring from e's
-    top bit down, kept to prec bits after each product."""
-    r = (1, 1, 0)
-    for bit in bin(e)[2:]:
-        r = _enc_prod((r, r, (p, p, 0)) if bit == "1" else (r, r), prec)
-    return r
-
-
-def _enc_top(enc: tuple[int, int, int]) -> tuple[int, int] | None:
-    """`_top` of every int in the enclosure (lo, hi, s), lo >= 1, or None
-    when two of them differ in bit length or in their top _WINDOW bits."""
-    lo, hi, s = enc
-    n = lo.bit_length()
-    t = max(n - _WINDOW, 0)
-    if hi.bit_length() != n or lo >> t != hi >> t or (s and n < _WINDOW):
-        return None
-    return t + s, lo >> t
+    def top(self) -> tuple[int, int] | None:
+        """`_top` of every int enclosed (lo >= 1), or None when two of them
+        differ in bit length or in their top _WINDOW bits."""
+        n = self.lo.bit_length()
+        t = max(n - _WINDOW, 0)
+        if self.hi.bit_length() != n or self.lo >> t != self.hi >> t or (self.s and n < _WINDOW):
+            return None
+        return t + self.s, self.lo >> t

@@ -42,20 +42,21 @@ first read (`_Lazy`), and s2's test x >= y is the integer test Y*C <= X*Ct,
 mostly decided by bit lengths (`_prod_le`).  s2's float is log2_bits of the
 reduced purity, certified without forming it (`_purity_log2`): residues
 and one gcd give what the reduction divides out, and integer enclosures
-(`kernel._enclose`) give the reduced pair's bit lengths and top bits.
-Where they do not settle these, the float reads the purity witness.
+(`kernel._Enc`) give the reduced pair's bit lengths and top bits.  The
+purity's numerator is written once (`_numerator`), and the witness, the
+residues and the enclosures all read it.  Where the enclosures do not
+settle the float, it reads the purity witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 
 from .kernel import (
-    _GUARD, _enc_pow, _enc_prod, _enc_sum, _enc_top, _enclose, _log2_tops, _log_add, _strip,
-    big_divmod, log2_bits, small_factors,
+    _GUARD, _Enc, _log2_tops, _log_add, _strip, big_divmod, log2_bits, small_factors,
 )
 from .spectra import CompressedSpectrum
 
@@ -89,7 +90,7 @@ class _Lazy:
     may hand over as a `partial` of `_ratio` (or `_purity`): it is called on
     first read and its result kept, so a witness nobody reads costs no
     product and no gcd.  Reads always return a Fraction, and the
-    dataclass's repr, == and fields see only those."""
+    dataclass's == and fields see only those."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -106,8 +107,19 @@ class _Lazy:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
-class RankTrimResult:
+class _Witness:
+    """Base of the scans' witnesses, whose repr prints only the fields that
+    are not lazy (`_Lazy`): it neither builds nor prints an exact rational,
+    whose ints can be too long for str()."""
+
+    def __repr__(self) -> str:
+        shown = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if not isinstance(vars(type(self)).get(f.name), _Lazy))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+@dataclass(frozen=True, repr=False)
+class RankTrimResult(_Witness):
     """Trace of the rank minimization: b fully removed levels, k removed
     eigenvalues in total, s_b the mass of the fully removed levels."""
 
@@ -117,8 +129,8 @@ class RankTrimResult:
     s_b: Fraction = _Lazy()
 
 
-@dataclass(frozen=True)
-class WaterfillSolution:
+@dataclass(frozen=True, repr=False)
+class WaterfillSolution(_Witness):
     """Trace of the purity minimization: the lowest b_minus+1 levels raised
     to x, the highest b_plus+1 lowered to y, middle untouched."""
 
@@ -129,8 +141,8 @@ class WaterfillSolution:
     purity: Fraction = _Lazy()
 
 
-@dataclass(frozen=True)
-class SupportCutResult:
+@dataclass(frozen=True, repr=False)
+class SupportCutResult(_Witness):
     """Trace of the support minimization: b distinct probabilities taken
     from the top, k strings kept, s_b their total mass before the trim."""
 
@@ -296,11 +308,11 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     if _prod_le(Y, C, X, Ct):
         raise EpsilonTooLargeError(x(), y())
     mid = spec.moment(b_minus + 1, top, 2)  # the untouched middle
-    terms = (X, Y, C, Ct, mid, ed)
-    purity = partial(_purity, *terms, den, g)
+    terms, dens = (X, Y, C, Ct, mid, ed * ed), (ed, ed, den, den, g)
+    purity = partial(_purity, terms, dens)
     ed_factors = small_factors(ed)
-    tables = (spec.den_factors, spec.g_factors, ed_factors, spec.den_factors, ed_factors)
-    bits = _purity_log2(*terms, tables)
+    tables = (ed_factors, ed_factors, spec.den_factors, spec.den_factors, spec.g_factors)
+    bits = _purity_log2(terms, dens, tables)
     if bits is None:  # not certified: the witness's own exact path
         purity = purity()
         bits = log2_bits(purity)
@@ -309,10 +321,17 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     )
 
 
-def _purity(X, Y, C, Ct, mid, ed, den, g) -> Fraction:
-    """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2: N = X^2*Ct + Y^2*C +
-    mid*ed^2*C*Ct over (ed*den)^2 * g * C*Ct."""
-    return _ratio(X * X * Ct + Y * Y * C + mid * ed * ed * C * Ct, ed, ed, den, den, g, C, Ct)
+def _numerator(X, Y, C, Ct, mid, ed2):
+    """s2's purity numerator N = X^2*Ct + Y^2*C + mid*ed^2*C*Ct, of ints,
+    of their residues or of their enclosures alike."""
+    return X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
+
+
+def _purity(terms, dens) -> Fraction:
+    """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2: N over (ed*den)^2 *
+    g * C*Ct, for terms (X, Y, C, Ct, mid, ed^2) and dens (ed, ed, den,
+    den, g)."""
+    return _ratio(_numerator(*terms), *dens, *terms[2:4])
 
 
 def _valuation(p: int, cap: int, terms) -> int:
@@ -325,52 +344,44 @@ def _valuation(p: int, cap: int, terms) -> int:
         J = min(J, cap)
         q = p**J
         red = (lambda v: v & q - 1) if p == 2 else (lambda v: v % q)
-        X, Y, C, Ct, mid, ed2 = map(red, terms)
-        r = red(X * X * Ct + Y * Y * C + mid * ed2 * C * Ct)
+        r = red(_numerator(*map(red, terms)))
         if r or J == cap:
             return _strip(r, p, cap)[0]
         J *= 2
 
 
-def _purity_log2(X, Y, C, Ct, mid, ed, tables) -> float | None:
-    """log2_bits(_purity(...)), certified without forming N or reducing it,
-    or None when it is not certified.  The tables are `small_factors` of the
-    denominator (ed*den)^2 * g less C*Ct, and reducing divides N and the
-    denominator by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p + v_p(C*Ct))
-    for each known prime p of exponent e_p in the tables (`_valuation`), and
-    h the gcd of N with rest, C*Ct less those primes.  Since the mid term
-    vanishes modulo C*Ct, N = Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
-    N and the reduced denominator prod(p^(e_p + v_p - k_p)) * rest/h are
-    enclosed to bitlen(K) + _GUARD bits, and N/K's ends read the reduced
-    numerator's bit length and top bits.  None when a table's rest is not 1,
-    when the ends differ in those, or when log2_bits would take its branch
-    near 1."""
+def _purity_log2(terms, dens, tables) -> float | None:
+    """log2_bits(_purity(terms, dens)), certified without forming N or
+    reducing it, or None when it is not certified.  The tables are
+    `small_factors` of dens, and reducing divides N and the denominator
+    prod(dens)*C*Ct by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p +
+    v_p(C*Ct)) for each known prime p of exponent e_p in the tables
+    (`_valuation`), and h the gcd of N with rest, C*Ct less those primes.
+    Since the mid term vanishes modulo C*Ct, N = Ct*(X^2 mod C) + C*(Y^2
+    mod Ct) modulo rest.  N and the denominator are enclosed (`_Enc`) to
+    bitlen(K) + _GUARD bits and divided by K, and the two quotients' ends
+    read the reduced pair's bit lengths and top bits.  None when a table's
+    rest is not 1, when the ends differ in those, or when log2_bits would
+    take its branch near 1."""
     if any(rest != 1 for _, rest in tables):
         return None
     primes = {}
     for table, _ in tables:
         for p, e in table.items():
             primes[p] = primes.get(p, 0) + e
-    terms, K, dens = (X, Y, C, Ct, mid, ed * ed), 1, []
-    rest_c, rest_t = C, Ct
+    X, Y, C, Ct = terms[:4]
+    K, rest_c, rest_t = 1, C, Ct
     for p, e in primes.items():
         vc, rest_c = _strip(rest_c, p, math.inf)
         vt, rest_t = _strip(rest_t, p, math.inf)
-        k = _valuation(p, e + vc + vt, terms)
-        K *= p**k
-        dens.append((p, e + vc + vt - k))
+        K *= p ** _valuation(p, e + vc + vt, terms)
     rest = rest_c * rest_t
     xm, ym = big_divmod(X, C)[1], big_divmod(Y, Ct)[1]
     r = Ct * big_divmod(xm * xm, C)[1] + C * big_divmod(ym * ym, Ct)[1]
-    h = math.gcd(big_divmod(r, rest)[1], rest)
-    K *= h
-    dens.append((big_divmod(rest, h)[0], 1))
+    K *= math.gcd(big_divmod(r, rest)[1], rest)
     prec = K.bit_length() + _GUARD
-    X, Y, C, Ct, mid, ed2 = (_enclose(v, prec) for v in terms)  # enclosures from here
-    products = ((X, X, Ct), (Y, Y, C), (mid, ed2, C, Ct))
-    lo, hi, s = _enc_sum([_enc_prod(f, prec) for f in products], prec)
-    num = _enc_top((lo // K, -(-hi // K), s))
-    den = _enc_top(_enc_prod([_enc_pow(p, e, prec) for p, e in dens], prec))
+    num = (_numerator(*(_Enc(v, prec) for v in terms)) // K).top()
+    den = (math.prod((_Enc(v, prec) for v in (*dens, C, Ct)), start=_Enc(1, prec)) // K).top()
     if num is None or den is None:
         return None
     if den[0] + den[1].bit_length() < num[0] + num[1].bit_length() + 2:

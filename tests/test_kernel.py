@@ -172,41 +172,45 @@ def test_big_divmod_recurses_only_past_the_limit():
 
 
 def _holds(v, enc):
-    lo, hi, s = enc
-    return lo << s <= v <= hi << s
+    return enc.lo << enc.s <= v <= enc.hi << enc.s
 
 
 @given(st.lists(st.integers(0, 2**3000), min_size=1, max_size=4),
-       st.integers(1, 400), st.integers(1, 7), st.integers(0, 5000))
+       st.integers(1, 400), st.integers(1, 2**500))
 @settings(max_examples=300, deadline=None)
-def test_enclosures_hold_their_values(vs, prec, p, e):
-    """Each enclosure helper's (lo, hi, s) holds the exact value, and keeps
-    at most prec bits (plus the one unit hi may carry past them)."""
-    encs = [kernel._enclose(v, prec) for v in vs]
+def test_enclosures_hold_their_values(vs, prec, K):
+    """An enclosure (`_Enc`) of an int, and of the product and the sum of
+    enclosed ints and of a quotient of one by K, holds the exact value and
+    keeps at most prec bits (plus the one unit hi may carry past them)."""
+    encs = [kernel._Enc(v, prec) for v in vs]
     assert all(map(_holds, vs, encs))
-    for v, enc in ((math.prod(vs), kernel._enc_prod(encs, prec)),
-                   (sum(vs), kernel._enc_sum(encs, prec)),
-                   (p**e, kernel._enc_pow(p, e, prec))):
+    for v, enc in ((math.prod(vs), math.prod(encs[1:], start=encs[0])),
+                   (sum(vs), sum(encs[1:], start=encs[0])),
+                   (vs[0] // K, encs[0] // K)):
         assert _holds(v, enc)
-        assert enc[1].bit_length() <= prec + 1
+        assert enc.hi.bit_length() <= prec + 1
 
 
 @given(st.lists(st.integers(1, 2**3000), min_size=1, max_size=4), st.integers(1, 400))
 @settings(max_examples=300, deadline=None)
 def test_enclosure_top_is_what_log2_bits_reads(vs, prec):
-    """`_enc_top` of an enclosure is `_top` of the value it holds whenever it
-    is not None, and it is not None for an exact value."""
-    v, enc = math.prod(vs), kernel._enc_prod([kernel._enclose(v, prec) for v in vs], prec)
-    top = kernel._enc_top(enc)
+    """An enclosure's `top` is `_top` of the value it holds whenever it is
+    not None, and it is not None for an exact value."""
+    encs = [kernel._Enc(v, prec) for v in vs]
+    v, enc = math.prod(vs), math.prod(encs[1:], start=encs[0])
+    top = enc.top()
     assert top is None or top == kernel._top(v)
-    assert kernel._enc_top((v, v, 0)) == kernel._top(v)
+    assert kernel._Enc(v, v.bit_length()).top() == kernel._top(v)
     assert log2_bits(v) == kernel._log2_tops(kernel._top(v), kernel._top(1))
 
 
 def test_enclosure_top_undecided():
     # the ends differ in bit length, in the top 96 bits, or in the zeros
     # below a top narrower than 96 bits
-    assert kernel._enc_top((2**100 - 1, 2**100, 0)) is None
-    assert kernel._enc_top((2**95, 2**95 + 1, 3)) is None
-    assert kernel._enc_top((5, 5, 1)) is None
-    assert kernel._enc_top((2**200, 2**200 + 1, 7)) == (105 + 7, 2**95)
+    def enc(lo, hi, s):
+        return kernel._Enc(lo, 400, hi, s)
+
+    assert enc(2**100 - 1, 2**100, 0).top() is None
+    assert enc(2**95, 2**95 + 1, 3).top() is None
+    assert enc(5, 5, 1).top() is None
+    assert enc(2**200, 2**200 + 1, 7).top() == (105 + 7, 2**95)

@@ -985,6 +985,22 @@ def test_s2_certified_float_makes_no_reduction(monkeypatch):
     assert calls == {"_ratio": 5, "_purity": 1}
 
 
+def test_witness_repr_prints_only_its_ints(monkeypatch):
+    """A witness's repr leaves its lazy Fractions out: at n=1000 the
+    purity's ints are past str()'s 4300-digit limit, and the repr of each
+    of the three witnesses neither prints nor builds one."""
+    p = ProtocolParams(d=2, n=1000, beta0=F(49, 50), epsilon=F(1, 100))
+    _, sol, calls = _s2_counting(monkeypatch, xe_spectrum(p), p.epsilon_prime)
+    rank = s0_smooth(eve_spectrum(p), p.epsilon_prime)[1]
+    cut = h0_smooth(conditional_spectrum(p), p.epsilon_prime)[1]
+    assert repr(sol) == f"WaterfillSolution(b_minus={sol.b_minus}, b_plus={sol.b_plus})"
+    assert repr(rank) == (f"RankTrimResult(b={rank.b}, k={rank.k}, "
+                          f"remaining_rank={rank.remaining_rank})")
+    assert repr(cut) == f"SupportCutResult(b={cut.b}, k={cut.k})"
+    assert calls == {"_ratio": 0, "_purity": 0}
+    assert sol.purity.denominator.bit_length() > 4300 * math.log2(10)
+
+
 def _assert_exact_path_ran(monkeypatch, spec, eps):
     """s2_smooth(spec, eps), checked to have read its float off the purity
     witness, reduced once inside the call."""
