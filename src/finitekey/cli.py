@@ -10,6 +10,7 @@ exit status 1; malformed flags exit 2 before any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import sys
@@ -288,22 +289,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         header, run = HEADER, lambda pts: _run_sweep(pts, args.workers)
 
-    delim = "," if args.format == "csv" else "\t"
-    if args.out:
-        try:
-            handle = open(args.out, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            args.subparser.error(f"cannot write --out {args.out}: {exc.strerror}")
-    else:
-        handle = sys.stdout
     try:
+        handle = (open(args.out, "w", newline="", encoding="utf-8") if args.out
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        args.subparser.error(f"cannot write --out {args.out}: {exc.strerror}")
+    with handle as out:
         rows = run(points)
-        writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
+        writer = csv.writer(out, delimiter="," if args.format == "csv" else "\t",
+                            lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
     # a point that failed on domain grounds keeps its row, with an ERROR cell
     return int(any(cell.startswith("ERROR:") for row in rows for cell in row))
 

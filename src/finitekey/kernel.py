@@ -248,8 +248,7 @@ class _Enc:
     def top(self) -> tuple[int, int] | None:
         """`_top` of every int enclosed (lo >= 1), or None when two of them
         differ in bit length or in their top _WINDOW bits."""
-        n = self.lo.bit_length()
-        t = max(n - _WINDOW, 0)
-        if self.hi.bit_length() != n or self.lo >> t != self.hi >> t or (self.s and n < _WINDOW):
+        t, top = _top(self.lo)
+        if (t, top) != _top(self.hi) or (self.s and self.lo.bit_length() < _WINDOW):
             return None
-        return t + self.s, self.lo >> t
+        return t + self.s, top

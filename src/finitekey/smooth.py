@@ -26,9 +26,10 @@ Masses, and so every boundary, do not see g; the support cut's counts are
 g times the per-copy ones, and x, y and the purity the per-copy ones over g.
 
 Each boundary is one search (`_last_fit`) with its own predicate, tested
-against one integer budget tq = floor(eps*den): a mass or cost times den
-is an integer, so it is within eps iff that integer is at most tq.  Each
-is first guessed in floats (`_guess`) as the same test in logs, sums
+against one integer budget tq = floor(eps*den) (`_budget`), as a mass or
+cost times den is an integer, within eps iff at most tq.  The support cut
+gives back strings of its last level (mult, w) at lam_b = w/(mult*den*g).
+Each is first guessed in floats (`_guess`) as the same test in logs, sums
 through `_log_add`, by bisecting on how many levels the scan takes over
 the logs of window sums (`log_moment`).  The search sums the guessed
 levels in one window, reads the last of them in closed form (`level`) and
@@ -156,11 +157,14 @@ def _ratio(num: int, *factors: int) -> Fraction:
     return Fraction(num, math.prod(factors))
 
 
-def _as_budget(eps) -> Fraction:
+def _budget(spec: CompressedSpectrum, eps) -> tuple[int, int, int, float]:
+    """(en, ed, tq, ln tq) for a budget eps = en/ed in [0, 1): a mass or
+    cost s times den is an integer, so s <= eps iff s*den <= tq."""
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError(f"smoothing budget must lie in [0, 1), got {eps}")
-    return eps
+    tq = eps.numerator * spec.den // eps.denominator
+    return eps.numerator, eps.denominator, tq, math.log(tq) if tq else -math.inf
 
 
 def _prod_le(a: int, b: int, c: int, d: int) -> bool:
@@ -205,23 +209,21 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     return i, C, W, level
 
 
-def _support_cut(spec: CompressedSpectrum, eps: Fraction) -> tuple[int, int, int]:
+def _support_cut(spec: CompressedSpectrum, budget) -> tuple[int, int, int]:
     """(b, kept, U): the top b levels reach mass U/den >= 1 - eps, and kept
     is their count (g per stored one) less floor((U/den - (1-eps))/lam_b)
-    given back from the last (smallest) one, lam_b = num_b/(den*g).  The
-    cut stops at a nonzero level, since those carry mass 1.
+    given back from the last (smallest) one (mult, w), lam_b =
+    w/(mult*den*g), for `_budget`'s (en, ed, tq, ln tq) of eps = en/ed.
+    The cut stops at a nonzero level, since those carry mass 1.
 
     It is guessed from the bottom, as the levels whose summed mass stays
     within eps, since 1 - (mass above) in floats cancels for a small eps."""
-    en, ed, den = eps.numerator, eps.denominator, spec.den
-    tq = en * den // ed  # W/den < 1-eps iff W < den - tq, for W an integer
-    ln_tq = math.log(tq) if tq else -math.inf
+    (en, ed, tq, ln_tq), den = budget, spec.den
     removed = _guess(spec, False, lambda lm, lw, lC, lW: _log_add(lW, lw) <= ln_tq)
-    i, cnt, U, (mult, w) = _last_fit(
+    i, cnt, U, (mult, w) = _last_fit(  # W/den < 1-eps iff W < den - tq
         spec, True, lambda mult, w, C, W: W < den - tq, spec.size - removed
     )
-    num = big_divmod(w, mult)[0]  # num_b, as lam_b = num_b/(den*g)
-    kept = spec.g * cnt - big_divmod(spec.g * (U * ed - (ed - en) * den), ed * num)[0]
+    kept = spec.g * cnt - big_divmod(spec.g * mult * (U * ed - (ed - en) * den), ed * w)[0]
     assert kept >= 1
     return spec.size - i, kept, U
 
@@ -252,8 +254,7 @@ def s0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, RankTrimResult]:
     toward rank.  What stays is h0_smooth's support cut, taken from the
     top: the removed levels are the nonzero ones it does not reach.
     """
-    eps = _as_budget(eps)
-    included, remaining, U = _support_cut(spec, eps)
+    included, remaining, U = _support_cut(spec, _budget(spec, eps))
     nonzero = spec.size - (1 if spec.zero_mult else 0)
     return log2_bits(remaining), RankTrimResult(
         b=nonzero - included,
@@ -274,21 +275,18 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     the float, -log2_bits of it, is certified without it (`_purity_log2`)
     or else read from it.
     """
-    eps = _as_budget(eps)
+    en, ed, tq, ln_tq = _budget(spec, eps)
     den, m = spec.den, spec.size
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
-        # can move; the ball contains no lower-purity spectrum
-        [(lam, count)] = spec.levels  # count includes the g copies
-        purity = count * lam * lam
-        return -log2_bits(purity), WaterfillSolution(0, 0, lam, lam, purity)
-    en, ed = eps.numerator, eps.denominator
-    tq = en * den // ed  # s*den <= tq iff s <= eps, for s*den an integer
+        # can move; the ball contains no lower-purity spectrum.  The level
+        # holds all the mass, so its count (g copies included) is total_dim
+        lam = Fraction(1, spec.total_dim)
+        return -log2_bits(lam), WaterfillSolution(0, 0, lam, lam, lam)
 
     # bottom boundary: raising the levels below r (count C_r, mass W_r times
     # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
     # fits iff w*C_r <= (tq + W_r)*mult; b_minus is the last level that fits
-    ln_tq = math.log(tq) if tq else -math.inf
     b_minus, C, W, _ = _last_fit(
         spec, False, lambda mult, w, C, W: _prod_le(w, C, tq + W, mult),
         _guess(spec, False, lambda lm, lw, lC, lW: lw - lm + lC <= _log_add(ln_tq, lW)),
@@ -398,7 +396,6 @@ def h0_smooth(spec: CompressedSpectrum, eps) -> tuple[float, SupportCutResult]:
     (smallest) included probability: the support cut that s0_smooth
     mirrors, H0 and S0 being one smoothed max-entropy.
     """
-    eps = _as_budget(eps)
-    b, k, U = _support_cut(spec, eps)
+    b, k, U = _support_cut(spec, _budget(spec, eps))
     s_b = partial(_ratio, U, spec.den)
     return log2_bits(k), SupportCutResult(b=b, k=k, s_b=s_b)

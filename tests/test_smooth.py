@@ -4,7 +4,9 @@ import math
 import pickle
 import random
 from fractions import Fraction as F
+from functools import partial
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -354,8 +356,61 @@ def test_s2_matches_reference_bottom_walk(p, rebuild, data):
             assert (sol.b_minus, sol.x) == (b_minus, x)
 
 
+def _instrumented(fn, spec, eps, forced=None):
+    """The record of fn(spec, eps): its `result`, or its
+    EpsilonTooLargeError as (x, y), and what its scans read.  `searches`
+    has an entry per `_last_fit` call (reverse, taken, fits, closed-form
+    `level` reads, `step_level` steps and the windows it summed), and
+    `guesses` one per `_guess` call (reverse, `log_moment` reads and exact
+    reads: `level`, `step_level` or `moment`).  `windows` lists every
+    `moment` window as (lo, hi, k, the k of each `math.comb` it takes).
+    `forced` maps a guess's index to the count that guess returns in place
+    of its own; a forced guess is recorded too."""
+    search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
+    names = ("level", "step_level", "moment", "log_moment")
+    reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
+    rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[]), []
+
+    def counted(name, *args):
+        counts[name] += 1
+        start = len(combs)
+        value = reads[name](*args)
+        if name == "moment":
+            rec.windows.append((*args, combs[start:]))
+        return value
+
+    def recorded_comb(n, k):
+        combs.append(k)
+        return comb(n, k)
+
+    def searched(spec, reverse, fits, taken=0):
+        before, start = dict(counts), len(rec.windows)
+        found = search(spec, reverse, fits, taken)
+        rec.searches.append(SimpleNamespace(
+            reverse=reverse, taken=taken, fits=fits, reads=counts["level"] - before["level"],
+            steps=counts["step_level"] - before["step_level"], windows=rec.windows[start:]))
+        return found
+
+    def guessed(spec, reverse, fits):
+        before, index = dict(counts), len(rec.guesses)
+        found = forced[index] if index in forced else guess(spec, reverse, fits)
+        read = {name: counts[name] - before[name] for name in names}
+        rec.guesses.append(SimpleNamespace(
+            reverse=reverse, logs=read.pop("log_moment"), exact=sum(read.values())))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smooth, "_last_fit", searched)
+        patch.setattr(smooth, "_guess", guessed)
+        patch.setattr(math, "comb", recorded_comb)
+        for name in names:
+            patch.setattr(spec, name, partial(counted, name))
+        rec.result = _scan(fn, spec, eps)
+    return rec
+
+
 @pytest.mark.parametrize("guess", ["bottom", "top", "below", "above"])
-def test_s2_corrects_forced_misses(monkeypatch, guess):
+def test_s2_corrects_forced_misses(guess):
     """A wrong float guess, too low or too high, is corrected exactly from
     either side's window sum.  b_minus lies above half the levels at 49/50
     and below it at 8911/10000, so the guesses next to it ("below",
@@ -371,7 +426,6 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
             tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
             for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
                 cases.append((spec, eps, s2_smooth(spec, eps)))
-    search = smooth._guess
     for spec, eps, want in cases:
         b, m = want[1].b_minus, spec.size
         assert 3 <= b <= m - 4
@@ -379,22 +433,12 @@ def test_s2_corrects_forced_misses(monkeypatch, guess):
         complement = 2 * (forced + 1) > m
         if guess in ("below", "above"):
             assert complement == (2 * (b + 1) > m)
-        guesses, windows = [], []
-
-        def forced_bottom(spec, reverse, fits):  # s2 guesses its bottom boundary first
-            guesses.append(fits)
-            return forced + 1 if len(guesses) == 1 else search(spec, reverse, fits)
-
-        def recorded(lo, hi, k):
-            windows.append((lo, hi, k))
-            return type(spec).moment(spec, lo, hi, k)
-
-        monkeypatch.setattr(smooth, "_guess", forced_bottom)
-        monkeypatch.setattr(spec, "moment", recorded)
-        assert s2_smooth(spec, eps) == want
-        assert len(guesses) == 2  # the bottom boundary, then the top scan
+        # s2 guesses its bottom boundary first
+        rec = _instrumented(s2_smooth, spec, eps, forced={0: forced + 1})
+        assert rec.result == want
+        assert [g.reverse for g in rec.guesses] == [False, True]  # then the top scan
         side = (forced + 1, m) if complement else (0, forced + 1)
-        assert windows[:2] == [(*side, 0), (*side, 1)]
+        assert [w[:3] for w in rec.windows[:2]] == [(*side, 0), (*side, 1)]
 
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
@@ -403,9 +447,9 @@ def test_s2_bottom_boundary_walks_a_handful_of_levels():
     searches, the top scan's included, read at most 5 single levels, in
     closed form or by a recurrence step."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
-    (_, sol), searches, _ = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
-    assert sol.b_minus == 6487
-    assert sum(reads + steps for _, reads, steps, _ in searches) <= 5
+    rec = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
+    assert rec.result[1].b_minus == 6487
+    assert sum(s.reads + s.steps for s in rec.searches) <= 5
 
 
 def test_s2_bottom_sums_take_the_shorter_side():
@@ -414,20 +458,13 @@ def test_s2_bottom_sums_take_the_shorter_side():
     each summed over at most half the levels."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     spec = xe_spectrum(p)
-    m, spans, moment = spec.size, [], spec.moment
-
-    def recorded(lo, hi, k):
-        if k < 2:
-            spans.append(min(hi, m) - max(lo, 0))
-        return moment(lo, hi, k)
-
-    spec.moment = recorded
-    s2_smooth(spec, p.epsilon_prime)
+    m, rec = spec.size, _instrumented(s2_smooth, spec, p.epsilon_prime)
+    spans = [min(hi, m) - max(lo, 0) for lo, hi, k, _ in rec.windows if k < 2]
     assert len(spans) == 4
     assert all(span <= (m + 1) // 2 for span in spans)
 
 
-def test_walked_boundaries_correct_forced_misses(monkeypatch):
+def test_walked_boundaries_correct_forced_misses():
     """The support cut (s0) and s2's top scan, searched from a wrong guess
     of 1, true - 3, true + 3 or all m levels, return what their unguessed
     scan from the top returns, on families (xe with its zero level) and
@@ -435,77 +472,22 @@ def test_walked_boundaries_correct_forced_misses(monkeypatch):
     some cases (beta0 = 3/5) and below it in others (8911/10000), so the
     guesses next to it sum the complement in some and the guessed levels in
     others."""
-    search, calls = smooth._last_fit, []
-
-    def recorded(spec, reverse, fits, taken=0):
-        assert taken  # every boundary is guessed
-        if reverse:  # a boundary searched from the top
-            calls.append((spec, reverse, fits))
-        return search(spec, reverse, fits, taken)
-
-    monkeypatch.setattr(smooth, "_last_fit", recorded)
     sides = {s0_smooth: set(), s2_smooth: set()}
     for beta0 in (F(3, 5), F(8911, 10000)):
         for family in (eve_spectrum(params(n=120, beta0=beta0)),
                        xe_spectrum(params(n=120, beta0=beta0))):
             for spec in (family, ListedSpectrum.from_levels(family.levels)):
                 for eps, fn in itertools.product((F(1, 100), F(1, 2)), sides):
-                    calls.clear()
-                    _scan(fn, spec, eps)
-                    [(_, reverse, fits)] = calls
-                    want, m = search(spec, reverse, fits), spec.size
-                    assert reverse
+                    searches = _instrumented(fn, spec, eps).searches
+                    assert all(s.taken for s in searches)  # every boundary is guessed
+                    [top] = [s for s in searches if s.reverse]  # searched from the top
+                    want, m = smooth._last_fit(spec, True, top.fits), spec.size
                     true = m - want[0]  # levels taken from the top
                     assert 4 <= true <= m - 3
                     sides[fn].add(2 * true > m)
                     for taken in (1, true - 3, true + 3, m):
-                        assert search(spec, reverse, fits, taken) == want
+                        assert smooth._last_fit(spec, True, top.fits, taken) == want
     assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
-
-
-def _instrumented(fn, spec, eps):
-    """(result, searches, windows) of fn(spec, eps), or of its
-    EpsilonTooLargeError as (x, y).  windows lists every window the
-    scans sum, as (lo, hi, k, the k of each `math.comb` it takes), and
-    searches holds (reverse, closed-form `level` reads, `step_level` steps,
-    its windows) for each boundary search, in order."""
-    search, comb = smooth._last_fit, math.comb
-    level, step_level, moment = spec.level, spec.step_level, spec.moment
-    counts, combs, windows, searches = [0, 0], [], [], []
-
-    def counted(i):
-        counts[0] += 1
-        return level(i)
-
-    def stepped(i, read, step):
-        counts[1] += 1
-        return step_level(i, read, step)
-
-    def summed(lo, hi, k):
-        start = len(combs)
-        total = moment(lo, hi, k)
-        windows.append((lo, hi, k, combs[start:]))
-        return total
-
-    def recorded_comb(n, k):
-        combs.append(k)
-        return comb(n, k)
-
-    def instrumented(spec, reverse, fits, taken=0):
-        before, start = list(counts), len(windows)
-        found = search(spec, reverse, fits, taken)
-        searches.append((reverse, counts[0] - before[0], counts[1] - before[1],
-                         windows[start:]))
-        return found
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smooth, "_last_fit", instrumented)
-        patch.setattr(math, "comb", recorded_comb)
-        patch.setattr(spec, "level", counted)
-        patch.setattr(spec, "step_level", stepped)
-        patch.setattr(spec, "moment", summed)
-        result = _scan(fn, spec, eps)
-    return result, searches, windows
 
 
 def _read_past_guesses(fn, spec, eps):
@@ -514,9 +496,8 @@ def _read_past_guesses(fn, spec, eps):
     one mass window.  A search reads the last guessed level and the next
     one, which certify the guess, and one more per level it missed; a read
     is a closed-form `level` or a `step_level` step."""
-    _, searches, _ = _instrumented(fn, spec, eps)
-    return [(reverse, reads + steps - 2, [k for _, _, k, _ in windows] == [0, 1])
-            for reverse, reads, steps, windows in searches]
+    return [(s.reverse, s.reads + s.steps - 2, [k for _, _, k, _ in s.windows] == [0, 1])
+            for s in _instrumented(fn, spec, eps).searches]
 
 
 def test_guessed_boundaries_walk_a_handful_of_levels():
@@ -544,39 +525,33 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
                       (s2_smooth, xe_spectrum)):
         spec = build(p)
-        _, searches, windows = _instrumented(fn, spec, p.epsilon_prime)
-        logs += searches
-        inside = [w for *_, ws in searches for w in ws]
+        rec = _instrumented(fn, spec, p.epsilon_prime)
+        logs += rec.searches
+        inside = [w for s in rec.searches for w in s.windows]
         assert all(combs == [0] for *_, combs in inside)
         if fn is s2_smooth:
-            [(lo, hi, k, combs)] = [w for w in windows if w not in inside]
+            [(lo, hi, k, combs)] = [w for w in rec.windows if w not in inside]
             lo, hi = lo - spec.z, min(hi, spec.size) - spec.z  # family indices
             assert k == 2 and combs == [min(lo, n + 1 - hi)]
             assert 0 < n + 1 - hi < lo
     assert len(logs) == 4
-    assert all(reads == 1 for _, reads, _, _ in logs)
-    assert sum(len(ws) for *_, ws in logs) == 8
+    assert all(s.reads == 1 for s in logs)
+    assert sum(len(s.windows) for s in logs) == 8
 
 
-def test_s2_forced_far_miss_steps_to_the_boundary(monkeypatch):
+def test_s2_forced_far_miss_steps_to_the_boundary():
     """A guess of one level for s2's bottom boundary at the n=1e4 anchor,
     about 6,500 levels short, is corrected by recurrence steps after one
     closed-form read, and s2 returns the witness it returns unforced."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     want = s2_smooth(xe_spectrum(p), p.epsilon_prime)
-    search, guesses = smooth._guess, []
-
-    def forced_bottom(spec, reverse, fits):  # s2 guesses its bottom boundary first
-        guesses.append(reverse)
-        return 1 if len(guesses) == 1 else search(spec, reverse, fits)
-
-    monkeypatch.setattr(smooth, "_guess", forced_bottom)
-    got, searches, _ = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
-    assert got == want
-    assert guesses == [False, True] and len(searches) == 2
-    _, reads, steps, _ = searches[0]
-    assert reads == 1
-    assert steps == want[1].b_minus + 1  # to levels 1..b_minus and the first unfit
+    # s2 guesses its bottom boundary first
+    rec = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime, forced={0: 1})
+    assert rec.result == want
+    assert [g.reverse for g in rec.guesses] == [False, True] and len(rec.searches) == 2
+    bottom = rec.searches[0]
+    assert bottom.reads == 1
+    assert bottom.steps == want[1].b_minus + 1  # to levels 1..b_minus and the first unfit
 
 
 def test_guesses_bisect_over_log_moments():
@@ -585,35 +560,14 @@ def test_guesses_bisect_over_log_moments():
     scan takes, reading four `log_moment` windows per probe, so it makes at
     most 4 * (ceil(log2(m + 1)) + 1) calls and reads or steps to no level."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
-    guess, calls = smooth._guess, []
-
-    def counted(spec, reverse, fits):
-        calls.append(0)
-        log_moment = spec.log_moment
-
-        def recorded(lo, hi, k):
-            calls[-1] += 1
-            return log_moment(lo, hi, k)
-
-        def refused(*args):
-            raise AssertionError("a guess read exact levels")
-
-        spec.log_moment = recorded
-        spec.level = spec.step_level = spec.moment = refused
-        try:
-            return guess(spec, reverse, fits)
-        finally:
-            del spec.log_moment, spec.level, spec.step_level, spec.moment
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smooth, "_guess", counted)
-        for fn, build, guesses in ((s0_smooth, eve_spectrum, 1),
-                                   (h0_smooth, conditional_spectrum, 1),
-                                   (s2_smooth, xe_spectrum, 2)):
-            spec, calls[:] = build(p), []
-            fn(spec, p.epsilon_prime)
-            bound = 4 * (math.ceil(math.log2(spec.size + 1)) + 1)
-            assert len(calls) == guesses and all(0 < c <= bound for c in calls)
+    for fn, build, guesses in ((s0_smooth, eve_spectrum, 1),
+                               (h0_smooth, conditional_spectrum, 1),
+                               (s2_smooth, xe_spectrum, 2)):
+        spec = build(p)
+        rec = _instrumented(fn, spec, p.epsilon_prime)
+        bound = 4 * (math.ceil(math.log2(spec.size + 1)) + 1)
+        assert len(rec.guesses) == guesses
+        assert all(0 < g.logs <= bound and g.exact == 0 for g in rec.guesses)
 
 
 @pytest.mark.parametrize("d, n", [(2, 20_000), (3, 10_000)])

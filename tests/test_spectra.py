@@ -511,12 +511,16 @@ def test_lazy_lists_match_eager_construction(p):
 
 def test_no_package_path_reads_family_lists(monkeypatch):
     """Every package path streams a family's levels: its O(n^2)-bit lists
-    are never built."""
+    are never built, nor its Fraction `levels` past n = 1, which only
+    `asymptotic_rate` reads."""
     def refuse(self):
         raise AssertionError("a family's level lists were read")
 
+    levels = CompressedSpectrum.levels.func
     monkeypatch.setattr(CompressedSpectrum, "value_nums", property(refuse))
     monkeypatch.setattr(CompressedSpectrum, "mults", property(refuse))
+    monkeypatch.setattr(CompressedSpectrum, "levels",
+                        property(lambda self: refuse(self) if self.n > 1 else levels(self)))
     p = params(d=3, n=60, beta0=F(9, 10), epsilon=F(1, 100))
     key_length(p)
     asymptotic_rate(3, F(9, 10))
