@@ -45,8 +45,9 @@ reduced purity, certified without forming it (`_purity_log2`): residues
 and one gcd give what the reduction divides out, and integer enclosures
 (`kernel._Enc`) give the reduced pair's bit lengths and top bits.  The
 purity's numerator is written once (`_numerator`), and the witness, the
-residues and the enclosures all read it.  Where the enclosures do not
-settle the float, it reads the purity witness.
+residues and the enclosures all read it; only where v_p(N) passes 32 does
+`_valuation` take its three products from the terms' own valuations.
+Where the enclosures do not settle the float, it reads the purity witness.
 """
 
 from __future__ import annotations
@@ -188,20 +189,15 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     included.  Level i is taken iff fits(mult, w, C, W) holds on the count
     and mass taken before it; fits holds at the first level and, once false,
     stays false.  A guess of `taken` levels (at least the first) sums them in
-    one window at k = 0, 1 over the shorter side (past half the levels,
-    total_dim/g and den less the rest).  One closed-form read (`level`) of
-    the last guessed level follows, then recurrence steps (`step_level`)
-    drop levels that do not fit and take next ones that do, one step per
-    level the guess missed."""
+    one window at k = 0, 1.  One closed-form read (`level`) of the last
+    guessed level follows, then recurrence steps (`step_level`) drop levels
+    that do not fit and take next ones that do, one step per level the
+    guess missed."""
     m, step = spec.size, -1 if reverse else 1
     taken = max(taken, 1)
     i = m - taken if reverse else taken - 1  # the last level guessed
-    cut = m - taken if reverse else taken  # guessed: [cut, m) or [0, cut)
-    lo, hi = (0, cut) if reverse == (2 * taken > m) else (cut, m)
-    C, W = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1)
-    if 2 * taken > m:  # the window holds the rest
-        C, W = big_divmod(spec.total_dim, spec.g)[0] - C, spec.den - W
-    level = spec.level(i)
+    lo, hi = (i, m) if reverse else (0, i + 1)
+    C, W, level = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1), spec.level(i)
     while not fits(*level, C - level[0], W - level[1]):  # guessed too far
         C, W, i, level = C - level[0], W - level[1], i - step, spec.step_level(i, level, -step)
     while 0 <= i + step < m and fits(*(nxt := spec.step_level(i, level, step)), C, W):
@@ -333,19 +329,36 @@ def _purity(terms, dens) -> Fraction:
 
 
 def _valuation(p: int, cap: int, terms) -> int:
-    """min(v_p(N), cap) for s2's purity numerator N, read off N mod p^J
-    formed from the residues of its terms (X, Y, C, Ct, mid, ed^2): J
-    doubles from 32 until the residue is nonzero or J reaches cap.  Residues
-    modulo 2^J are masks."""
-    J = 32
-    while True:
-        J = min(J, cap)
-        q = p**J
-        red = (lambda v: v & q - 1) if p == 2 else (lambda v: v % q)
-        r = red(_numerator(*map(red, terms)))
-        if r or J == cap:
-            return _strip(r, p, cap)[0]
+    """min(v_p(N), cap) for s2's purity numerator N, from its terms (X, Y,
+    C, Ct, mid, ed^2).  The first round reads N mod p^32 off the terms'
+    residues, which settles most calls.  When it reads 0, each term is
+    split into p^v times a unit (`_strip`, bit tricks for p = 2), m is the
+    least valuation of N's three products, and N/p^m is read modulo p^J
+    off the units, J doubling from 32 until the residue is nonzero or m +
+    J reaches cap.  So a residue stays as wide as the part of v_p(N) past
+    m, not v_p(N) itself, which is about 3n at large d.  A term 0 has
+    valuation inf, and its product drops out."""
+    def red(v: int, J: int) -> int:  # v mod p^J: a mask for p = 2
+        return v & (1 << J) - 1 if p == 2 else v % p**J
+
+    J = min(32, cap)
+    r = red(_numerator(*(red(t, J) for t in terms)), J)
+    if r or J == cap:
+        return _strip(r, p, cap)[0]
+    (vx, ux), (vy, uy), (vc, uc), (vt, ut), (vm, um), (ve, ue) = (
+        _strip(t, p, math.inf) for t in terms)
+    # `_numerator`'s three products, each p^v times the product of units
+    products = ((2 * vx + vt, (ux, ux, ut)), (2 * vy + vc, (uy, uy, uc)),
+                (vm + ve + vc + vt, (um, ue, uc, ut)))
+    m, J = min(v for v, _ in products), 32
+    while m < cap:
+        J = min(J, cap - m)
+        r = red(sum(p ** (v - m) * math.prod(red(u, J) for u in units)
+                    for v, units in products if v - m < J), J)
+        if r or J == cap - m:
+            return m + _strip(r, p, J)[0]
         J *= 2
+    return cap
 
 
 def _purity_log2(terms, dens, tables) -> float | None:

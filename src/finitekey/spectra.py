@@ -37,10 +37,15 @@ terms are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
 hypergeometric series in the level index, which `_series` evaluates by
 binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
 exact division (`kernel.big_divmod`) closes it before the window's common
-factor v^lo * u^(n-hi+1) is multiplied back in.  A window is summed from
-the end of the family nearer to it: one nearer the top is its mirror
-image, term n-l with v and u swapped, so its `math.comb` is
-C(n, min(lo, n+1-hi)), which is 1 for a window that reaches either end.  To predict where a scan stops,
+factor v^lo * u^(n-hi+1) is multiplied back in.  A window is summed on
+its shorter side: one of at most half the levels term by term, and a
+wider one as the family's k-th total less the windows below and above it,
+which reach an end.  The totals are the binomial theorem's: (1 + div)^n
+plus the zero level for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n
+for k = 2.  Each window is summed from the end of the family nearer to
+it: one nearer the top is its mirror image, term n-l with v and u
+swapped, so its `math.comb` is C(n, min(lo, n+1-hi)), which is 1 for a
+window that reaches either end.  To predict where a scan stops,
 `log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
 from the terms nearest their mode.
 
@@ -173,9 +178,9 @@ class CompressedSpectrum:
     With alpha > beta >= 1 the numerators strictly ascend.  The level sums
     are the binomial theorem's, so the spectrum is normalised by
     construction: den is the masses' sum (alpha + div*beta)^n, and
-    total_dim is g times the multiplicities' sum (1 + div)^n plus the zero
-    level.  Any n, alpha, beta, div, zero_mult or g that is not an int (a
-    bool included) is refused.
+    total_dim is g times `count`, the multiplicities' sum (1 + div)^n plus
+    the zero level.  Any n, alpha, beta, div, zero_mult or g that is not an
+    int (a bool included) is refused.
 
     Scans read levels through `level(i)`, the (multiplicity, mass) of level
     i, which raises IndexError for an i outside [0, size), and step to the
@@ -201,7 +206,8 @@ class CompressedSpectrum:
         base = alpha + div * beta
         self.den, self.den_factors = base**n, small_factors(base, n)
         self.g, self.g_factors = g, g_factors
-        self.total_dim = g * ((1 + div) ** n + zero_mult)
+        self.count = (1 + div) ** n + zero_mult
+        self.total_dim = g * self.count
 
     @cached_property
     def levels(self) -> list[tuple[Fraction, int]]:
@@ -243,18 +249,38 @@ class CompressedSpectrum:
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
         levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
-        mass.  A zero level counts toward k = 0 only.  The window's terms
-        are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k:
-        C(n, lo) * v^lo * u^(n-hi+1) times a `_series`.  C(n, lo) * T // Q
-        is exact, as each term over v^lo * u^(n-hi+1) is an integer, and is
-        taken before those powers are put back, so the quotient stays
-        narrow.  A window nearer the top of the family (n+1-hi < lo) is
-        summed as its mirror image, term n-l with v and u swapped, so the
-        `math.comb` is C(n, min(lo, n+1-hi)) and the series starts at the
-        nearer end."""
+        mass.  A zero level counts toward k = 0 only.  It sums the shorter
+        side: a window of at most half the levels directly (`_window`),
+        and a wider one as the family's k-th total less the windows below
+        lo and from hi, which reach an end of the family.  The totals are
+        `count` for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for
+        k = 2, formed on first use, so a spectrum whose squared masses are
+        all summed directly never forms it."""
+        lo = max(lo, 0)
+        hi = max(min(hi, self.size), lo)
+        if 2 * (hi - lo) <= self.size:
+            return self._window(lo, hi, k)
+        total = self._squares if k == 2 else (self.count, self.den)[k]
+        return total - sum(self._window(a, b, k) for a, b in ((0, lo), (hi, self.size)) if a < b)
+
+    @cached_property
+    def _squares(self) -> int:
+        """moment(0, size, 2): the family's squared masses sum to
+        (alpha^2 + div*beta^2)^n by the binomial theorem."""
+        return (self.alpha**2 + self.div * self.beta**2) ** self.n
+
+    def _window(self, lo: int, hi: int, k: int) -> int:
+        """`moment` summed term by term.  The window's terms are C(n, l) *
+        v^l * u^(n-l) with v = alpha^k and u = div*beta^k: C(n, lo) * v^lo
+        * u^(n-hi+1) times a `_series`.  C(n, lo) * T // Q is exact, as
+        each term over v^lo * u^(n-hi+1) is an integer, and is taken
+        before those powers are put back, so the quotient stays narrow.  A
+        window nearer the top of the family (n+1-hi < lo) is summed as its
+        mirror image, term n-l with v and u swapped, so the `math.comb` is
+        C(n, min(lo, n+1-hi)) and the series starts at the nearer end."""
         z = self.z
         zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
-        lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
+        lo, hi = max(lo, z) - z, hi - z  # family indices l
         if hi <= lo:
             return zero
         n, v, u = self.n, self.alpha**k, self.div * self.beta**k

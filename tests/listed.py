@@ -4,7 +4,8 @@
 in two lists, checked level by level, and reads them with the interface
 the scans use (`level`, `step_level`, `moment`, `log_moment`, `levels`,
 `size`, `zero_mult`, `den`, `total_dim`, `g` and the factor tables).  Each
-sum is a plain Python sum over the lists, so a `CompressedSpectrum` rebuilt
+sum is a plain Python sum over the lists, taken on the shorter side by the
+package's own `moment`, so a `CompressedSpectrum` rebuilt
 through `ListedSpectrum.from_levels(spec.levels)` checks the closed forms,
 and the scans' results on it check theirs.  It lives with the tests
 (imported as ``from listed import ...``); the package builds only
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+
+from finitekey.spectra import CompressedSpectrum
 
 __all__ = ["ListedSpectrum"]
 
@@ -55,7 +58,8 @@ class ListedSpectrum:
         nums, mults = list(value_nums), list(mults)
         _check_levels(nums, mults, den)
         self.value_nums, self.mults = nums, mults
-        self.den, self.total_dim, self.den_factors = den, sum(mults), ({}, den)
+        self.den, self.den_factors = den, ({}, den)
+        self.count = self.total_dim = sum(mults)
         self.size = len(nums)
         self.zero_mult = mults[0] if nums[0] == 0 else 0
 
@@ -80,11 +84,17 @@ class ListedSpectrum:
         """level(i + step): explicit levels are read, not stepped."""
         return self.level(i + step)
 
-    def moment(self, lo: int, hi: int, k: int) -> int:
-        """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
-        levels): k = 0, 1, 2 give count, mass and squared mass."""
-        lo, hi = max(lo, 0), max(hi, 0)
+    # the package's shorter-side rule, over the plain sums below
+    moment = CompressedSpectrum.moment
+
+    def _window(self, lo: int, hi: int, k: int) -> int:
+        """Sum of mult * num^k over level indices lo..hi-1 of the levels:
+        k = 0, 1, 2 give count, mass and squared mass."""
         return sum(m * v**k for m, v in zip(self.mults[lo:hi], self.value_nums[lo:hi]))
+
+    @cached_property
+    def _squares(self) -> int:
+        return sum(m * v * v for m, v in zip(self.mults, self.value_nums))
 
     def log_moment(self, lo: int, hi: int, k: int) -> float:
         """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum."""

@@ -362,12 +362,14 @@ def _instrumented(fn, spec, eps, forced=None):
     has an entry per `_last_fit` call (reverse, taken, fits, closed-form
     `level` reads, `step_level` steps and the windows it summed), and
     `guesses` one per `_guess` call (reverse, `log_moment` reads and exact
-    reads: `level`, `step_level` or `moment`).  `windows` lists every
-    `moment` window as (lo, hi, k, the k of each `math.comb` it takes).
+    reads: `level`, `step_level` or a summed window).  `windows` lists
+    every window `moment` sums term by term (`_window`, the shorter side
+    of the window asked for) as (lo, hi, k, the k of each `math.comb` it
+    takes).
     `forced` maps a guess's index to the count that guess returns in place
     of its own; a forced guess is recorded too."""
     search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
-    names = ("level", "step_level", "moment", "log_moment")
+    names = ("level", "step_level", "_window", "log_moment")
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
     rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[]), []
 
@@ -375,7 +377,7 @@ def _instrumented(fn, spec, eps, forced=None):
         counts[name] += 1
         start = len(combs)
         value = reads[name](*args)
-        if name == "moment":
+        if name == "_window":
             rec.windows.append((*args, combs[start:]))
         return value
 
@@ -438,7 +440,9 @@ def test_s2_corrects_forced_misses(guess):
         assert rec.result == want
         assert [g.reverse for g in rec.guesses] == [False, True]  # then the top scan
         side = (forced + 1, m) if complement else (0, forced + 1)
-        assert [w[:3] for w in rec.windows[:2]] == [(*side, 0), (*side, 1)]
+        # a guess of all m levels is the family's totals: no window is summed
+        summed = [(*side, k) for k in (0, 1)] if side[0] < side[1] else []
+        assert [w[:3] for w in rec.searches[0].windows] == summed
 
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
@@ -462,6 +466,19 @@ def test_s2_bottom_sums_take_the_shorter_side():
     spans = [min(hi, m) - max(lo, 0) for lo, hi, k, _ in rec.windows if k < 2]
     assert len(spans) == 4
     assert all(span <= (m + 1) // 2 for span in spans)
+
+
+def test_s2_middle_takes_the_shorter_side_at_large_d():
+    """Cost guard: at d=64, n=2000, beta0=99/100 the untouched middle holds
+    more than half the levels, and every k = 2 window s2 sums spans at
+    most half of them: the middle is the squares' total less the rest."""
+    p = ProtocolParams(d=64, n=2000, beta0=F(99, 100), epsilon=F(1, 100))
+    spec = xe_spectrum(p)
+    m, rec = spec.size, _instrumented(s2_smooth, spec, p.epsilon_prime)
+    b_minus, b_plus = rec.result[1].b_minus, rec.result[1].b_plus
+    assert 2 * (m - 2 - b_minus - b_plus) > m
+    spans = [min(hi, m) - max(lo, 0) for lo, hi, k, _ in rec.windows if k == 2]
+    assert spans and all(span <= (m + 1) // 2 for span in spans)
 
 
 def test_walked_boundaries_correct_forced_misses():
@@ -1013,6 +1030,28 @@ def test_s2_valuation_reaches_its_cap(monkeypatch):
     assert calls == {"_ratio": 0, "_purity": 0}
     assert bits == want
     assert any(p == 3 and cap > 64 for p, cap in capped)
+
+
+@given(st.sampled_from([2, 3, 37]), st.integers(1000, 3000), st.integers(1, 300),
+       st.one_of(st.just(0), st.integers(-300, 300)), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_valuation_reads_the_terms_own(p, shared, k, offset, no_mid, data):
+    """`_valuation` matches the formed N where X, Y, C and Ct each hold
+    p^shared, so its first round reads 0 and it reads N/p^m off the
+    terms' units.  X^2*Ct and Y^2*C tie at valuation 3*shared with units
+    whose sum holds p^k, so the tied units are summed and J doubles.
+    mid's product lies offset away from the tie: below it, at it, or
+    above it by less than k, where it sets v_p(N); mid is sometimes 0."""
+    ux, ut, uy, um, ue, w = (data.draw(st.integers(0, 2**200)) * p + 1 for _ in range(6))
+    q = p**k
+    uc = -ux * ux * ut * pow(uy * uy, -1, q) % q + q * w  # a unit
+    X, Y, C, Ct = (u * p**shared for u in (ux, uy, uc, ut))
+    mid, ed2 = 0 if no_mid else um * p ** (shared + offset), ue
+    N = X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
+    v = _strip(N, p, math.inf)[0]
+    assert (ux * ux * ut + uy * uy * uc) % q == 0 and v >= 2 * shared
+    for cap in (0, 32, v - 1, v, v + 1, 10**6):
+        assert smooth._valuation(p, cap, (X, Y, C, Ct, mid, ed2)) == _strip(N, p, cap)[0]
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 200), st.integers(0, 200),

@@ -346,10 +346,18 @@ def _both_classes(p):
 def test_sums_match_direct_sums(p, data):
     """moment(lo, hi, k) is the count, mass and squared mass of levels
     lo..hi-1 for k = 0, 1, 2 on both classes: empty, one-level, zero-level
-    and out-of-range windows included."""
+    and out-of-range windows included.  Windows of exactly half the levels
+    (summed directly) and one level past half (the total less the rest)
+    lie at each end and across the middle; on xe the zero level's count is
+    inside such a window from level 0, so the k = 0 total holds it, and
+    outside one from level 1, so the rest takes it off."""
     for spec in _both_classes(p):
         size, (nums, mults) = spec.size, lists(spec)
         windows = [(0, size), (0, 0), (size, size), (0, 1), (size - 1, size), (-2, size + 2)]
+        for span in (size // 2, size // 2 + 1):
+            middle = (size - span) // 2
+            windows += [(0, span), (size - span, size), (middle, middle + span)]
+        windows += [(1, size), (1, size // 2 + 2)]
         windows += [
             (data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
             for _ in range(4)
@@ -371,13 +379,14 @@ def test_sums_match_direct_sums_past_the_division_limit(monkeypatch):
     """At n = 2000 the windows' closing divisions are wider than the
     kernel's division limit, so `big_divmod` recurses, and every moment is
     still the direct sum: k = 0, 1, 2, windows at both ends of the family
-    and across its middle."""
+    and across its middle, where (300, 1700) is past half the levels."""
     calls, real = [], kernel._div2n1n
     monkeypatch.setattr(kernel, "_div2n1n", lambda *a: calls.append(a[2]) or real(*a))
     p = params(n=2000, beta0=F(49, 50), epsilon=F(1, 100))
     for spec in (eve_spectrum(p), xe_spectrum(p)):  # xe's has a zero level
         size, levels = spec.size, [(m, w // m) for m, w in rows(spec)]
-        for lo, hi in [(0, 700), (1, 1300), (1300, size), (700, size - 1), (600, 1400)]:
+        for lo, hi in [(0, 700), (1, 1300), (1300, size), (700, size - 1), (600, 1400),
+                       (300, 1700)]:
             for k in (0, 1, 2):
                 want = sum(m * num**k for m, num in levels[lo:hi])
                 assert spec.moment(lo, hi, k) == want
