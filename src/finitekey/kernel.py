@@ -19,7 +19,7 @@ comparison, never floating point.
 Away from 1, `log2_bits` reads of each int only its bit length and top
 _WINDOW bits (`_top`).  So a float needs no exact value when those are
 certified.  An enclosure (`_Enc`) bounds an int as lo * 2**s <= v <= hi *
-2**s by its top bits, and carries that through products, sums and
+2**s by its top bits, and carries that through products, powers, sums and
 quotients by an int, rounding lo down and hi up after each; its `top`
 reads what `log2_bits` would read of every int enclosed, or says that two
 of them differ.  s2's purity takes its float so, with the purity witness
@@ -222,9 +222,11 @@ class _Enc:
     """An enclosure lo * 2**s <= v <= hi * 2**s of an int v >= 0, kept to
     prec bits: after every operation lo is rounded down and hi up to hi's
     top prec bits.  `_Enc(v, prec)` encloses v itself.  A product or sum of
-    two enclosures, or one's quotient `// K` by an int K >= 1, encloses
-    that of the ints enclosed; `top` reads what `log2_bits` would read of
-    every one of them."""
+    two enclosures, a power of one, or one's quotient `// K` by an int K
+    >= 1, encloses that of the ints enclosed, and `/ K` encloses v / K
+    itself, keeping prec bits where `//` drops those of K (an int where K
+    divides v); `top` reads what `log2_bits` would read of every one of
+    them."""
 
     __slots__ = ("lo", "hi", "s", "prec")
 
@@ -244,6 +246,16 @@ class _Enc:
 
     def __floordiv__(self, K: int) -> _Enc:
         return _Enc(self.lo // K, self.prec, -(-self.hi // K), self.s)
+
+    def __truediv__(self, K: int) -> _Enc:
+        w = K.bit_length()  # the ends are widened first, so no bit is lost
+        return _Enc((self.lo << w) // K, self.prec, -(-(self.hi << w) // K), self.s - w)
+
+    def __pow__(self, e: int) -> _Enc:
+        out = _Enc(1, self.prec)
+        for bit in bin(e)[2:]:  # square and multiply, from the top bit
+            out = out * out * self if bit == "1" else out * out
+        return out
 
     def top(self) -> tuple[int, int] | None:
         """`_top` of every int enclosed (lo >= 1), or None when two of them

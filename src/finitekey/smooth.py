@@ -41,13 +41,19 @@ No full-width gcd runs on the way to the floats.  The witness rationals
 (s_b, x, y and the purity) are built as Fractions only when a field is
 first read (`_Lazy`), and s2's test x >= y is the integer test Y*C <= X*Ct,
 mostly decided by bit lengths (`_prod_le`).  s2's float is log2_bits of the
-reduced purity, certified without forming it (`_purity_log2`): residues
-and one gcd give what the reduction divides out, and integer enclosures
-(`kernel._Enc`) give the reduced pair's bit lengths and top bits.  The
-purity's numerator is written once (`_numerator`), and the witness, the
-residues and the enclosures all read it; only where v_p(N) passes 32 does
-`_valuation` take its three products from the terms' own valuations.
-Where the enclosures do not settle the float, it reads the purity witness.
+reduced purity, certified without forming it (`_purity_log2`): the terms'
+valuations and one gcd give what the reduction divides out, and integer
+enclosures (`kernel._Enc`) give the reduced pair's bit lengths and top
+bits.  The purity's numerator is written once (`_numerator`), and the
+witness and the enclosures both read it; `_valuation` takes each prime's
+share from the valuations and units of its three products.  The untouched
+middle, the squared masses between the two boundaries, is a lazy value
+(`_Middle`): the float reads it through its residues modulo a power of
+each prime, only where `_valuation` needs them, and an enclosure summed
+from its largest terms, and only the witness and the fallbacks sum it
+exactly.  Where the enclosures would need over 1/_CHEAP of den's width
+in bits, as at d = 3, the float reads the exact middle instead.  Where
+the enclosures do not settle the float, it reads the purity witness.
 """
 
 from __future__ import annotations
@@ -55,12 +61,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .kernel import (
     _GUARD, _Enc, _log2_tops, _log_add, _strip, big_divmod, log2_bits, small_factors,
 )
 from .spectra import CompressedSpectrum
+
+# p-adic digits of s2's middle that its residue pass reads (`_Middle.view`)
+# past the window's floor: its valuation beyond the floor and the digits of
+# its unit after that, of which `_valuation` needs 32 unless the least of
+# N's products tie
+_DIGITS = 64
+
+# s2's middle is read by residues and an enclosure when den is at least
+# _CHEAP times wider than a lower bound on the enclosures' precision;
+# below that, the exact sum costs less.  At d=2, beta0=49/50 (about 250
+# bits of precision) both cost the same near n=3500, where den is about 84
+# times wider, under CPython 3.11 on a 2-core Xeon
+_CHEAP = 80
 
 __all__ = [
     "RankTrimResult",
@@ -301,7 +320,7 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     # x >= y; Y > 0, as the top scan stops only past the budget (T > tq) or at den
     if _prod_le(Y, C, X, Ct):
         raise EpsilonTooLargeError(x(), y())
-    mid = spec.moment(b_minus + 1, top, 2)  # the untouched middle
+    mid = _Middle(spec, b_minus + 1, top)  # the untouched middle
     terms, dens = (X, Y, C, Ct, mid, ed * ed), (ed, ed, den, den, g)
     purity = partial(_purity, terms, dens)
     ed_factors = small_factors(ed)
@@ -315,50 +334,132 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     )
 
 
+class _Middle:
+    """s2's untouched middle, moment(lo, hi, 2) of spec, as a lazy value:
+    `exact` sums it on first read, for the purity witness and the
+    fallbacks.  Unless told to read `exact`, or it is summed already,
+    `view` reads it through its residues modulo p^_DIGITS for each prime,
+    from one pass taken on first use, and `enc` through an enclosure summed
+    from its largest terms."""
+
+    def __init__(self, spec: CompressedSpectrum, lo: int, hi: int):
+        self.spec, self.window, self.residues = spec, (lo, hi, 2), None
+
+    @cached_property
+    def exact(self) -> int:
+        return self.spec.moment(*self.window)
+
+    def floor(self, p: int) -> int:
+        """A lower bound on v_p(mid), from the window's ends."""
+        return self.spec._moment_floor(*self.window, p)
+
+    def view(self, p: int, primes, exact: bool) -> tuple:
+        """(v_p(mid), unit) for `_valuation`, off `exact` or off the residue
+        pass (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes.
+        A residue 0 modulo p^_DIGITS says too little of v_p, which is then
+        read off `exact`."""
+        if exact or "exact" in vars(self):
+            return _adic(self.exact, p)
+        if self.residues is None:
+            self.residues = self.spec._moment_mod(*self.window, primes, _DIGITS)
+        R, shifts = self.residues
+        if r := R % p**_DIGITS:
+            vr, r = _strip(r, p, math.inf)
+            unit = _units(shifts, r, p)  # mid / p^v, to _DIGITS - vr digits; past them, `exact`
+            return shifts[p] + vr, lambda J: (unit if J <= _DIGITS - vr else
+                                              _adic(self.exact, p)[1])(J)
+        return _adic(self.exact, p)
+
+    def enc(self, prec: int, exact: bool) -> _Enc:
+        """An enclosure of mid to prec bits (`spec._moment_enc`)."""
+        if exact or "exact" in vars(self):
+            return _Enc(self.exact, prec)
+        return self.spec._moment_enc(*self.window, prec)
+
+
 def _numerator(X, Y, C, Ct, mid, ed2):
-    """s2's purity numerator N = X^2*Ct + Y^2*C + mid*ed^2*C*Ct, of ints,
-    of their residues or of their enclosures alike."""
+    """s2's purity numerator N = X^2*Ct + Y^2*C + mid*ed^2*C*Ct, of ints
+    or of their enclosures alike."""
     return X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
+
+
+def _products(X, Y, C, Ct, mid, ed2):
+    """The factors of `_numerator`'s three products, of any one reading of
+    the terms: their valuations, which the products sum, or their units."""
+    return (X, X, Ct), (Y, Y, C), (mid, ed2, C, Ct)
 
 
 def _purity(terms, dens) -> Fraction:
     """s2's purity g*C*x^2 + mid/(g*den^2) + g*Ct*y^2: N over (ed*den)^2 *
-    g * C*Ct, for terms (X, Y, C, Ct, mid, ed^2) and dens (ed, ed, den,
-    den, g)."""
-    return _ratio(_numerator(*terms), *dens, *terms[2:4])
+    g * C*Ct, for terms (X, Y, C, Ct, mid, ed^2), mid a `_Middle`, and
+    dens (ed, ed, den, den, g)."""
+    X, Y, C, Ct, mid, ed2 = terms
+    return _ratio(_numerator(X, Y, C, Ct, mid.exact, ed2), *dens, C, Ct)
 
 
-def _valuation(p: int, cap: int, terms) -> int:
-    """min(v_p(N), cap) for s2's purity numerator N, from its terms (X, Y,
-    C, Ct, mid, ed^2).  The first round reads N mod p^32 off the terms'
-    residues, which settles most calls.  When it reads 0, each term is
-    split into p^v times a unit (`_strip`, bit tricks for p = 2), m is the
-    least valuation of N's three products, and N/p^m is read modulo p^J
-    off the units, J doubling from 32 until the residue is nonzero or m +
-    J reaches cap.  So a residue stays as wide as the part of v_p(N) past
-    m, not v_p(N) itself, which is about 3n at large d.  A term 0 has
-    valuation inf, and its product drops out."""
-    def red(v: int, J: int) -> int:  # v mod p^J: a mask for p = 2
-        return v & (1 << J) - 1 if p == 2 else v % p**J
+def _split(t: int, primes) -> tuple[dict, int]:
+    """(vals, rest) with t = rest * prod(p^vals[p]) and rest free of the
+    primes: each prime stripped once (`_strip`), from what the ones before
+    it left."""
+    vals = {}
+    for p in primes:
+        vals[p], t = _strip(t, p, math.inf)
+    return vals, t
 
-    J = min(32, cap)
-    r = red(_numerator(*(red(t, J) for t in terms)), J)
-    if r or J == cap:
-        return _strip(r, p, cap)[0]
-    (vx, ux), (vy, uy), (vc, uc), (vt, ut), (vm, um), (ve, ue) = (
-        _strip(t, p, math.inf) for t in terms)
-    # `_numerator`'s three products, each p^v times the product of units
-    products = ((2 * vx + vt, (ux, ux, ut)), (2 * vy + vc, (uy, uy, uc)),
-                (vm + ve + vc + vt, (um, ue, uc, ut)))
-    m, J = min(v for v, _ in products), 32
-    while m < cap:
+
+def _units(vals: dict, rest: int, p: int):
+    """unit(J) = t / p^vals[p] modulo p^J for t = rest * prod(q^vals[q])
+    (`_split`): rest times the other primes' powers, read off their product
+    modulo p^32 up to 32 digits."""
+    def product(J: int) -> int:
+        q = p**J
+        return rest % q * math.prod(pow(r, v, q) for r, v in vals.items() if r != p) % q
+
+    low = product(32)
+    return lambda J: low % p**J if J <= 32 else product(J)
+
+
+def _adic(t: int, p: int) -> tuple:
+    """(v, unit) for an int t >= 0 and a prime p: v = v_p(t) and unit(J) =
+    t / p^v modulo p^J.  For p = 2, and where v reaches 32, t is divided in
+    full (`_strip`), once; otherwise v and the unit are read off t modulo
+    p^32 as far as it goes, then modulo p^(v+J)."""
+    if p == 2 or not (r := t % p**32):
+        v, u = _strip(t, p, math.inf)
+        return v, lambda J: u % p**J
+    v = _strip(r, p, 32)[0]
+    return v, lambda J: (r if v + J <= 32 else t) % p ** (v + J) // p**v
+
+
+def _valuation(p: int, cap: int, terms, mid) -> int:
+    """min(v_p(N), cap) for s2's purity numerator N, from its terms X, Y,
+    C, Ct and ed^2, each given as (v, unit): v = v_p(term), inf for a term
+    0, and unit(J) the term over p^v modulo p^J; and from mid = (floor,
+    read), floor <= v_p(mid) and read() its (v, unit).  m is the least
+    valuation of N's three products, and N/p^m is read modulo p^J off the
+    units, J doubling from 32 until the residue is nonzero or m + J
+    reaches cap.  So a residue stays as wide as the part of v_p(N) past m,
+    not v_p(N) itself, which is about 3n at large d.  A product j past m
+    reads its units to J - j digits, and one J or more past m drops out
+    unread; mid's is taken at its floor until then, so mid is read only
+    where its product could count."""
+    (vx, ux), (vy, uy), (vc, uc), (vt, ut), (ve, ue) = terms
+    (vm, um), J = (mid[0], None), 32
+    while True:
+        vals = _products(vx, vy, vc, vt, vm, ve)  # each product is p^v times its units
+        products = [(sum(v), u) for v, u in zip(vals, _products(ux, uy, uc, ut, um, ue))]
+        m = min(v for v, _ in products)
+        if m >= cap:
+            return cap
         J = min(J, cap - m)
-        r = red(sum(p ** (v - m) * math.prod(red(u, J) for u in units)
-                    for v, units in products if v - m < J), J)
+        if um is None and products[2][0] - m < J:
+            vm, um = mid[1]()
+            continue
+        r = sum(p ** (v - m) * math.prod(u(J - v + m) for u in units)
+                for v, units in products if v - m < J) % p**J
         if r or J == cap - m:
             return m + _strip(r, p, J)[0]
         J *= 2
-    return cap
 
 
 def _purity_log2(terms, dens, tables) -> float | None:
@@ -368,30 +469,49 @@ def _purity_log2(terms, dens, tables) -> float | None:
     prod(dens)*C*Ct by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p +
     v_p(C*Ct)) for each known prime p of exponent e_p in the tables
     (`_valuation`), and h the gcd of N with rest, C*Ct less those primes.
-    Since the mid term vanishes modulo C*Ct, N = Ct*(X^2 mod C) + C*(Y^2
-    mod Ct) modulo rest.  N and the denominator are enclosed (`_Enc`) to
-    bitlen(K) + _GUARD bits and divided by K, and the two quotients' ends
-    read the reduced pair's bit lengths and top bits.  None when a table's
-    rest is not 1, when the ends differ in those, or when log2_bits would
-    take its branch near 1."""
+    C and Ct are split into the primes' powers and a rest once (`_split`),
+    X, Y and ed^2 are read p-adically (`_adic`), and mid only where
+    `_valuation` asks.  Since the mid term vanishes modulo C*Ct, N =
+    Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
+    N and the denominator are enclosed (`_Enc`) to prec = bitlen(K) +
+    _GUARD bits and divided by K, and the two quotients' ends read the
+    reduced pair's bit lengths and top bits.
+
+    The middle is read through its residues (`_Middle.view`) and an
+    enclosure (`_Middle.enc`), unless prec, bounded from below by the
+    terms' valuations and the middle's floors (`_Middle.floor`), is over
+    1/_CHEAP of den's width: then those would cost about what the exact
+    sum does, and the middle is summed.  None when a table's rest is not
+    1, when the ends differ in those bits, or when log2_bits would take
+    its branch near 1."""
     if any(rest != 1 for _, rest in tables):
         return None
     primes = {}
     for table, _ in tables:
         for p, e in table.items():
             primes[p] = primes.get(p, 0) + e
-    X, Y, C, Ct = terms[:4]
-    K, rest_c, rest_t = 1, C, Ct
-    for p, e in primes.items():
-        vc, rest_c = _strip(rest_c, p, math.inf)
-        vt, rest_t = _strip(rest_t, p, math.inf)
-        K *= p ** _valuation(p, e + vc + vt, terms)
+    X, Y, C, Ct, mid, ed2 = terms
+    (vc, rest_c), (vt, rest_t) = _split(C, primes), _split(Ct, primes)
+    views = {p: (_adic(X, p), _adic(Y, p), (vc[p], _units(vc, rest_c, p)),
+                 (vt[p], _units(vt, rest_t, p)), _adic(ed2, p)) for p in primes}
+    caps = {p: e + vc[p] + vt[p] for p, e in primes.items()}
+    floors, low = {p: mid.floor(p) for p in primes}, _GUARD  # low: prec from below
+    for p, cap in caps.items():
+        vx, vy, _, _, ve = (v for v, _ in views[p])
+        low += math.log2(p) * min(cap, *map(sum, _products(vx, vy, vc[p], vt[p], floors[p], ve)))
+    # past this the residues and the enclosure cost about what the sum does
+    exact = low * _CHEAP > mid.spec.den.bit_length()
+    K = 1
+    for p, cap in caps.items():
+        read = partial(mid.view, p, primes, exact)
+        K *= p ** _valuation(p, cap, views[p], (floors[p], read))
     rest = rest_c * rest_t
     xm, ym = big_divmod(X, C)[1], big_divmod(Y, Ct)[1]
     r = Ct * big_divmod(xm * xm, C)[1] + C * big_divmod(ym * ym, Ct)[1]
     K *= math.gcd(big_divmod(r, rest)[1], rest)
     prec = K.bit_length() + _GUARD
-    num = (_numerator(*(_Enc(v, prec) for v in terms)) // K).top()
+    encs = [_Enc(v, prec) for v in (X, Y, C, Ct)]
+    num = (_numerator(*encs, mid.enc(prec, exact), _Enc(ed2, prec)) // K).top()
     den = (math.prod((_Enc(v, prec) for v in (*dens, C, Ct)), start=_Enc(1, prec)) // K).top()
     if num is None or den is None:
         return None

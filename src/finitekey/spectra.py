@@ -47,7 +47,14 @@ it: one nearer the top is its mirror image, term n-l with v and u
 swapped, so its `math.comb` is C(n, min(lo, n+1-hi)), which is 1 for a
 window that reaches either end.  To predict where a scan stops,
 `log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
-from the terms nearest their mode.
+from the terms nearest their mode.  Two reads of a window serve a float
+that need not sum it exactly.  `_moment_mod` gives it modulo a power of
+each of a few primes, in one pass of the terms' recurrence over small
+residues, with the power of each prime that every term holds
+(`_moment_floor`) taken out first; a wide window is again the total, one
+`pow`, less the rest.  `_moment_enc` encloses it (`kernel._Enc`) to a
+given number of bits, summed from its largest term outward until a
+geometric bound on what is left falls below them.
 
 An exact point costs time that grows faster than the bit length of its
 spectra's n-th powers, so each builder refuses, before forming any, a point
@@ -61,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kernel import _log_add, big_divmod, small_factors
+from .kernel import _Enc, _log_add, _strip, big_divmod, small_factors
 
 __all__ = [
     "ProtocolParams",
@@ -165,6 +172,27 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
         return 1, 0
     _, Q, T = split(lo, hi, False)
     return Q, T
+
+
+def _descend(n: int, l: int, count: int, v: int, u: int, prec: int) -> _Enc:
+    """An enclosure of t_l + t_(l-1) + ... over count terms, t_j = C(n, j)
+    * v^j * u^(n-j), for terms that fall from t_l on: t_(j-1) = t_j * r_j,
+    r_j = j*u / ((n-j+1)*v) <= 1, and r_j falls with j.  So once t_j is
+    read, the terms left sum to at most t_j * r_j/(1-r_j), and the sum stops
+    when that bound, put on the upper end, is below 2^-prec of the sum."""
+    if count <= 0:
+        return _Enc(0, prec)
+    t = _Enc(math.comb(n, l), prec) * _Enc(v, prec) ** l * _Enc(u, prec) ** (n - l)
+    s = t
+    for j in range(l, l - count + 1, -1):
+        a, b = j * u, (n - j + 1) * v  # r_j = a/b
+        if b > a:
+            left = -(-t.hi * a // (b - a))
+            if left.bit_length() + t.s + prec < s.lo.bit_length() + s.s:
+                return s + _Enc(0, prec, left, t.s)
+        t = t * _Enc(a, prec) / b
+        s = s + t
+    return s
 
 
 class CompressedSpectrum:
@@ -288,6 +316,117 @@ class CompressedSpectrum:
             lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v
         Q, T = _series(lo, hi, n, v, u)
         return zero + big_divmod(math.comb(n, lo) * T, Q)[0] * v**lo * u ** (n - hi + 1)
+
+    def _moment_floor(self, lo: int, hi: int, k: int, p: int) -> int:
+        """A lower bound on v_p(moment(lo, hi, k)) for a prime p.  Each
+        family term C(n, l) * v^l * u^(n-l) holds p^(l*v_p(v) +
+        (n-l)*v_p(u)), which is linear in l, so least at an end of the
+        window.  0 for a count holding the zero level, inf for a zero sum."""
+        if k == 0 and self.z and lo <= 0 < hi:
+            return 0
+        lo, hi = max(lo, self.z) - self.z, min(hi, self.size) - self.z
+        if hi <= lo:
+            return math.inf
+        a, b = (_strip(x, p, math.inf)[0] for x in (self.alpha**k, self.div * self.beta**k))
+        return min(l * a + (self.n - l) * b for l in (lo, hi - 1))
+
+    def _moment_mod(self, lo: int, hi: int, k: int, primes, J: int) -> tuple[int, dict]:
+        """(R, shifts): moment(lo, hi, k) is prod(p^shifts[p]) times an int
+        congruent to R modulo M = prod(p^J) over the primes.  A window of
+        at most half the levels is summed from its terms' recurrence
+        (`_window_mod`), with shifts its `_moment_floor`s.  A wider one is,
+        as in `moment`, the k-th total less the windows outside it: modulo
+        M the total is one `pow`, and its shifts are 0."""
+        M = math.prod(p**J for p in primes)
+        lo = max(lo, 0)
+        hi = max(min(hi, self.size), lo)
+        if 2 * (hi - lo) <= self.size:
+            return self._window_mod(lo, hi, k, primes, M)
+        total = pow(self.alpha**k + self.div * self.beta**k, self.n, M)
+        total += self.zero_mult if k == 0 else 0
+        for a, b in ((0, lo), (hi, self.size)):
+            R, shifts = self._window_mod(a, b, k, primes, M)
+            total -= R * math.prod(pow(p, s, M) for p, s in shifts.items())
+        return total % M, dict.fromkeys(primes, 0)
+
+    def _window_mod(self, lo: int, hi: int, k: int, primes, M: int) -> tuple[int, dict]:
+        """`_moment_mod` summed term by term.  A term is split into each
+        prime's power p^e, e counted past the window's floor, and a unit.
+        The recurrence t_(l+1) = t_l * (n-l)*v / ((l+1)*u) moves each e by
+        the primes of its factors, which a sieve over the multiples of p
+        takes out of n-l and l+1 beforehand, and the unit by what is left.
+        The units' sum is kept as one fraction over their running
+        denominator, which is inverted modulo M once.  Each step also adds
+        v_p(v) - v_p(u) to e: where that is positive the step's factor
+        keeps it, and where negative it is counted.  So the window is summed
+        from the end where no prime's is negative, if it has one, and else
+        from the family end nearer to it (as `_window`)."""
+        z, shifts = self.z, {p: self._moment_floor(lo, hi, k, p) for p in primes}
+        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0  # then shifts are 0
+        lo, hi = max(lo, z) - z, hi - z
+        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+        if hi <= lo:
+            return zero % M, dict.fromkeys(primes, 0)
+        steps = [_strip(v, p, math.inf)[0] - _strip(u, p, math.inf)[0] for p in primes]
+        up, down = max(steps, default=0) > 0, min(steps, default=0) < 0
+        if down and not up or up == down and n + 1 - hi < lo:
+            lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v  # the mirror image, from l = n down
+        # step l to l+1 multiplies by xs[l-lo]*v and divides by ys[l-lo]*u;
+        # key packs each prime's e in a 64-bit field, and moves its steps
+        xs, ys, c = list(range(n - lo, n - hi + 1, -1)), list(range(lo + 1, hi)), math.comb(n, lo)
+        key, moves, kept = 0, [0] * len(xs), 1
+        for i, p in enumerate(primes):
+            (a, v), (b, u), (ec, c) = (_strip(x, p, math.inf) for x in (v, u, c))
+            field = 1 << 64 * i
+            key += (ec + lo * a + (n - lo) * b - shifts[p]) * field
+            for ints, first, sign in ((xs, (n - lo) % p, field), (ys, -(lo + 1) % p, -field)):
+                for j in range(first, len(ints), p):
+                    x = ints[j]
+                    while x % p == 0:
+                        x //= p
+                        moves[j] += sign
+                    ints[j] = x
+            if a > b:
+                kept *= p ** (a - b)
+            elif a < b:
+                moves = [move - (b - a) * field for move in moves]
+        powers = {}
+
+        def power(key: int) -> int:  # prod(p^e) modulo M for the e in key
+            powers[key] = math.prod(pow(p, key >> 64 * i & (1 << 64) - 1, M)
+                                    for i, p in enumerate(primes)) % M
+            return powers[key]
+
+        A = c * pow(v, lo, M) * pow(u, n - lo, M) % M  # t_lo's unit
+        B, S = 1, power(key) * A % M  # the sum so far is S / B
+        for x, y, move in zip(xs, ys, moves):
+            key += move
+            P = powers.get(key)
+            if P is None:
+                P = power(key)
+            A, y = A * x * v * kept % M, y * u
+            B, S = B * y % M, (S * y + P * A) % M
+        return (S * pow(B, -1, M) + zero) % M, shifts
+
+    def _moment_enc(self, lo: int, hi: int, k: int, prec: int) -> _Enc:
+        """An enclosure (`kernel._Enc`) of moment(lo, hi, k) to about prec
+        bits, from the terms nearest the window's largest, t_c at c the
+        mode (n+1)*v // (v+u) clamped to the window.  The terms fall away
+        from it with falling ratios (they are log-concave in l), so each
+        side is summed from c outward until what is left is below 2^-prec
+        of the sum, bounded by the last term read times r/(1-r), r the
+        ratio to the next (`_descend`)."""
+        lo = max(lo, 0)
+        hi = max(min(hi, self.size), lo)
+        zero = _Enc(self.zero_mult if k == 0 and lo <= 0 < hi else 0, prec)
+        lo, hi = max(lo, self.z) - self.z, hi - self.z
+        if hi <= lo:
+            return zero
+        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+        c = min(max((n + 1) * v // (v + u), lo), hi - 1)
+        # the side above c is the mirror image: term n-l with v and u swapped
+        above = _descend(n, n - c - 1, hi - 1 - c, u, v, prec)
+        return zero + _descend(n, c, c + 1 - lo, v, u, prec) + above
 
     def log_moment(self, lo: int, hi: int, k: int) -> float:
         """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum.

@@ -2,14 +2,14 @@
 
 `ListedSpectrum(value_nums, mults, den)` stores every level of a spectrum
 in two lists, checked level by level, and reads them with the interface
-the scans use (`level`, `step_level`, `moment`, `log_moment`, `levels`,
-`size`, `zero_mult`, `den`, `total_dim`, `g` and the factor tables).  Each
-sum is a plain Python sum over the lists, taken on the shorter side by the
-package's own `moment`, so a `CompressedSpectrum` rebuilt
-through `ListedSpectrum.from_levels(spec.levels)` checks the closed forms,
-and the scans' results on it check theirs.  It lives with the tests
-(imported as ``from listed import ...``); the package builds only
-closed-form spectra.
+the scans use (`level`, `step_level`, `moment`, `_moment_floor`,
+`log_moment`, `levels`, `size`, `zero_mult`, `den`, `total_dim`, `g` and
+the factor tables).  Each sum is a plain Python sum over the lists, taken
+on the shorter side by the package's own `moment`, so a
+`CompressedSpectrum` rebuilt through `ListedSpectrum.from_levels(spec.levels)`
+checks the closed forms, and the scans' results on it check theirs.  It
+lives with the tests (imported as ``from listed import ...``); the package
+builds only closed-form spectra.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ class ListedSpectrum:
         """Sum of mult * num^k over level indices lo..hi-1 of the levels:
         k = 0, 1, 2 give count, mass and squared mass."""
         return sum(m * v**k for m, v in zip(self.mults[lo:hi], self.value_nums[lo:hi]))
+
+    def _moment_floor(self, lo: int, hi: int, k: int, p: int) -> int:
+        """A lower bound on v_p(moment(lo, hi, k)): explicit levels know
+        no primes, so 0."""
+        return 0
 
     @cached_property
     def _squares(self) -> int:

@@ -172,23 +172,31 @@ def test_big_divmod_recurses_only_past_the_limit():
 
 
 def _holds(v, enc):
+    if enc.s < 0:  # a quotient by `/` may scale below 1
+        return enc.lo <= v << -enc.s <= enc.hi
     return enc.lo << enc.s <= v <= enc.hi << enc.s
 
 
 @given(st.lists(st.integers(0, 2**3000), min_size=1, max_size=4),
-       st.integers(1, 400), st.integers(1, 2**500))
+       st.integers(1, 400), st.integers(1, 2**500), st.integers(0, 6))
 @settings(max_examples=300, deadline=None)
-def test_enclosures_hold_their_values(vs, prec, K):
+def test_enclosures_hold_their_values(vs, prec, K, e):
     """An enclosure (`_Enc`) of an int, and of the product and the sum of
-    enclosed ints and of a quotient of one by K, holds the exact value and
-    keeps at most prec bits (plus the one unit hi may carry past them)."""
+    enclosed ints, of a quotient of one by K, of its e-th power and of the
+    exact quotient of its K-th multiple by K (`/`, which keeps prec bits
+    where `//` drops them), holds the exact value and keeps at most prec
+    bits (plus the one unit hi may carry past them)."""
     encs = [kernel._Enc(v, prec) for v in vs]
     assert all(map(_holds, vs, encs))
     for v, enc in ((math.prod(vs), math.prod(encs[1:], start=encs[0])),
                    (sum(vs), sum(encs[1:], start=encs[0])),
-                   (vs[0] // K, encs[0] // K)):
+                   (vs[0] // K, encs[0] // K),
+                   (vs[0] ** e, encs[0] ** e),
+                   (vs[0], kernel._Enc(vs[0] * K, prec) / K)):
         assert _holds(v, enc)
         assert enc.hi.bit_length() <= prec + 1
+    quotient = kernel._Enc(vs[0] * K, prec) / K
+    assert (quotient.hi - quotient.lo) << prec <= quotient.hi << 3
 
 
 @given(st.lists(st.integers(1, 2**3000), min_size=1, max_size=4), st.integers(1, 400))

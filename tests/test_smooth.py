@@ -356,7 +356,7 @@ def test_s2_matches_reference_bottom_walk(p, rebuild, data):
             assert (sol.b_minus, sol.x) == (b_minus, x)
 
 
-def _instrumented(fn, spec, eps, forced=None):
+def _instrumented(fn, spec, eps, forced=None, read=()):
     """The record of fn(spec, eps): its `result`, or its
     EpsilonTooLargeError as (x, y), and what its scans read.  `searches`
     has an entry per `_last_fit` call (reverse, taken, fits, closed-form
@@ -365,20 +365,26 @@ def _instrumented(fn, spec, eps, forced=None):
     reads: `level`, `step_level` or a summed window).  `windows` lists
     every window `moment` sums term by term (`_window`, the shorter side
     of the window asked for) as (lo, hi, k, the k of each `math.comb` it
-    takes).
+    takes); `residues` lists so every window a residue pass sums
+    (`_window_mod`), and `enclosures` every `_moment_enc` call.
     `forced` maps a guess's index to the count that guess returns in place
-    of its own; a forced guess is recorded too."""
+    of its own; a forced guess is recorded too.  `read` names witness
+    fields read after fn returns, still recorded: `returned` counts the
+    windows summed before they are read."""
     search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
-    names = ("level", "step_level", "_window", "log_moment")
+    names = [name for name in ("level", "step_level", "_window", "_window_mod", "_moment_enc",
+                               "log_moment") if hasattr(spec, name)]
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
-    rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[]), []
+    rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[], residues=[],
+                                 enclosures=[]), []
+    logs = {"_window": rec.windows, "_window_mod": rec.residues, "_moment_enc": rec.enclosures}
 
     def counted(name, *args):
         counts[name] += 1
         start = len(combs)
         value = reads[name](*args)
-        if name == "_window":
-            rec.windows.append((*args, combs[start:]))
+        if name in logs:
+            logs[name].append((*args[:3], combs[start:]))
         return value
 
     def recorded_comb(n, k):
@@ -408,6 +414,9 @@ def _instrumented(fn, spec, eps, forced=None):
         for name in names:
             patch.setattr(spec, name, partial(counted, name))
         rec.result = _scan(fn, spec, eps)
+        rec.returned = len(rec.windows)
+        for field in read:
+            getattr(rec.result[1], field)
     return rec
 
 
@@ -536,7 +545,9 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
     one closed-form `level` read and steps to every other level it reads.
     Each window takes its one `math.comb` at the family end nearer to it:
     C(n, 0) for the eight windows anchored at an end, and C(n, min(lo,
-    n+1-hi)) in family indices for s2's middle, which lies near the top."""
+    n+1-hi)) in family indices for the residue pass over s2's middle, which
+    lies near the top.  The middle's enclosure starts at its top term, the
+    largest, and no exact sum of it is taken."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     n, logs = p.n, []
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
@@ -547,10 +558,12 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
         inside = [w for s in rec.searches for w in s.windows]
         assert all(combs == [0] for *_, combs in inside)
         if fn is s2_smooth:
-            [(lo, hi, k, combs)] = [w for w in rec.windows if w not in inside]
+            assert [w for w in rec.windows if w not in inside] == []
+            [(lo, hi, k, combs)] = rec.residues
             lo, hi = lo - spec.z, min(hi, spec.size) - spec.z  # family indices
             assert k == 2 and combs == [min(lo, n + 1 - hi)]
             assert 0 < n + 1 - hi < lo
+            assert [w[2:] for w in rec.enclosures] == [(2, [hi - 1])]
     assert len(logs) == 4
     assert all(s.reads == 1 for s in logs)
     assert sum(len(s.windows) for s in logs) == 8
@@ -1011,6 +1024,68 @@ def test_s2_falls_back_when_the_top_bits_are_undecided(monkeypatch, guard):
     assert _assert_exact_path_ran(monkeypatch, xe_spectrum(p), p.epsilon_prime)[0] == want
 
 
+def test_s2_reads_the_middle_exactly_only_with_the_purity():
+    """Cost guard: at the n=1e4 anchor s2 reads its untouched middle
+    through one residue pass and one enclosure, and sums no k = 2 window
+    until `.purity` is read; reading it sums the middle once."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    spec = xe_spectrum(p)
+    rec = _instrumented(s2_smooth, spec, p.epsilon_prime, read=("purity",))
+    bits, sol = rec.result
+    [(lo, hi, k, _)] = rec.residues
+    assert k == 2 and lo == sol.b_minus + 1 and hi == spec.size - 1 - sol.b_plus
+    assert [w[:3] for w in rec.enclosures] == [(lo, hi, 2)]
+    assert [w[2] for w in rec.windows[:rec.returned]] == [0, 1, 0, 1]
+    assert [w[:3] for w in rec.windows[rec.returned:]] == [(lo, hi, 2)]
+    assert bits == -log2_bits(sol.purity)
+
+
+def test_s2_without_guard_bits_sums_the_middle(monkeypatch):
+    """With no guard bits the enclosures at the n=1e4 anchor do not
+    settle the float, so s2 reads the purity witness, which sums the middle
+    exactly, after its residue pass; the float is the same."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    want = s2_smooth(xe_spectrum(p), p.epsilon_prime)[0]
+    monkeypatch.setattr(smooth, "_GUARD", 0)
+    rec = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
+    assert rec.result[0] == want
+    assert type(rec.result[1].__dict__["purity"]) is F
+    assert [w[2] for w in rec.residues] == [2]
+    assert [w[2] for w in rec.windows] == [0, 1, 0, 1, 2]
+
+
+def test_s2_sums_the_middle_where_residues_cost_as_much():
+    """Cost guard: at a sweep point (d=3, n=3000, beta0=19/20) xe's div = 2
+    puts 4,258 factors of 2 in the purity's reduction, so the enclosures
+    need a third of den's width in bits, where summing the middle costs
+    less: s2 sums it (as the total less the rest, since it holds over half
+    the levels) with no residue pass and no enclosure, and certifies the
+    float from it, building no purity."""
+    p = ProtocolParams(d=3, n=3000, beta0=F(19, 20), epsilon=F(1, 100))
+    spec = xe_spectrum(p)
+    rec = _instrumented(s2_smooth, spec, p.epsilon_prime)
+    bits, sol = rec.result
+    assert rec.residues == [] and rec.enclosures == []
+    assert [w[2] for w in rec.windows] == [0, 1, 0, 1, 2, 2]
+    assert type(sol.__dict__["purity"]) is partial
+    assert bits == -log2_bits(sol.purity)
+
+
+@given(_certified_case())
+@settings(max_examples=40, deadline=None)
+def test_s2_float_from_the_middles_residues_is_log2_bits_of_the_purity(p):
+    """With the middle read through residues and an enclosure at every
+    point (`_CHEAP` = 0), s2's float is still to the bit -log2_bits of the
+    reduced purity that the witness reads afterwards."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smooth, "_CHEAP", 0)
+        try:
+            bits, sol = s2_smooth(xe_spectrum(p), p.epsilon_prime)
+        except EpsilonTooLargeError:
+            return
+    assert bits == -log2_bits(sol.purity)
+
+
 def test_s2_valuation_reaches_its_cap(monkeypatch):
     """eve's den at d=3, beta0=5/8 is 48^n, and at n=50 the purity's
     numerator holds all of its 3^100 and more: the valuation doubles J
@@ -1019,8 +1094,8 @@ def test_s2_valuation_reaches_its_cap(monkeypatch):
     want = -log2_bits(s2_smooth(spec, F(1, 640000))[1].purity)
     valuation, capped = smooth._valuation, []
 
-    def recorded(p, cap, terms):
-        k = valuation(p, cap, terms)
+    def recorded(p, cap, terms, mid):
+        k = valuation(p, cap, terms, mid)
         if k == cap:
             capped.append((p, cap))
         return k
@@ -1032,6 +1107,13 @@ def test_s2_valuation_reaches_its_cap(monkeypatch):
     assert any(p == 3 and cap > 64 for p, cap in capped)
 
 
+def _valuation(p, cap, X, Y, C, Ct, mid, ed2, floor=0):
+    """`_valuation` of the terms, each read p-adically (`_adic`), and mid's
+    read only when asked for, from a floor <= v_p(mid)."""
+    return smooth._valuation(p, cap, [smooth._adic(t, p) for t in (X, Y, C, Ct, ed2)],
+                             (floor, partial(smooth._adic, mid, p)))
+
+
 @given(st.sampled_from([2, 3, 37]), st.integers(1000, 3000), st.integers(1, 300),
        st.one_of(st.just(0), st.integers(-300, 300)), st.booleans(), st.data())
 @settings(max_examples=100, deadline=None)
@@ -1041,7 +1123,9 @@ def test_valuation_reads_the_terms_own(p, shared, k, offset, no_mid, data):
     terms' units.  X^2*Ct and Y^2*C tie at valuation 3*shared with units
     whose sum holds p^k, so the tied units are summed and J doubles.
     mid's product lies offset away from the tie: below it, at it, or
-    above it by less than k, where it sets v_p(N); mid is sometimes 0."""
+    above it by less than k, where it sets v_p(N); mid is sometimes 0.
+    mid's floor is drawn up to its valuation, so it is read in some cases
+    and left unread in others."""
     ux, ut, uy, um, ue, w = (data.draw(st.integers(0, 2**200)) * p + 1 for _ in range(6))
     q = p**k
     uc = -ux * ux * ut * pow(uy * uy, -1, q) % q + q * w  # a unit
@@ -1050,8 +1134,9 @@ def test_valuation_reads_the_terms_own(p, shared, k, offset, no_mid, data):
     N = X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
     v = _strip(N, p, math.inf)[0]
     assert (ux * ux * ut + uy * uy * uc) % q == 0 and v >= 2 * shared
+    floor = data.draw(st.integers(0, 10**6 if no_mid else shared + offset))
     for cap in (0, 32, v - 1, v, v + 1, 10**6):
-        assert smooth._valuation(p, cap, (X, Y, C, Ct, mid, ed2)) == _strip(N, p, cap)[0]
+        assert _valuation(p, cap, X, Y, C, Ct, mid, ed2, floor) == _strip(N, p, cap)[0]
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 200), st.integers(0, 200),
@@ -1063,4 +1148,4 @@ def test_valuation_matches_the_formed_numerator(p, shared, extra, terms):
     X, Y, C, Ct, mid, ed2 = (t * p**shared for t in terms)
     N = X * X * Ct + Y * Y * C + mid * ed2 * C * Ct
     for cap in (0, shared + extra, 10**6):
-        assert smooth._valuation(p, cap, (X, Y, C, Ct, mid, ed2)) == _strip(N, p, cap)[0]
+        assert _valuation(p, cap, X, Y, C, Ct, mid, ed2) == _strip(N, p, cap)[0]

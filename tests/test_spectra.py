@@ -470,6 +470,106 @@ def test_log_moment_where_no_float_holds_the_ratio(p):
         _log_moments_match(spec, [(i, j) for i in range(size + 1) for j in range(i, size + 1)])
 
 
+def _windows(spec, data):
+    """Windows over every shape a window sum takes: empty, clamped and
+    one-level ones, xe's zero level alone and inside wider ones, windows of
+    half the levels and one past half at each end and across the middle
+    (summed directly, or as the total less the rest), windows nearer the
+    family's top than its bottom (summed as their mirror image), and
+    drawn ones."""
+    size, z = spec.size, 1 if spec.zero_mult else 0
+    windows = [(0, size), (0, 0), (size, size), (3, 1), (0, 1), (size - 1, size),
+               (-2, size + 2), (1, size), (1, size // 2 + 2), (0, size // 2)]
+    for span in (size // 2, size // 2 + 1):
+        middle = (size - span) // 2
+        windows += [(0, span), (size - span, size), (middle, middle + span)]
+    lo = data.draw(st.integers(z, (size + z) // 2))
+    windows += [(lo, size + z - lo + d) for d in (-1, 0, 1)]
+    windows += [(data.draw(st.integers(-1, size + 1)), data.draw(st.integers(-1, size + 1)))
+                for _ in range(4)]
+    return windows
+
+
+def _check_residues(spec, windows, primes, J):
+    """`_moment_mod` against moment reduced modulo p^J and against its
+    valuation, for each prime, window and k = 0, 1, 2; `_moment_floor`
+    is at most the valuation, and a residue pass's shifts are floors."""
+    floored = False
+    for lo, hi in windows:
+        for k in (0, 1, 2):
+            want = spec.moment(lo, hi, k)
+            R, shifts = spec._moment_mod(lo, hi, k, primes, J)
+            power = math.prod(p**s for p, s in shifts.items())
+            for p in primes:
+                q, v = p**J, kernel._strip(want, p, math.inf)[0]
+                assert want % q == R * power % q
+                assert shifts[p] <= spec._moment_floor(lo, hi, k, p) <= v
+                if R % q:
+                    assert v == shifts[p] + kernel._strip(R % q, p, math.inf)[0]
+                else:
+                    assert v >= shifts[p] + J
+                floored |= shifts[p] > 0
+    return floored
+
+
+@given(st.one_of(valid_params(max_n=60), valid_params(max_n=60, d=5)),
+       st.sampled_from([1, 2, 7, 32, 64]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_moment_mod_matches_moment(p, J, data):
+    """The residue pass reads every window's moment modulo p^J and its
+    p-adic valuation, at k = 0, 1, 2, on eve, xe (with its zero level) and
+    cond, for primes that divide den, d or neither."""
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        _check_residues(spec, _windows(spec, data), [2, 3, 5, 7], J)
+
+
+@pytest.mark.parametrize("d, beta0", [(3, F(19, 20)), (2, F(7, 12)), (2, F(4, 5)),
+                                      (2, F(12, 17))])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_moment_mod_where_p_divides_v_or_u(d, beta0, data):
+    """Where a prime divides v or u every term holds its power, which the
+    residue pass takes out as each window's floor: 2 | div at d = 3, 5 |
+    q - p = beta at 7/12, 2 | alpha = p at 4/5, and both at 12/17, where
+    the powers of 2 grow along the window while those of 5 fall.  The
+    residues and valuations still match, and some floor is above 0."""
+    p = params(d=d, n=60, beta0=beta0)
+    floored = False
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        floored |= _check_residues(spec, _windows(spec, data), [2, 3, 5], 16)
+    assert floored
+
+
+def _encloses(enc, v):
+    """lo * 2^s <= v <= hi * 2^s, with s of either sign."""
+    if enc.s >= 0:
+        return enc.lo << enc.s <= v <= enc.hi << enc.s
+    return enc.lo <= v << -enc.s <= enc.hi
+
+
+@given(st.one_of(valid_params(max_n=60), valid_params(max_n=60, d=5)),
+       st.sampled_from([8, 64, 256]), st.data())
+@example(params(n=200, beta0=F(3, 4)), 64, None)
+@settings(max_examples=60, deadline=None)
+def test_moment_enc_encloses_moment(p, prec, data):
+    """The prec-bit window sum encloses every window's moment at k = 0, 1,
+    2, its ends within 2^(12-prec) of it.  At n = 200, beta0 = 3/4 xe's
+    k = 2 terms peak at family level 180, inside the window (150, 195),
+    so that window is summed from its mode outward on both sides."""
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        if data is None:  # the example: the k = 2 mode inside the window
+            v, u = spec.alpha**2, spec.div * spec.beta**2
+            assert 150 < (spec.n + 1) * v // (v + u) < 194
+            windows = [(150 + spec.z, 195 + spec.z)]
+        else:
+            windows = _windows(spec, data)
+        for lo, hi in windows:
+            for k in (0, 1, 2):
+                want, enc = spec.moment(lo, hi, k), spec._moment_enc(lo, hi, k, prec)
+                assert _encloses(enc, want)
+                assert (enc.hi - enc.lo) << prec <= enc.hi << 12
+
+
 def _eager_levels(p):
     """(nums, mults, den, total) of eve, xe and cond, built as complete lists
     the way the eager constructors did before the spectra became lazy, and
