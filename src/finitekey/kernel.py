@@ -46,10 +46,10 @@ _LN2 = math.log(2)
 # the window truncation error (2^-96 relative) stays far below float rounding.
 _WINDOW = 96
 
-# Bits an enclosure (`_Enc`) keeps beyond the width of the divisor of
-# the quotient it must resolve.  A few truncated products cost a few of
-# them, so the top _WINDOW bits read off the quotient's two ends disagree
-# only where it lies within a few parts in 2^190 of a change in them.
+# Bits an enclosure (`_Enc`) keeps.  A few truncated products and one
+# exact quotient cost a few of them, so the top _WINDOW bits read off the
+# two ends disagree only where the value lies within a few parts in 2^190
+# of a change in them.
 _GUARD = 192
 
 # Trial-division bound of `small_factors`.  The integers it factors are
@@ -222,11 +222,10 @@ class _Enc:
     """An enclosure lo * 2**s <= v <= hi * 2**s of an int v >= 0, kept to
     prec bits: after every operation lo is rounded down and hi up to hi's
     top prec bits.  `_Enc(v, prec)` encloses v itself.  A product or sum of
-    two enclosures, a power of one, or one's quotient `// K` by an int K
-    >= 1, encloses that of the ints enclosed, and `/ K` encloses v / K
-    itself, keeping prec bits where `//` drops those of K (an int where K
-    divides v); `top` reads what `log2_bits` would read of every one of
-    them."""
+    two enclosures, or a power of one, encloses that of the ints enclosed,
+    and `/ K` for an int K >= 1 encloses v / K itself, to prec bits (an int
+    where K divides v); `top` reads what `log2_bits` would read of every
+    one of them."""
 
     __slots__ = ("lo", "hi", "s", "prec")
 
@@ -244,12 +243,10 @@ class _Enc:
         return _Enc((self.lo >> a) + (other.lo >> b), self.prec,
                     -(-self.hi >> a) - (-other.hi >> b), s)
 
-    def __floordiv__(self, K: int) -> _Enc:
-        return _Enc(self.lo // K, self.prec, -(-self.hi // K), self.s)
-
     def __truediv__(self, K: int) -> _Enc:
         w = K.bit_length()  # the ends are widened first, so no bit is lost
-        return _Enc((self.lo << w) // K, self.prec, -(-(self.hi << w) // K), self.s - w)
+        lo, hi = big_divmod(self.lo << w, K)[0], -big_divmod(-self.hi << w, K)[0]
+        return _Enc(lo, self.prec, hi, self.s - w)
 
     def __pow__(self, e: int) -> _Enc:
         out = _Enc(1, self.prec)
@@ -259,8 +256,11 @@ class _Enc:
 
     def top(self) -> tuple[int, int] | None:
         """`_top` of every int enclosed (lo >= 1), or None when two of them
-        differ in bit length or in their top _WINDOW bits."""
+        differ in bit length or in their top _WINDOW bits, or when the scale
+        leaves those bits unread: lo narrower than _WINDOW bits under s > 0,
+        or ints that may be, which `log2_bits` reads whole, under s < 0."""
         t, top = _top(self.lo)
-        if (t, top) != _top(self.hi) or (self.s and self.lo.bit_length() < _WINDOW):
+        if (t, top) != _top(self.hi) or (
+                self.s and self.lo.bit_length() + min(self.s, 0) < _WINDOW):
             return None
         return t + self.s, top

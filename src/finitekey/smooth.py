@@ -44,16 +44,17 @@ mostly decided by bit lengths (`_prod_le`).  s2's float is log2_bits of the
 reduced purity, certified without forming it (`_purity_log2`): the terms'
 valuations and one gcd give what the reduction divides out, and integer
 enclosures (`kernel._Enc`) give the reduced pair's bit lengths and top
-bits.  The purity's numerator is written once (`_numerator`), and the
-witness and the enclosures both read it; `_valuation` takes each prime's
-share from the valuations and units of its three products.  The untouched
-middle, the squared masses between the two boundaries, is a lazy value
+bits, at _GUARD bits however much the reduction divides out.  The
+purity's numerator is written once (`_numerator`), and the witness and
+the enclosures both read it; `_valuation` takes each prime's share from
+the valuations and units of its three products.  The untouched middle,
+the squared masses between the two boundaries, is a lazy value
 (`_Middle`): the float reads it through its residues modulo a power of
 each prime, only where `_valuation` needs them, and an enclosure summed
 from its largest terms, and only the witness and the fallbacks sum it
-exactly.  Where the enclosures would need over 1/_CHEAP of den's width
-in bits, as at d = 3, the float reads the exact middle instead.  Where
-the enclosures do not settle the float, it reads the purity witness.
+exactly.  Where _GUARD plus a lower bound on the reduction's width is
+over 1/_CHEAP of den's, as at d = 3, the float sums the middle first.
+Where the enclosures do not settle the float, it reads the purity witness.
 """
 
 from __future__ import annotations
@@ -70,15 +71,15 @@ from .spectra import CompressedSpectrum
 
 # p-adic digits of s2's middle that its residue pass reads (`_Middle.view`)
 # past the window's floor: its valuation beyond the floor and the digits of
-# its unit after that, of which `_valuation` needs 32 unless the least of
-# N's products tie
+# its unit after that.  `_valuation`'s first round reads _DIGITS // 2 digits
+# of each term (`_adic`, `_units`), all it needs unless N's least products tie
 _DIGITS = 64
 
 # s2's middle is read by residues and an enclosure when den is at least
-# _CHEAP times wider than a lower bound on the enclosures' precision;
-# below that, the exact sum costs less.  At d=2, beta0=49/50 (about 250
-# bits of precision) both cost the same near n=3500, where den is about 84
-# times wider, under CPython 3.11 on a 2-core Xeon
+# _CHEAP times wider than _GUARD plus a lower bound on the width of K, what
+# reducing the purity divides out; below that, the exact sum costs less.  At
+# d=2, beta0=49/50 (K about 60 bits) both cost the same near n=3500, where
+# den is about 84 times wider, under CPython 3.11 on a 2-core Xeon
 _CHEAP = 80
 
 __all__ = [
@@ -337,10 +338,10 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
 class _Middle:
     """s2's untouched middle, moment(lo, hi, 2) of spec, as a lazy value:
     `exact` sums it on first read, for the purity witness and the
-    fallbacks.  Unless told to read `exact`, or it is summed already,
-    `view` reads it through its residues modulo p^_DIGITS for each prime,
-    from one pass taken on first use, and `enc` through an enclosure summed
-    from its largest terms."""
+    fallbacks.  Once it is summed, `view` and `enc` read that sum; until
+    then, `view` reads the middle through its residues modulo p^_DIGITS
+    for each prime, from one pass taken on first use, and `enc` through an
+    enclosure summed from its largest terms."""
 
     def __init__(self, spec: CompressedSpectrum, lo: int, hi: int):
         self.spec, self.window, self.residues = spec, (lo, hi, 2), None
@@ -353,12 +354,12 @@ class _Middle:
         """A lower bound on v_p(mid), from the window's ends."""
         return self.spec._moment_floor(*self.window, p)
 
-    def view(self, p: int, primes, exact: bool) -> tuple:
+    def view(self, p: int, primes) -> tuple:
         """(v_p(mid), unit) for `_valuation`, off `exact` or off the residue
         pass (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes.
         A residue 0 modulo p^_DIGITS says too little of v_p, which is then
         read off `exact`."""
-        if exact or "exact" in vars(self):
+        if "exact" in vars(self):
             return _adic(self.exact, p)
         if self.residues is None:
             self.residues = self.spec._moment_mod(*self.window, primes, _DIGITS)
@@ -370,9 +371,9 @@ class _Middle:
                                               _adic(self.exact, p)[1])(J)
         return _adic(self.exact, p)
 
-    def enc(self, prec: int, exact: bool) -> _Enc:
+    def enc(self, prec: int) -> _Enc:
         """An enclosure of mid to prec bits (`spec._moment_enc`)."""
-        if exact or "exact" in vars(self):
+        if "exact" in vars(self):
             return _Enc(self.exact, prec)
         return self.spec._moment_enc(*self.window, prec)
 
@@ -410,25 +411,25 @@ def _split(t: int, primes) -> tuple[dict, int]:
 def _units(vals: dict, rest: int, p: int):
     """unit(J) = t / p^vals[p] modulo p^J for t = rest * prod(q^vals[q])
     (`_split`): rest times the other primes' powers, read off their product
-    modulo p^32 up to 32 digits."""
+    modulo p^(_DIGITS // 2) up to that many digits."""
     def product(J: int) -> int:
         q = p**J
         return rest % q * math.prod(pow(r, v, q) for r, v in vals.items() if r != p) % q
 
-    low = product(32)
-    return lambda J: low % p**J if J <= 32 else product(J)
+    low = product(_DIGITS // 2)
+    return lambda J: low % p**J if J <= _DIGITS // 2 else product(J)
 
 
 def _adic(t: int, p: int) -> tuple:
     """(v, unit) for an int t >= 0 and a prime p: v = v_p(t) and unit(J) =
-    t / p^v modulo p^J.  For p = 2, and where v reaches 32, t is divided in
-    full (`_strip`), once; otherwise v and the unit are read off t modulo
-    p^32 as far as it goes, then modulo p^(v+J)."""
-    if p == 2 or not (r := t % p**32):
+    t / p^v modulo p^J.  v and the unit are read off r = t modulo
+    p^(_DIGITS // 2) as far as it goes, then modulo p^(v+J); where v
+    reaches that, r is 0 and t is divided in full (`_strip`), once."""
+    if not (r := t % p ** (_DIGITS // 2)):
         v, u = _strip(t, p, math.inf)
         return v, lambda J: u % p**J
-    v = _strip(r, p, 32)[0]
-    return v, lambda J: (r if v + J <= 32 else t) % p ** (v + J) // p**v
+    v = _strip(r, p, _DIGITS // 2)[0]
+    return v, lambda J: (r if v + J <= _DIGITS // 2 else t) % p ** (v + J) // p**v
 
 
 def _valuation(p: int, cap: int, terms, mid) -> int:
@@ -437,14 +438,14 @@ def _valuation(p: int, cap: int, terms, mid) -> int:
     0, and unit(J) the term over p^v modulo p^J; and from mid = (floor,
     read), floor <= v_p(mid) and read() its (v, unit).  m is the least
     valuation of N's three products, and N/p^m is read modulo p^J off the
-    units, J doubling from 32 until the residue is nonzero or m + J
+    units, J doubling from _DIGITS // 2 until the residue is nonzero or m + J
     reaches cap.  So a residue stays as wide as the part of v_p(N) past m,
     not v_p(N) itself, which is about 3n at large d.  A product j past m
     reads its units to J - j digits, and one J or more past m drops out
     unread; mid's is taken at its floor until then, so mid is read only
     where its product could count."""
     (vx, ux), (vy, uy), (vc, uc), (vt, ut), (ve, ue) = terms
-    (vm, um), J = (mid[0], None), 32
+    (vm, um), J = (mid[0], None), _DIGITS // 2
     while True:
         vals = _products(vx, vy, vc, vt, vm, ve)  # each product is p^v times its units
         products = [(sum(v), u) for v, u in zip(vals, _products(ux, uy, uc, ut, um, ue))]
@@ -473,15 +474,15 @@ def _purity_log2(terms, dens, tables) -> float | None:
     X, Y and ed^2 are read p-adically (`_adic`), and mid only where
     `_valuation` asks.  Since the mid term vanishes modulo C*Ct, N =
     Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
-    N and the denominator are enclosed (`_Enc`) to prec = bitlen(K) +
-    _GUARD bits and divided by K, and the two quotients' ends read the
-    reduced pair's bit lengths and top bits.
+    N and the denominator are enclosed (`_Enc`) to _GUARD bits and divided
+    by K exactly (`/`, which keeps those bits), and the two quotients' ends
+    read the reduced pair's bit lengths and top bits.
 
     The middle is read through its residues (`_Middle.view`) and an
-    enclosure (`_Middle.enc`), unless prec, bounded from below by the
-    terms' valuations and the middle's floors (`_Middle.floor`), is over
-    1/_CHEAP of den's width: then those would cost about what the exact
-    sum does, and the middle is summed.  None when a table's rest is not
+    enclosure (`_Middle.enc`), unless _GUARD plus a lower bound on K's
+    width, from the terms' valuations and the middle's floors
+    (`_Middle.floor`), is over 1/_CHEAP of den's width: then the middle is
+    summed first, and both read that sum.  None when a table's rest is not
     1, when the ends differ in those bits, or when log2_bits would take
     its branch near 1."""
     if any(rest != 1 for _, rest in tables):
@@ -495,24 +496,22 @@ def _purity_log2(terms, dens, tables) -> float | None:
     views = {p: (_adic(X, p), _adic(Y, p), (vc[p], _units(vc, rest_c, p)),
                  (vt[p], _units(vt, rest_t, p)), _adic(ed2, p)) for p in primes}
     caps = {p: e + vc[p] + vt[p] for p, e in primes.items()}
-    floors, low = {p: mid.floor(p) for p in primes}, _GUARD  # low: prec from below
+    floors, low = {p: mid.floor(p) for p in primes}, _GUARD  # plus K's width from below
     for p, cap in caps.items():
         vx, vy, _, _, ve = (v for v, _ in views[p])
         low += math.log2(p) * min(cap, *map(sum, _products(vx, vy, vc[p], vt[p], floors[p], ve)))
-    # past this the residues and the enclosure cost about what the sum does
-    exact = low * _CHEAP > mid.spec.den.bit_length()
+    if low * _CHEAP > mid.spec.den.bit_length():
+        mid.exact  # summed, where the residues and the enclosure cost about as much
     K = 1
     for p, cap in caps.items():
-        read = partial(mid.view, p, primes, exact)
-        K *= p ** _valuation(p, cap, views[p], (floors[p], read))
+        K *= p ** _valuation(p, cap, views[p], (floors[p], partial(mid.view, p, primes)))
     rest = rest_c * rest_t
     xm, ym = big_divmod(X, C)[1], big_divmod(Y, Ct)[1]
     r = Ct * big_divmod(xm * xm, C)[1] + C * big_divmod(ym * ym, Ct)[1]
     K *= math.gcd(big_divmod(r, rest)[1], rest)
-    prec = K.bit_length() + _GUARD
-    encs = [_Enc(v, prec) for v in (X, Y, C, Ct)]
-    num = (_numerator(*encs, mid.enc(prec, exact), _Enc(ed2, prec)) // K).top()
-    den = (math.prod((_Enc(v, prec) for v in (*dens, C, Ct)), start=_Enc(1, prec)) // K).top()
+    encs = [_Enc(v, _GUARD) for v in (X, Y, C, Ct)]
+    num = (_numerator(*encs, mid.enc(_GUARD), _Enc(ed2, _GUARD)) / K).top()
+    den = (math.prod((_Enc(v, _GUARD) for v in (*dens, C, Ct)), start=_Enc(1, _GUARD)) / K).top()
     if num is None or den is None:
         return None
     if den[0] + den[1].bit_length() < num[0] + num[1].bit_length() + 2:

@@ -182,15 +182,13 @@ def _holds(v, enc):
 @settings(max_examples=300, deadline=None)
 def test_enclosures_hold_their_values(vs, prec, K, e):
     """An enclosure (`_Enc`) of an int, and of the product and the sum of
-    enclosed ints, of a quotient of one by K, of its e-th power and of the
-    exact quotient of its K-th multiple by K (`/`, which keeps prec bits
-    where `//` drops them), holds the exact value and keeps at most prec
-    bits (plus the one unit hi may carry past them)."""
+    enclosed ints, of its e-th power and of the exact quotient of its K-th
+    multiple by K (`/`, which keeps prec bits), holds the exact value and
+    keeps at most prec bits (plus the one unit hi may carry past them)."""
     encs = [kernel._Enc(v, prec) for v in vs]
     assert all(map(_holds, vs, encs))
     for v, enc in ((math.prod(vs), math.prod(encs[1:], start=encs[0])),
                    (sum(vs), sum(encs[1:], start=encs[0])),
-                   (vs[0] // K, encs[0] // K),
                    (vs[0] ** e, encs[0] ** e),
                    (vs[0], kernel._Enc(vs[0] * K, prec) / K)):
         assert _holds(v, enc)
@@ -199,17 +197,25 @@ def test_enclosures_hold_their_values(vs, prec, K, e):
     assert (quotient.hi - quotient.lo) << prec <= quotient.hi << 3
 
 
-@given(st.lists(st.integers(1, 2**3000), min_size=1, max_size=4), st.integers(1, 400))
+@given(st.lists(st.integers(1, 2**3000), min_size=1, max_size=4), st.integers(1, 400),
+       st.integers(1, 2**200), st.integers(1, 2**500))
 @settings(max_examples=300, deadline=None)
-def test_enclosure_top_is_what_log2_bits_reads(vs, prec):
+def test_enclosure_top_is_what_log2_bits_reads(vs, prec, narrow, K):
     """An enclosure's `top` is `_top` of the value it holds whenever it is
-    not None, and it is not None for an exact value."""
+    not None, and it is not None for an exact value.  So too for an exact
+    quotient by K (`/`), scaled below 1, of a value at least 2^_WINDOW; one
+    narrower than that, which `log2_bits` reads whole, may give None."""
     encs = [kernel._Enc(v, prec) for v in vs]
     v, enc = math.prod(vs), math.prod(encs[1:], start=encs[0])
     top = enc.top()
     assert top is None or top == kernel._top(v)
     assert kernel._Enc(v, v.bit_length()).top() == kernel._top(v)
     assert log2_bits(v) == kernel._log2_tops(kernel._top(v), kernel._top(1))
+    for v in (narrow, v):  # below and above 2^_WINDOW
+        for enc in (kernel._Enc(v * K, prec) / K, kernel._Enc(v * K, (v * K).bit_length()) / K):
+            assert enc.top() in (None, kernel._top(v))
+        if v >> kernel._WINDOW:  # the last is exact, and wide enough to read
+            assert enc.top() == kernel._top(v)
 
 
 def test_enclosure_top_undecided():

@@ -366,7 +366,8 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
     every window `moment` sums term by term (`_window`, the shorter side
     of the window asked for) as (lo, hi, k, the k of each `math.comb` it
     takes); `residues` lists so every window a residue pass sums
-    (`_window_mod`), and `enclosures` every `_moment_enc` call.
+    (`_window_mod`), and `enclosures` every `_moment_enc` call, its prec
+    after k.
     `forced` maps a guess's index to the count that guess returns in place
     of its own; a forced guess is recorded too.  `read` names witness
     fields read after fn returns, still recorded: `returned` counts the
@@ -377,14 +378,16 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
     rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[], residues=[],
                                  enclosures=[]), []
-    logs = {"_window": rec.windows, "_window_mod": rec.residues, "_moment_enc": rec.enclosures}
+    logs = {"_window": (rec.windows, 3), "_window_mod": (rec.residues, 3),
+            "_moment_enc": (rec.enclosures, 4)}  # each log and the arguments it keeps
 
     def counted(name, *args):
         counts[name] += 1
         start = len(combs)
         value = reads[name](*args)
         if name in logs:
-            logs[name].append((*args[:3], combs[start:]))
+            log, kept = logs[name]
+            log.append((*args[:kept], combs[start:]))
         return value
 
     def recorded_comb(n, k):
@@ -546,8 +549,8 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
     Each window takes its one `math.comb` at the family end nearer to it:
     C(n, 0) for the eight windows anchored at an end, and C(n, min(lo,
     n+1-hi)) in family indices for the residue pass over s2's middle, which
-    lies near the top.  The middle's enclosure starts at its top term, the
-    largest, and no exact sum of it is taken."""
+    lies near the top.  The middle's enclosure, at _GUARD bits, starts at
+    its top term, the largest, and no exact sum of it is taken."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     n, logs = p.n, []
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
@@ -563,7 +566,7 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
             lo, hi = lo - spec.z, min(hi, spec.size) - spec.z  # family indices
             assert k == 2 and combs == [min(lo, n + 1 - hi)]
             assert 0 < n + 1 - hi < lo
-            assert [w[2:] for w in rec.enclosures] == [(2, [hi - 1])]
+            assert [w[2:] for w in rec.enclosures] == [(2, smooth._GUARD, [hi - 1])]
     assert len(logs) == 4
     assert all(s.reads == 1 for s in logs)
     assert sum(len(s.windows) for s in logs) == 8
@@ -1056,8 +1059,8 @@ def test_s2_without_guard_bits_sums_the_middle(monkeypatch):
 
 def test_s2_sums_the_middle_where_residues_cost_as_much():
     """Cost guard: at a sweep point (d=3, n=3000, beta0=19/20) xe's div = 2
-    puts 4,258 factors of 2 in the purity's reduction, so the enclosures
-    need a third of den's width in bits, where summing the middle costs
+    puts 4,258 factors of 2 in the purity's reduction, a third of den's
+    width in bits, where the middle's residues read 0 and summing it costs
     less: s2 sums it (as the total less the rest, since it holds over half
     the levels) with no residue pass and no enclosure, and certifies the
     float from it, building no purity."""
@@ -1067,6 +1070,23 @@ def test_s2_sums_the_middle_where_residues_cost_as_much():
     bits, sol = rec.result
     assert rec.residues == [] and rec.enclosures == []
     assert [w[2] for w in rec.windows] == [0, 1, 0, 1, 2, 2]
+    assert type(sol.__dict__["purity"]) is partial
+    assert bits == -log2_bits(sol.purity)
+
+
+def test_s2_encloses_at_guard_bits_however_wide_the_reduction(monkeypatch):
+    """Cost guard: at d=64, n=2000, beta0=99/100 reducing the purity of
+    the conditional spectrum divides out about 24,000 bits.  With the
+    middle read through residues and its enclosure (`_CHEAP` = 0), that
+    enclosure is summed at _GUARD bits, not at that width plus them, the
+    middle is not summed, and the float is still certified, to the bit
+    -log2_bits of the purity read after."""
+    p = ProtocolParams(d=64, n=2000, beta0=F(99, 100), epsilon=F(1, 100))
+    monkeypatch.setattr(smooth, "_CHEAP", 0)
+    rec = _instrumented(s2_smooth, conditional_spectrum(p), p.epsilon_prime)
+    bits, sol = rec.result
+    assert [w[2:4] for w in rec.enclosures] == [(2, smooth._GUARD)]
+    assert [w[2] for w in rec.windows] == [0, 1, 0, 1]
     assert type(sol.__dict__["purity"]) is partial
     assert bits == -log2_bits(sol.purity)
 
