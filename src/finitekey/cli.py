@@ -13,12 +13,13 @@ import argparse
 import contextlib
 import csv
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from .asymptotic import asymptotic_rate
-from .kernel import rational_from_decimal
+from .kernel import log2_bits, rational_from_decimal
 from .keyrate import POINT_ERRORS, n_for_ntilde, sweep, threshold_error_rate
 from .spectra import smoothing_budget
 
@@ -41,15 +42,24 @@ def _g(x: float) -> str:
 
 
 def _frac(x: Optional[Fraction]) -> str:
-    """A rational cell: blank, 12 digits, or exact where no float holds it."""
+    """A rational cell: blank, 12 digits, or exact where no float holds it,
+    unless str() cannot print it: then 12 digits and an exponent, found
+    without converting x's ints to decimal."""
     if x is None:
         return ""
     try:
         f = float(x)
     except OverflowError:
+        f = 0.0
+    if f or not x:  # a nonzero x whose float underflows to 0 is printed exactly too
+        return _g(f)
+    try:
         return str(x)
-    # a nonzero x whose float underflows to 0 is printed exactly too
-    return _g(f) if f or not x else str(x)
+    except ValueError:  # an int past str()'s digit limit: x = m * 10^e, m of 12 digits
+        a, e = abs(x), math.floor(log2_bits(abs(x)) * math.log10(2)) - 11
+        while not 10**11 <= (m := round(a / Fraction(10) ** e)) < 10**12:
+            e += 1 if m >= 10**12 else -1
+        return f"{'-' * (x < 0)}{m / 10**11:.12g}e{e + 11:+}"
 
 
 def _decimal(text: str) -> Fraction:

@@ -49,12 +49,10 @@ purity's numerator is written once (`_numerator`), and the witness and
 the enclosures both read it; `_valuation` takes each prime's share from
 the valuations and units of its three products.  The untouched middle,
 the squared masses between the two boundaries, is a lazy value
-(`_Middle`): the float reads it through its residues modulo a power of
-each prime, only where `_valuation` needs them, and an enclosure summed
-from its largest terms, and only the witness and the fallbacks sum it
-exactly.  Where _GUARD plus a lower bound on the reduction's width is
-over 1/_CHEAP of den's, as at d = 3, the float sums the middle first.
-Where the enclosures do not settle the float, it reads the purity witness.
+(`_Middle`), which the float reads through one residue pass, only where
+`_valuation` needs it, and an enclosure, unless the `_CHEAP` rule has it
+summed first.  Where the enclosures do not settle the float, it reads
+the purity witness.
 """
 
 from __future__ import annotations
@@ -77,9 +75,10 @@ _DIGITS = 64
 
 # s2's middle is read by residues and an enclosure when den is at least
 # _CHEAP times wider than _GUARD plus a lower bound on the width of K, what
-# reducing the purity divides out; below that, the exact sum costs less.  At
+# reducing the purity divides out; below that, the exact sum costs less: at
 # d=2, beta0=49/50 (K about 60 bits) both cost the same near n=3500, where
-# den is about 84 times wider, under CPython 3.11 on a 2-core Xeon
+# den is 84 times wider, and at d=3, n=3000 (K over 4,000 bits) the residue
+# pass takes 2.3 ms to the exact sum's 1.3 ms (CPython 3.11, 2-core Xeon)
 _CHEAP = 80
 
 __all__ = [
@@ -131,13 +130,20 @@ class _Lazy:
 
 class _Witness:
     """Base of the scans' witnesses, whose repr prints only the fields that
-    are not lazy (`_Lazy`): it neither builds nor prints an exact rational,
-    whose ints can be too long for str()."""
+    are not lazy (`_Lazy`), never an exact rational, and in hex an int too
+    long for str(), whose decimal digits are limited and hex digits not."""
 
     def __repr__(self) -> str:
-        shown = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+        shown = (f"{f.name}={self._show(getattr(self, f.name))}" for f in fields(self)
                  if not isinstance(vars(type(self)).get(f.name), _Lazy))
         return f"{type(self).__name__}({', '.join(shown)})"
+
+    @staticmethod
+    def _show(v: int) -> str:
+        try:
+            return repr(v)
+        except ValueError:  # past str()'s digit limit
+            return hex(v)
 
 
 @dataclass(frozen=True, repr=False)
@@ -338,10 +344,9 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
 class _Middle:
     """s2's untouched middle, moment(lo, hi, 2) of spec, as a lazy value:
     `exact` sums it on first read, for the purity witness and the
-    fallbacks.  Once it is summed, `view` and `enc` read that sum; until
-    then, `view` reads the middle through its residues modulo p^_DIGITS
-    for each prime, from one pass taken on first use, and `enc` through an
-    enclosure summed from its largest terms."""
+    fallbacks.  Until then `view` reads it through one residue pass, taken
+    on first use, and `enc` through an enclosure summed from its largest
+    terms; once it is summed, both read that sum."""
 
     def __init__(self, spec: CompressedSpectrum, lo: int, hi: int):
         self.spec, self.window, self.residues = spec, (lo, hi, 2), None
@@ -355,27 +360,26 @@ class _Middle:
         return self.spec._moment_floor(*self.window, p)
 
     def view(self, p: int, primes) -> tuple:
-        """(v_p(mid), unit) for `_valuation`, off `exact` or off the residue
-        pass (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes.
-        A residue 0 modulo p^_DIGITS says too little of v_p, which is then
-        read off `exact`."""
-        if "exact" in vars(self):
+        """(v_p(mid), unit) for `_valuation`, off the residue pass
+        (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes, or off
+        `exact`: once it is summed, where the residue is 0 modulo p^_DIGITS
+        (it says too little of v_p), and for unit digits past the residue's."""
+        def exact() -> tuple:
             return _adic(self.exact, p)
-        if self.residues is None:
-            self.residues = self.spec._moment_mod(*self.window, primes, _DIGITS)
-        R, shifts = self.residues
-        if r := R % p**_DIGITS:
-            vr, r = _strip(r, p, math.inf)
-            unit = _units(shifts, r, p)  # mid / p^v, to _DIGITS - vr digits; past them, `exact`
-            return shifts[p] + vr, lambda J: (unit if J <= _DIGITS - vr else
-                                              _adic(self.exact, p)[1])(J)
-        return _adic(self.exact, p)
+        if "exact" not in vars(self):
+            if self.residues is None:
+                self.residues = self.spec._moment_mod(*self.window, primes, _DIGITS)
+            R, shifts = self.residues
+            if r := R % p**_DIGITS:
+                vr, r = _strip(r, p, math.inf)
+                unit = _units(shifts, r, p)  # mid / p^v, to _DIGITS - vr digits
+                return shifts[p] + vr, lambda J: (unit if J <= _DIGITS - vr else exact()[1])(J)
+        return exact()
 
     def enc(self, prec: int) -> _Enc:
         """An enclosure of mid to prec bits (`spec._moment_enc`)."""
-        if "exact" in vars(self):
-            return _Enc(self.exact, prec)
-        return self.spec._moment_enc(*self.window, prec)
+        return (_Enc(self.exact, prec) if "exact" in vars(self)
+                else self.spec._moment_enc(*self.window, prec))
 
 
 def _numerator(X, Y, C, Ct, mid, ed2):
@@ -479,12 +483,11 @@ def _purity_log2(terms, dens, tables) -> float | None:
     read the reduced pair's bit lengths and top bits.
 
     The middle is read through its residues (`_Middle.view`) and an
-    enclosure (`_Middle.enc`), unless _GUARD plus a lower bound on K's
-    width, from the terms' valuations and the middle's floors
-    (`_Middle.floor`), is over 1/_CHEAP of den's width: then the middle is
-    summed first, and both read that sum.  None when a table's rest is not
-    1, when the ends differ in those bits, or when log2_bits would take
-    its branch near 1."""
+    enclosure (`_Middle.enc`), or summed first where the `_CHEAP` rule
+    holds on a lower bound on K's width, from the terms' valuations and
+    the middle's floors (`_Middle.floor`).  None when a table's rest is
+    not 1, when the ends differ in those bits, or when log2_bits would
+    take its branch near 1."""
     if any(rest != 1 for _, rest in tables):
         return None
     primes = {}
@@ -501,7 +504,7 @@ def _purity_log2(terms, dens, tables) -> float | None:
         vx, vy, _, _, ve = (v for v, _ in views[p])
         low += math.log2(p) * min(cap, *map(sum, _products(vx, vy, vc[p], vt[p], floors[p], ve)))
     if low * _CHEAP > mid.spec.den.bit_length():
-        mid.exact  # summed, where the residues and the enclosure cost about as much
+        mid.exact  # summed, where it costs less than the residues and the enclosure
     K = 1
     for p, cap in caps.items():
         K *= p ** _valuation(p, cap, views[p], (floors[p], partial(mid.view, p, primes)))

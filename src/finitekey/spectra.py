@@ -32,27 +32,23 @@ powers, and `step_level(i, level, +-1)` is level i+-1 from level i's, one
 big-by-small product and one exact division for each of the two.  The pairs
 `levels` are `level(i)` for every i.  A window of levels is not read level
 by level: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over
-the window, so k = 0, 1, 2 give its count, mass and squared mass.  Its
-terms are C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k, a
-hypergeometric series in the level index, which `_series` evaluates by
-binary splitting over the ratio (n-l)*v/(l+1), with u as a weight.  One
-exact division (`kernel.big_divmod`) closes it before the window's common
-factor v^lo * u^(n-hi+1) is multiplied back in.  A window is summed on
-its shorter side: one of at most half the levels term by term, and a
-wider one as the family's k-th total less the windows below and above it,
-which reach an end.  The totals are the binomial theorem's: (1 + div)^n
-plus the zero level for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n
-for k = 2.  Each window is summed from the end of the family nearer to
-it: one nearer the top is its mirror image, term n-l with v and u
-swapped, so its `math.comb` is C(n, min(lo, n+1-hi)), which is 1 for a
-window that reaches either end.  To predict where a scan stops,
-`log_moment(lo, hi, k)` is its natural log for k = 0, 1, summed in floats
-from the terms nearest their mode.  Two reads of a window serve a float
-that need not sum it exactly.  `_moment_mod` gives it modulo a power of
-each of a few primes, in one pass of the terms' recurrence over small
-residues, with the power of each prime that every term holds
-(`_moment_floor`) taken out first; a wide window is again the total, one
-`pow`, less the rest.  `_moment_enc` encloses it (`kernel._Enc`) to a
+the window, so k = 0, 1, 2 give its count, mass and squared mass.  Every
+read of a window takes it one way (`_family`): clamped to the levels, as
+terms C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k above
+the zero level.  They form a hypergeometric series in l, which `_series`
+evaluates by binary splitting over the ratio (n-l)*v/(l+1), with u as a
+weight; one exact division (`kernel.big_divmod`) closes it before the
+window's common factor v^lo * u^(n-hi+1) is multiplied back in.  `moment`
+sums a window on its shorter side: one of at most half the levels term by
+term, and a wider one as the family's k-th total (the binomial theorem's)
+less the windows below and above it.  A window nearer the family's top is
+summed as its mirror image, term n-l with v and u swapped, so its
+`math.comb` is C(n, min(lo, n+1-hi)).  Three more reads serve floats that
+need not sum a window exactly: `log_moment(lo, hi, k)`, its natural log
+for k = 0, 1 from the terms nearest their mode, which predicts where a
+scan stops; `_moment_mod`, the sum modulo a power of each of a few primes
+past the power every term holds (`_moment_floor`), in one pass of the
+terms' recurrence; and `_moment_enc`, an enclosure (`kernel._Enc`) to a
 given number of bits, summed from its largest term outward until a
 geometric bound on what is left falls below them.
 
@@ -284,8 +280,7 @@ class CompressedSpectrum:
         `count` for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for
         k = 2, formed on first use, so a spectrum whose squared masses are
         all summed directly never forms it."""
-        lo = max(lo, 0)
-        hi = max(min(hi, self.size), lo)
+        lo, hi = max(lo, 0), max(min(hi, self.size), lo, 0)
         if 2 * (hi - lo) <= self.size:
             return self._window(lo, hi, k)
         total = self._squares if k == 2 else (self.count, self.den)[k]
@@ -297,21 +292,26 @@ class CompressedSpectrum:
         (alpha^2 + div*beta^2)^n by the binomial theorem."""
         return (self.alpha**2 + self.div * self.beta**2) ** self.n
 
+    def _family(self, lo: int, hi: int, k: int) -> tuple[int, int, int, int, int]:
+        """(zero, lo, hi, v, u) for every window read: lo..hi-1 clamped to
+        the levels, zero the zero level's count where k = 0 and the window
+        holds it (else 0), lo..hi-1 then in family indices l (none where hi
+        <= lo), and the terms' v = alpha^k and u = div*beta^k."""
+        hi = min(hi, self.size)
+        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
+        return zero, max(lo, self.z) - self.z, hi - self.z, self.alpha**k, self.div * self.beta**k
+
     def _window(self, lo: int, hi: int, k: int) -> int:
-        """`moment` summed term by term.  The window's terms are C(n, l) *
-        v^l * u^(n-l) with v = alpha^k and u = div*beta^k: C(n, lo) * v^lo
-        * u^(n-hi+1) times a `_series`.  C(n, lo) * T // Q is exact, as
-        each term over v^lo * u^(n-hi+1) is an integer, and is taken
+        """`moment` summed term by term: C(n, lo) * v^lo * u^(n-hi+1) times
+        a `_series` over the terms (`_family`).  C(n, lo) * T // Q is exact,
+        as each term over v^lo * u^(n-hi+1) is an integer, and is taken
         before those powers are put back, so the quotient stays narrow.  A
         window nearer the top of the family (n+1-hi < lo) is summed as its
         mirror image, term n-l with v and u swapped, so the `math.comb` is
         C(n, min(lo, n+1-hi)) and the series starts at the nearer end."""
-        z = self.z
-        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
-        lo, hi = max(lo, z) - z, hi - z  # family indices l
+        (zero, lo, hi, v, u), n = self._family(lo, hi, k), self.n
         if hi <= lo:
             return zero
-        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
         if n + 1 - hi < lo:  # nearer the top: the mirror image, from l = n down
             lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v
         Q, T = _series(lo, hi, n, v, u)
@@ -322,36 +322,17 @@ class CompressedSpectrum:
         family term C(n, l) * v^l * u^(n-l) holds p^(l*v_p(v) +
         (n-l)*v_p(u)), which is linear in l, so least at an end of the
         window.  0 for a count holding the zero level, inf for a zero sum."""
-        if k == 0 and self.z and lo <= 0 < hi:
-            return 0
-        lo, hi = max(lo, self.z) - self.z, min(hi, self.size) - self.z
-        if hi <= lo:
-            return math.inf
-        a, b = (_strip(x, p, math.inf)[0] for x in (self.alpha**k, self.div * self.beta**k))
+        zero, lo, hi, v, u = self._family(lo, hi, k)
+        if zero or hi <= lo:
+            return 0 if zero else math.inf
+        a, b = (_strip(x, p, math.inf)[0] for x in (v, u))
         return min(l * a + (self.n - l) * b for l in (lo, hi - 1))
 
     def _moment_mod(self, lo: int, hi: int, k: int, primes, J: int) -> tuple[int, dict]:
         """(R, shifts): moment(lo, hi, k) is prod(p^shifts[p]) times an int
-        congruent to R modulo M = prod(p^J) over the primes.  A window of
-        at most half the levels is summed from its terms' recurrence
-        (`_window_mod`), with shifts its `_moment_floor`s.  A wider one is,
-        as in `moment`, the k-th total less the windows outside it: modulo
-        M the total is one `pow`, and its shifts are 0."""
-        M = math.prod(p**J for p in primes)
-        lo = max(lo, 0)
-        hi = max(min(hi, self.size), lo)
-        if 2 * (hi - lo) <= self.size:
-            return self._window_mod(lo, hi, k, primes, M)
-        total = pow(self.alpha**k + self.div * self.beta**k, self.n, M)
-        total += self.zero_mult if k == 0 else 0
-        for a, b in ((0, lo), (hi, self.size)):
-            R, shifts = self._window_mod(a, b, k, primes, M)
-            total -= R * math.prod(pow(p, s, M) for p, s in shifts.items())
-        return total % M, dict.fromkeys(primes, 0)
-
-    def _window_mod(self, lo: int, hi: int, k: int, primes, M: int) -> tuple[int, dict]:
-        """`_moment_mod` summed term by term.  A term is split into each
-        prime's power p^e, e counted past the window's floor, and a unit.
+        congruent to R modulo M = prod(p^J) over the primes, shifts the
+        window's `_moment_floor`s (0 if it is empty).  A term is split into
+        each prime's power p^e, e counted past the floor, and a unit.
         The recurrence t_(l+1) = t_l * (n-l)*v / ((l+1)*u) moves each e by
         the primes of its factors, which a sieve over the multiples of p
         takes out of n-l and l+1 beforehand, and the unit by what is left.
@@ -361,10 +342,9 @@ class CompressedSpectrum:
         keeps it, and where negative it is counted.  So the window is summed
         from the end where no prime's is negative, if it has one, and else
         from the family end nearer to it (as `_window`)."""
-        z, shifts = self.z, {p: self._moment_floor(lo, hi, k, p) for p in primes}
-        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0  # then shifts are 0
-        lo, hi = max(lo, z) - z, hi - z
-        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+        shifts = {p: self._moment_floor(lo, hi, k, p) for p in primes}
+        zero, lo, hi, v, u = self._family(lo, hi, k)  # shifts are 0 where zero counts
+        M, n = math.prod(p**J for p in primes), self.n
         if hi <= lo:
             return zero % M, dict.fromkeys(primes, 0)
         steps = [_strip(v, p, math.inf)[0] - _strip(u, p, math.inf)[0] for p in primes]
@@ -416,17 +396,13 @@ class CompressedSpectrum:
         side is summed from c outward until what is left is below 2^-prec
         of the sum, bounded by the last term read times r/(1-r), r the
         ratio to the next (`_descend`)."""
-        lo = max(lo, 0)
-        hi = max(min(hi, self.size), lo)
-        zero = _Enc(self.zero_mult if k == 0 and lo <= 0 < hi else 0, prec)
-        lo, hi = max(lo, self.z) - self.z, hi - self.z
+        (zero, lo, hi, v, u), n = self._family(lo, hi, k), self.n
         if hi <= lo:
-            return zero
-        n, v, u = self.n, self.alpha**k, self.div * self.beta**k
+            return _Enc(zero, prec)
         c = min(max((n + 1) * v // (v + u), lo), hi - 1)
         # the side above c is the mirror image: term n-l with v and u swapped
         above = _descend(n, n - c - 1, hi - 1 - c, u, v, prec)
-        return zero + _descend(n, c, c + 1 - lo, v, u, prec) + above
+        return _Enc(zero, prec) + _descend(n, c, c + 1 - lo, v, u, prec) + above
 
     def log_moment(self, lo: int, hi: int, k: int) -> float:
         """ln moment(lo, hi, k) for k = 0, 1, and -inf for a zero sum.
@@ -435,10 +411,7 @@ class CompressedSpectrum:
         first term (`math.lgamma`) until a term falls below 2^-60 of the sum,
         so every ratio is <= 1; one up to M is its mirror image, t_l being
         term n-l with v, u swapped; one across M is (v+u)^n less two tails."""
-        z, n = self.z, self.n
-        zero = self.zero_mult if k == 0 and lo <= 0 < hi else 0
-        lo, hi = max(lo, z) - z, min(hi, self.size) - z  # family indices l
-        v, u = self.alpha**k, self.div * self.beta**k
+        (zero, lo, hi, v, u), n = self._family(lo, hi, k), self.n
 
         def upward(l: int, end: int, v: int, u: int) -> float:  # ln(t_l + ... + t_(end-1))
             s = t = 1.0

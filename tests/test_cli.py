@@ -333,6 +333,32 @@ def test_values_below_floats_print_and_run(capsys, argv):
     if argv[0] == "compute":
         assert rc == 0
 
+
+def test_values_past_str_digits_print_with_an_exponent(capsys):
+    """eps = 10^-2200 puts eps' = (eps/8)^2 = 1.5625 * 10^-4402 past every
+    float and its denominator past str()'s 4300 digits: the point still
+    runs, and that cell prints 12 digits and an exponent.  eps itself,
+    short enough for str(), prints exactly."""
+    rc, lines = run(capsys, ["compute", "--n", "10", "--beta0", "0.9",
+                             "--epsilon", "0." + "0" * 2199 + "1"])
+    assert rc == 0
+    row = dict(zip(cli.HEADER, cells(lines[1])))
+    assert row["epsilon_prime"] == "1.5625e-4402"
+    assert row["epsilon"] == "1/1" + "0" * 2200
+    assert not any(cell.startswith("ERROR:") for cell in row.values())
+
+
+def test_frac_past_str_digits():
+    """Past str()'s digit limit a cell is x rounded to 12 significant
+    digits, of either sign and past either end of the floats, and an
+    exponent read without converting x's ints to decimal: a mantissa that
+    rounds up to 10 moves to the next exponent."""
+    tiny, huge = F(1, 10**4400), F(10**5000)
+    assert cli._frac(tiny * F(1, 64)) == "1.5625e-4402"
+    assert cli._frac(-tiny / 3) == "-3.33333333333e-4401"
+    assert cli._frac(huge * F(10**15 - 1, 10**15)) == "1e+5000"
+    assert cli._frac(huge * F(2, 3)) == "6.66666666667e+4999"
+
 # --- grid parsers ------------------------------------------------------------
 
 def test_n_grid_parsers():

@@ -365,20 +365,19 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
     reads: `level`, `step_level` or a summed window).  `windows` lists
     every window `moment` sums term by term (`_window`, the shorter side
     of the window asked for) as (lo, hi, k, the k of each `math.comb` it
-    takes); `residues` lists so every window a residue pass sums
-    (`_window_mod`), and `enclosures` every `_moment_enc` call, its prec
-    after k.
+    takes); `residues` lists so every residue pass (`_moment_mod`), and
+    `enclosures` every `_moment_enc` call, its prec after k.
     `forced` maps a guess's index to the count that guess returns in place
     of its own; a forced guess is recorded too.  `read` names witness
     fields read after fn returns, still recorded: `returned` counts the
     windows summed before they are read."""
     search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
-    names = [name for name in ("level", "step_level", "_window", "_window_mod", "_moment_enc",
+    names = [name for name in ("level", "step_level", "_window", "_moment_mod", "_moment_enc",
                                "log_moment") if hasattr(spec, name)]
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
     rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[], residues=[],
                                  enclosures=[]), []
-    logs = {"_window": (rec.windows, 3), "_window_mod": (rec.residues, 3),
+    logs = {"_window": (rec.windows, 3), "_moment_mod": (rec.residues, 3),
             "_moment_enc": (rec.enclosures, 4)}  # each log and the arguments it keeps
 
     def counted(name, *args):
@@ -975,7 +974,9 @@ def test_s2_certified_float_makes_no_reduction(monkeypatch):
 def test_witness_repr_prints_only_its_ints(monkeypatch):
     """A witness's repr leaves its lazy Fractions out: at n=1000 the
     purity's ints are past str()'s 4300-digit limit, and the repr of each
-    of the three witnesses neither prints nor builds one."""
+    of the three witnesses neither prints nor builds one.  At n=8000 the
+    rank witness's k, 16,000 bits wide, is past that limit too, and prints
+    in hex; its other ints print in decimal."""
     p = ProtocolParams(d=2, n=1000, beta0=F(49, 50), epsilon=F(1, 100))
     _, sol, calls = _s2_counting(monkeypatch, xe_spectrum(p), p.epsilon_prime)
     rank = s0_smooth(eve_spectrum(p), p.epsilon_prime)[1]
@@ -986,6 +987,11 @@ def test_witness_repr_prints_only_its_ints(monkeypatch):
     assert repr(cut) == f"SupportCutResult(b={cut.b}, k={cut.k})"
     assert calls == {"_ratio": 0, "_purity": 0}
     assert sol.purity.denominator.bit_length() > 4300 * math.log2(10)
+    p = ProtocolParams(d=2, n=8000, beta0=F(49, 50), epsilon=F(1, 100))
+    rank = s0_smooth(eve_spectrum(p), p.epsilon_prime)[1]
+    assert rank.k.bit_length() == 16_000
+    assert repr(rank) == (f"RankTrimResult(b={rank.b}, k={hex(rank.k)}, "
+                          f"remaining_rank={rank.remaining_rank})")
 
 
 def _assert_exact_path_ran(monkeypatch, spec, eps):
@@ -1014,6 +1020,20 @@ def test_s2_falls_back_near_purity_one(monkeypatch):
     near 1 on the exact ratio: the float comes from the exact path."""
     spec = xe_spectrum(params(n=1, beta0=F(49, 50)))
     assert F(1, 4) < _assert_exact_path_ran(monkeypatch, spec, F(1, 640000))[1].purity <= 1
+
+
+def test_s2_falls_back_where_the_purity_may_lie_above_a_quarter(monkeypatch):
+    """At d=2, n=100, beta0 = 1 - 10^-6 eve's purity is about 0.9997: the
+    enclosures settle the reduced pair's top bits, but the purity may lie
+    above 1/4, where log2_bits takes its branch near 1 on the exact ratio,
+    so `_purity_log2` returns None and the float comes from the exact path."""
+    p = ProtocolParams(d=2, n=100, beta0=1 - F(1, 10**6), epsilon=F(1, 100))
+    returned, real = [], smooth._purity_log2
+    monkeypatch.setattr(smooth, "_purity_log2",
+                        lambda *args: returned.append(real(*args)) or returned[-1])
+    sol = _assert_exact_path_ran(monkeypatch, eve_spectrum(p), F(1, 10**6))[1]
+    assert returned == [None]
+    assert F(1, 4) < sol.purity < 1
 
 
 @pytest.mark.parametrize("guard", [0, 96])
@@ -1060,10 +1080,10 @@ def test_s2_without_guard_bits_sums_the_middle(monkeypatch):
 def test_s2_sums_the_middle_where_residues_cost_as_much():
     """Cost guard: at a sweep point (d=3, n=3000, beta0=19/20) xe's div = 2
     puts 4,258 factors of 2 in the purity's reduction, a third of den's
-    width in bits, where the middle's residues read 0 and summing it costs
-    less: s2 sums it (as the total less the rest, since it holds over half
-    the levels) with no residue pass and no enclosure, and certifies the
-    float from it, building no purity."""
+    width in bits, where summing the middle costs less than its residue
+    pass and enclosure: s2 sums it (as the total less the rest, since it
+    holds over half the levels) with no residue pass and no enclosure, and
+    certifies the float from it, building no purity."""
     p = ProtocolParams(d=3, n=3000, beta0=F(19, 20), epsilon=F(1, 100))
     spec = xe_spectrum(p)
     rec = _instrumented(s2_smooth, spec, p.epsilon_prime)
@@ -1072,6 +1092,24 @@ def test_s2_sums_the_middle_where_residues_cost_as_much():
     assert [w[2] for w in rec.windows] == [0, 1, 0, 1, 2, 2]
     assert type(sol.__dict__["purity"]) is partial
     assert bits == -log2_bits(sol.purity)
+
+
+def test_s2_reads_a_wide_middle_from_its_residues(monkeypatch):
+    """Cost guard: at the same sweep point with the middle read through
+    residues and its enclosure (`_CHEAP` = 0), the middle, over half the
+    levels and a multiple of 2^4,227, is read by one residue pass past that
+    floor: no k = 2 window is summed, and the float is the one s2 takes
+    from the exact middle."""
+    p = ProtocolParams(d=3, n=3000, beta0=F(19, 20), epsilon=F(1, 100))
+    want = s2_smooth(xe_spectrum(p), p.epsilon_prime)[0]
+    monkeypatch.setattr(smooth, "_CHEAP", 0)
+    spec = xe_spectrum(p)
+    rec = _instrumented(s2_smooth, spec, p.epsilon_prime)
+    bits, sol = rec.result
+    [(lo, hi, k, _)] = rec.residues
+    assert k == 2 and 2 * (hi - lo) > spec.size
+    assert [w[2] for w in rec.windows] == [0, 1, 0, 1]
+    assert bits == want
 
 
 def test_s2_encloses_at_guard_bits_however_wide_the_reduction(monkeypatch):

@@ -474,9 +474,9 @@ def _windows(spec, data):
     """Windows over every shape a window sum takes: empty, clamped and
     one-level ones, xe's zero level alone and inside wider ones, windows of
     half the levels and one past half at each end and across the middle
-    (summed directly, or as the total less the rest), windows nearer the
-    family's top than its bottom (summed as their mirror image), and
-    drawn ones."""
+    (which `moment` sums directly, or as the total less the rest), windows
+    nearer the family's top than its bottom (summed as their mirror image),
+    and drawn ones."""
     size, z = spec.size, 1 if spec.zero_mult else 0
     windows = [(0, size), (0, 0), (size, size), (3, 1), (0, 1), (size - 1, size),
                (-2, size + 2), (1, size), (1, size // 2 + 2), (0, size // 2)]
@@ -493,7 +493,8 @@ def _windows(spec, data):
 def _check_residues(spec, windows, primes, J):
     """`_moment_mod` against moment reduced modulo p^J and against its
     valuation, for each prime, window and k = 0, 1, 2; `_moment_floor`
-    is at most the valuation, and a residue pass's shifts are floors."""
+    is at most the valuation, and a residue pass's shifts are the floors,
+    wide windows included (0 for a zero sum, whose floor is inf)."""
     floored = False
     for lo, hi in windows:
         for k in (0, 1, 2):
@@ -503,7 +504,8 @@ def _check_residues(spec, windows, primes, J):
             for p in primes:
                 q, v = p**J, kernel._strip(want, p, math.inf)[0]
                 assert want % q == R * power % q
-                assert shifts[p] <= spec._moment_floor(lo, hi, k, p) <= v
+                floor = spec._moment_floor(lo, hi, k, p)
+                assert shifts[p] == (floor if want else 0) and floor <= v
                 if R % q:
                     assert v == shifts[p] + kernel._strip(R % q, p, math.inf)[0]
                 else:
@@ -568,6 +570,36 @@ def test_moment_enc_encloses_moment(p, prec, data):
                 want, enc = spec.moment(lo, hi, k), spec._moment_enc(lo, hi, k, prec)
                 assert _encloses(enc, want)
                 assert (enc.hi - enc.lo) << prec <= enc.hi << 12
+
+
+@pytest.mark.parametrize("build", [eve_spectrum, xe_spectrum, conditional_spectrum])
+def test_window_reads_clamp_as_moment_does(build):
+    """Each of the five window reads takes a window running past either end
+    of the levels, or lying wholly outside them, as `moment` does: as that
+    window clamped to the levels (`_family`).  On eve, xe (whose zero level
+    a window from below takes in at k = 0) and cond, at d = 3, where 2
+    divides div."""
+    spec, primes = build(params(d=3, n=12, beta0=F(3, 4))), [2, 3, 5]
+    size, M = spec.size, 2**16 * 3**16 * 5**16
+    for lo, hi in [(-3, 2), (-2, size + 2), (size - 3, size + 3), (-4, 0), (-4, -1),
+                   (size, size + 2), (size + 1, size + 5)]:
+        clamped = max(lo, 0), max(min(hi, size), lo, 0)
+        for k in (0, 1, 2):
+            want = spec.moment(lo, hi, k)
+            assert want == spec.moment(*clamped, k) == spec._window(lo, hi, k)
+            R, shifts = spec._moment_mod(lo, hi, k, primes, 16)
+            assert (R, shifts) == spec._moment_mod(*clamped, k, primes, 16)
+            assert want % M == R * math.prod(p**s for p, s in shifts.items()) % M
+            for p in primes:
+                floor = spec._moment_floor(lo, hi, k, p)
+                assert floor == spec._moment_floor(*clamped, k, p)
+                assert shifts[p] == (floor if want else 0)
+            enc, other = spec._moment_enc(lo, hi, k, 64), spec._moment_enc(*clamped, k, 64)
+            assert (enc.lo, enc.hi, enc.s) == (other.lo, other.hi, other.s)
+            assert _encloses(enc, want)
+            if k < 2:
+                assert spec.log_moment(lo, hi, k) == spec.log_moment(*clamped, k)
+                _log_moments_match(spec, [(lo, hi)])
 
 
 def _eager_levels(p):
