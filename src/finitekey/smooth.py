@@ -47,8 +47,9 @@ enclosures (`kernel._Enc`) give the reduced pair's bit lengths and top
 bits, at _GUARD bits however much the reduction divides out.  The
 purity's numerator is written once (`_numerator`), and the witness and
 the enclosures both read it; `_valuation` takes each prime's share from
-the valuations and units of its three products.  The untouched middle,
-the squared masses between the two boundaries, is a lazy value
+the valuations and units of its three products, every term (the middle's
+residue included) read through one p-adic view (`_adic`).  The untouched
+middle, the squared masses between the two boundaries, is a lazy value
 (`_Middle`), which the float reads through one residue pass, only where
 `_valuation` needs it, and an enclosure, unless the `_CHEAP` rule has it
 summed first.  Where the enclosures do not settle the float, it reads
@@ -70,7 +71,7 @@ from .spectra import CompressedSpectrum
 # p-adic digits of s2's middle that its residue pass reads (`_Middle.view`)
 # past the window's floor: its valuation beyond the floor and the digits of
 # its unit after that.  `_valuation`'s first round reads _DIGITS // 2 digits
-# of each term (`_adic`, `_units`), all it needs unless N's least products tie
+# of each term (`_adic`), all it needs unless N's least products tie
 _DIGITS = 64
 
 # s2's middle is read by residues and an enclosure when den is at least
@@ -302,9 +303,10 @@ def s2_smooth(spec: CompressedSpectrum, eps) -> tuple[float, WaterfillSolution]:
     if m == 1:
         # single level: the spectrum is uniform on its support and nothing
         # can move; the ball contains no lower-purity spectrum.  The level
-        # holds all the mass, so its count (g copies included) is total_dim
+        # holds all the mass, so its count (g copies included) is total_dim,
+        # whose log2 is +0.0 where a pure state's -log2(1) would read -0.0
         lam = Fraction(1, spec.total_dim)
-        return -log2_bits(lam), WaterfillSolution(0, 0, lam, lam, lam)
+        return log2_bits(spec.total_dim), WaterfillSolution(0, 0, lam, lam, lam)
 
     # bottom boundary: raising the levels below r (count C_r, mass W_r times
     # den) to lam_r = w/mult costs s_r = (lam_r*C_r - W_r)/den, so level r
@@ -360,19 +362,19 @@ class _Middle:
         return self.spec._moment_floor(*self.window, p)
 
     def view(self, p: int, primes) -> tuple:
-        """(v_p(mid), unit) for `_valuation`, off the residue pass
-        (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes, or off
-        `exact`: once it is summed, where the residue is 0 modulo p^_DIGITS
-        (it says too little of v_p), and for unit digits past the residue's."""
+        """(v_p(mid), unit) for `_valuation` (`_adic`), off the residue pass
+        (`spec._moment_mod`) modulo prod(p^_DIGITS) over the primes, times
+        the other primes' shifts modulo p^_DIGITS, or off `exact`: once it
+        is summed, where that is 0 (it says too little of v_p), and for
+        unit digits past the residue's."""
         def exact() -> tuple:
             return _adic(self.exact, p)
         if "exact" not in vars(self):
             if self.residues is None:
                 self.residues = self.spec._moment_mod(*self.window, primes, _DIGITS)
-            R, shifts = self.residues
-            if r := R % p**_DIGITS:
-                vr, r = _strip(r, p, math.inf)
-                unit = _units(shifts, r, p)  # mid / p^v, to _DIGITS - vr digits
+            (R, shifts), q = self.residues, p**_DIGITS
+            if r := R * math.prod(pow(s, v, q) for s, v in shifts.items() if s != p) % q:
+                vr, unit = _adic(r, p)  # mid / p^shift, to _DIGITS - vr digits
                 return shifts[p] + vr, lambda J: (unit if J <= _DIGITS - vr else exact()[1])(J)
         return exact()
 
@@ -400,28 +402,6 @@ def _purity(terms, dens) -> Fraction:
     dens (ed, ed, den, den, g)."""
     X, Y, C, Ct, mid, ed2 = terms
     return _ratio(_numerator(X, Y, C, Ct, mid.exact, ed2), *dens, C, Ct)
-
-
-def _split(t: int, primes) -> tuple[dict, int]:
-    """(vals, rest) with t = rest * prod(p^vals[p]) and rest free of the
-    primes: each prime stripped once (`_strip`), from what the ones before
-    it left."""
-    vals = {}
-    for p in primes:
-        vals[p], t = _strip(t, p, math.inf)
-    return vals, t
-
-
-def _units(vals: dict, rest: int, p: int):
-    """unit(J) = t / p^vals[p] modulo p^J for t = rest * prod(q^vals[q])
-    (`_split`): rest times the other primes' powers, read off their product
-    modulo p^(_DIGITS // 2) up to that many digits."""
-    def product(J: int) -> int:
-        q = p**J
-        return rest % q * math.prod(pow(r, v, q) for r, v in vals.items() if r != p) % q
-
-    low = product(_DIGITS // 2)
-    return lambda J: low % p**J if J <= _DIGITS // 2 else product(J)
 
 
 def _adic(t: int, p: int) -> tuple:
@@ -473,11 +453,10 @@ def _purity_log2(terms, dens, tables) -> float | None:
     `small_factors` of dens, and reducing divides N and the denominator
     prod(dens)*C*Ct by K = prod(p^k_p) * h: k_p = min(v_p(N), e_p +
     v_p(C*Ct)) for each known prime p of exponent e_p in the tables
-    (`_valuation`), and h the gcd of N with rest, C*Ct less those primes.
-    C and Ct are split into the primes' powers and a rest once (`_split`),
-    X, Y and ed^2 are read p-adically (`_adic`), and mid only where
-    `_valuation` asks.  Since the mid term vanishes modulo C*Ct, N =
-    Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
+    (`_valuation`), and h the gcd of N with rest, C*Ct over those primes'
+    powers in it.  X, Y, C, Ct and ed^2 are read p-adically (`_adic`), and
+    mid only where `_valuation` asks.  Since the mid term vanishes modulo
+    C*Ct, N = Ct*(X^2 mod C) + C*(Y^2 mod Ct) modulo rest.
     N and the denominator are enclosed (`_Enc`) to _GUARD bits and divided
     by K exactly (`/`, which keeps those bits), and the two quotients' ends
     read the reduced pair's bit lengths and top bits.
@@ -495,20 +474,18 @@ def _purity_log2(terms, dens, tables) -> float | None:
         for p, e in table.items():
             primes[p] = primes.get(p, 0) + e
     X, Y, C, Ct, mid, ed2 = terms
-    (vc, rest_c), (vt, rest_t) = _split(C, primes), _split(Ct, primes)
-    views = {p: (_adic(X, p), _adic(Y, p), (vc[p], _units(vc, rest_c, p)),
-                 (vt[p], _units(vt, rest_t, p)), _adic(ed2, p)) for p in primes}
-    caps = {p: e + vc[p] + vt[p] for p, e in primes.items()}
+    views = {p: [_adic(t, p) for t in (X, Y, C, Ct, ed2)] for p in primes}
+    caps = {p: e + views[p][2][0] + views[p][3][0] for p, e in primes.items()}
     floors, low = {p: mid.floor(p) for p in primes}, _GUARD  # plus K's width from below
     for p, cap in caps.items():
-        vx, vy, _, _, ve = (v for v, _ in views[p])
-        low += math.log2(p) * min(cap, *map(sum, _products(vx, vy, vc[p], vt[p], floors[p], ve)))
+        vx, vy, vc, vt, ve = (v for v, _ in views[p])
+        low += math.log2(p) * min(cap, *map(sum, _products(vx, vy, vc, vt, floors[p], ve)))
     if low * _CHEAP > mid.spec.den.bit_length():
         mid.exact  # summed, where it costs less than the residues and the enclosure
     K = 1
     for p, cap in caps.items():
         K *= p ** _valuation(p, cap, views[p], (floors[p], partial(mid.view, p, primes)))
-    rest = rest_c * rest_t
+    rest = big_divmod(C * Ct, math.prod(p ** (caps[p] - e) for p, e in primes.items()))[0]
     xm, ym = big_divmod(X, C)[1], big_divmod(Y, Ct)[1]
     r = Ct * big_divmod(xm * xm, C)[1] + C * big_divmod(ym * ym, Ct)[1]
     K *= math.gcd(big_divmod(r, rest)[1], rest)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from listed import ListedSpectrum
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
+from test_spectra import _windows, valid_params
 from finitekey import smooth
 from finitekey.kernel import _strip, log2_bits
 from finitekey.keyrate import key_length
@@ -150,6 +151,11 @@ def test_s2_single_level_never_errors():
     for eps in (0, F(1, 100), F(99, 100)):
         bits, sol = s2_smooth(spec, eps)
         assert sol.purity == F(1, 4) and bits == 2.0
+    # a pure state, listed or a family at beta0 = 1: S2 is +0.0, not -0.0
+    for spec in (ListedSpectrum.from_levels([(F(1), 1)]),
+                 eve_spectrum(params(d=3, n=4, beta0=F(1), epsilon=F(1, 10)))):
+        bits, sol = s2_smooth(spec, F(1, 100))
+        assert sol.purity == 1 and bits == 0.0 and math.copysign(1.0, bits) == 1.0
 
 
 @pytest.mark.parametrize("eps", [F(-1, 10), F(1), F(3, 2)])
@@ -1163,6 +1169,48 @@ def test_s2_valuation_reaches_its_cap(monkeypatch):
     assert calls == {"_ratio": 0, "_purity": 0}
     assert bits == want
     assert any(p == 3 and cap > 64 for p, cap in capped)
+
+
+def _check_views(spec, windows, primes):
+    """`_Middle.view` against `_adic` of the summed middle, for each window
+    and prime: the same valuation and unit digits, to _DIGITS + 8 digits,
+    past what the residue pass holds; again once `exact` is read.  True
+    where some window's `_moment_floor` is above 0."""
+    floored = False
+    for lo, hi in windows:
+        mid, want = smooth._Middle(spec, lo, hi), spec.moment(lo, hi, 2)
+        for _ in ("residues", "exact"):
+            for p in primes:
+                (v, unit), (wv, wunit) = mid.view(p, primes), smooth._adic(want, p)
+                assert v == wv
+                assert [unit(J) for J in range(1, smooth._DIGITS + 9)] == [
+                    wunit(J) for J in range(1, smooth._DIGITS + 9)]
+                floored |= 0 < mid.floor(p) < math.inf
+            mid.exact
+    return floored
+
+
+@given(st.one_of(valid_params(max_n=60), valid_params(max_n=60, d=5)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_middle_view_reads_the_middle_p_adically(p, data):
+    """s2's middle through its residue pass reads as the summed middle
+    does, on eve, xe (with its zero level) and cond."""
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        _check_views(spec, _windows(spec, data), [2, 3, 5, 7])
+
+
+@pytest.mark.parametrize("d, beta0", [(3, F(19, 20)), (2, F(7, 12)), (2, F(4, 5))])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_middle_view_past_the_floor(d, beta0, data):
+    """Where a prime divides the terms' v or u (2 | div at d = 3, 5 | beta
+    at 7/12, 2 | alpha at 4/5), the residue pass reads the middle past its
+    floor, and the view still reads as the summed middle does."""
+    p = params(d=d, n=60, beta0=beta0)
+    floored = False
+    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
+        floored |= _check_views(spec, _windows(spec, data), [2, 3, 5])
+    assert floored
 
 
 def _valuation(p, cap, X, Y, C, Ct, mid, ed2, floor=0):
