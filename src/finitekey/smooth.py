@@ -32,9 +32,11 @@ gives back strings of its last level (mult, w) at lam_b = w/(mult*den*g).
 Each is first guessed in floats (`_guess`) as the same test in logs, sums
 through `_log_add`, by bisecting on how many levels the scan takes over
 the logs of window sums (`log_moment`).  The search sums the guessed
-levels in one window, reads the last of them in closed form (`level`) and
-corrects the guess by recurrence steps to the neighbouring levels
-(`step_level`).  Since s_r grows with r, the comparisons at the boundary
+levels in one window, reads the last of them (`level`), corrects the guess
+by recurrence steps to the neighbouring levels (`step_level`) and keeps
+the boundary's point (`keep`).  A later search of the spectrum, at another
+budget, sums from the nearest kept point and reads its level there, in no
+closed form.  Since s_r grows with r, the comparisons at the boundary
 certify what a full scan would find, and no level is scanned to.
 
 No full-width gcd runs on the way to the floats.  The witness rationals
@@ -216,10 +218,10 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     included.  Level i is taken iff fits(mult, w, C, W) holds on the count
     and mass taken before it; fits holds at the first level and, once false,
     stays false.  A guess of `taken` levels (at least the first) sums them in
-    one window at k = 0, 1.  One closed-form read (`level`) of the last
-    guessed level follows, then recurrence steps (`step_level`) drop levels
-    that do not fit and take next ones that do, one step per level the
-    guess missed."""
+    one window at k = 0, 1.  One read (`level`) of the last guessed level
+    follows, off a point the window kept or else in closed form, then steps
+    (`step_level`) drop levels that do not fit and take next ones that do,
+    one per level the guess missed.  Level i's point is kept (`keep`)."""
     m, step = spec.size, -1 if reverse else 1
     taken = max(taken, 1)
     i = m - taken if reverse else taken - 1  # the last level guessed
@@ -229,6 +231,8 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
         C, W, i, level = C - level[0], W - level[1], i - step, spec.step_level(i, level, -step)
     while 0 <= i + step < m and fits(*(nxt := spec.step_level(i, level, step)), C, W):
         C, W, i, level = C + nxt[0], W + nxt[1], i + step, nxt  # guessed too short
+    below = (spec.count - C, spec.den - W) if reverse else (C - level[0], W - level[1])
+    spec.keep(i, below, level)
     return i, C, W, level
 
 

@@ -25,25 +25,32 @@ states den's primes (trial division of alpha + div*beta up to
 levels are P(X|Y)'s repeated d^n times.  At beta0 = 1 every spectrum is the
 family at n = 0: one level of value 1, for rho_XE over a zero level.  What a
 scan reads is per copy; `levels` and `total_dim` count all copies.  Nothing
-of size O(n) is stored.  A scan reads one level in closed form and steps
-to its neighbours by recurrence, so it costs only the levels it reads:
+of size O(n) is stored.  A scan reads one level in closed form and steps to
+its neighbours by recurrence, so it costs only the levels it reads:
 `level(i)` is the (multiplicity, mass) of level i, one `math.comb` and two
-powers, and `step_level(i, level, +-1)` is level i+-1 from level i's, one
-big-by-small product and one exact division for each of the two.  The pairs
-`levels` are `level(i)` for every i.  A window of levels is not read level
-by level: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over
-the window, so k = 0, 1, 2 give its count, mass and squared mass.  Every
-read of a window takes it one way (`_family`): clamped to the levels, as
-terms C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k above
-the zero level.  They form a hypergeometric series in l, which `_series`
-evaluates by binary splitting over the ratio (n-l)*v/(l+1), with u as a
-weight; one exact division (`kernel.big_divmod`) closes it before the
-window's common factor v^lo * u^(n-hi+1) is multiplied back in.  `moment`
-sums a window on its shorter side: one of at most half the levels term by
-term, and a wider one as the family's k-th total (the binomial theorem's)
-less the windows below and above it.  A window nearer the family's top is
+powers unless i is kept (below), and `step_level(i, level, +-1)` is level
+i+-1 from level i's, one big-by-small product and one exact division for
+each of the two.  The pairs `levels` are `level(i)` for every i.  A window
+of levels is not read level by level: `moment(lo, hi, k)` is the k-th
+moment sum of mult * num^k over the window, so k = 0, 1, 2 give its count,
+mass and squared mass.  Every read of a window takes it one way
+(`_family`): clamped to the levels, as terms C(n, l) * v^l * u^(n-l) with
+v = alpha^k and u = div*beta^k above the zero level.  They form a
+hypergeometric series in l, which `_series` evaluates by binary splitting
+over the ratio (n-l)*v/(l+1), with u as a weight; one exact division
+(`kernel.big_divmod`) closes it before the window's common factor v^lo *
+u^(n-hi+1) is multiplied back in.  A window nearer the family's top is
 summed as its mirror image, term n-l with v and u swapped, so its
-`math.comb` is C(n, min(lo, n+1-hi)).  Three more reads serve floats that
+`math.comb` is C(n, min(lo, n+1-hi)).  A spectrum keeps the points its
+boundary searches reach (`keep`), at most `_POINTS`: a level's index, the
+count and mass below it and the level.  `moment` sums a window from the
+nearest known points, the fewer terms: term by term, or as the sum below
+its end less that below its start.  The family's ends are known, with the
+k-th totals (the binomial theorem's) below its top, so with no point kept
+this is the shorter side.  At k = 0, 1 a gap from a kept point is the same
+series started at its level's term, with no `math.comb` and no n-th power,
+and the series' far end is the level there, which is kept with its sums,
+so `level` reads it in no closed form.  Three more reads serve floats that
 need not sum a window exactly: `log_moment(lo, hi, k)`, its natural log
 for k = 0, 1 from the terms nearest their mode, which predicts where a
 scan stops; `_moment_mod`, the sum modulo a power of each of a few primes
@@ -82,6 +89,12 @@ __all__ = [
 # (0.93 s at n=1e5, 43 s at 1e6), so n=1e8 would run for days; it is
 # refused at once.
 MAX_POWER_BITS = 2**23
+
+# Points a spectrum keeps (`CompressedSpectrum.keep`), the least recently
+# read dropped past this.  A point is four ints: at n=2e4 one takes 42 KB
+# (eve, d=2, beta0=49/50) to 196 KB (d=1000, 99/100), so 1.6 MB for 8, and
+# no admitted point's ints pass MAX_POWER_BITS bits, so 8 never pass 32 MiB.
+_POINTS = 8
 
 
 def _refuse_oversized(n: int, *bases: int) -> None:
@@ -132,8 +145,8 @@ class ProtocolParams:
         return smoothing_budget(self.epsilon)
 
 
-def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
-    """(Q, T) with Q = hi!/lo! and T/Q = sum over l = lo..hi-1 of
+def _series(lo: int, hi: int, n: int, v: int, u: int, whole_p=False) -> tuple[int, int, int]:
+    """(P, Q, T) with Q = hi!/lo! and T/Q = sum over l = lo..hi-1 of
     u^(hi-1-l) times the product over r = lo..l-1 of (n-r)*v/(r+1): a
     window sum over a level family, whose terms C(n, l) * v^l * u^(n-l)
     share the factor C(n, lo) * v^lo * u^(n-hi+1).
@@ -147,7 +160,7 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
     ranges are folded term by term on small integers.  The halves of one
     depth have at most two lengths, so each weight u^(j-mid) is raised once.
     P is formed only where it is read: a left half's P1 always is, a right
-    half's only when its parent's is, and the whole range's never.
+    half's only when its parent's is, and the whole range's if whole_p.
     """
     weights = {}
 
@@ -165,9 +178,8 @@ def _series(lo: int, hi: int, n: int, v: int, u: int) -> tuple[int, int]:
         return P1 * P2 if want_p else 0, Q1 * Q2, T1 * Q2 * weights[j - mid] + P1 * T2
 
     if hi <= lo:
-        return 1, 0
-    _, Q, T = split(lo, hi, False)
-    return Q, T
+        return 1, 1, 0
+    return split(lo, hi, whole_p)
 
 
 def _descend(n: int, l: int, count: int, v: int, u: int, prec: int) -> _Enc:
@@ -239,11 +251,13 @@ class CompressedSpectrum:
                 for m, w in map(self.level, range(self.size))]
 
     def level(self, i: int) -> tuple[int, int]:
-        """(multiplicity, mass) of level i in closed form: one `math.comb`
-        and two powers.  A scan reads one level so, and its neighbours by
-        `step_level`."""
+        """(multiplicity, mass) of level i: a kept point's (`keep`), else in
+        closed form, one `math.comb` and two powers.  A scan reads one level
+        so, and its neighbours by `step_level`."""
         if not 0 <= i < self.size:
             raise IndexError(f"level {i} outside 0..{self.size - 1}")
+        if i in self._points:
+            return self._point(i)[2:]
         if i < self.z:
             return self.zero_mult, 0
         n, l = self.n, i - self.z
@@ -273,18 +287,60 @@ class CompressedSpectrum:
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
         levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
-        mass.  A zero level counts toward k = 0 only.  It sums the shorter
-        side: a window of at most half the levels directly (`_window`),
-        and a wider one as the family's k-th total less the windows below
-        lo and from hi, which reach an end of the family.  The totals are
-        `count` for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for
-        k = 2, formed on first use, so a spectrum whose squared masses are
-        all summed directly never forms it."""
+        mass.  A zero level counts toward k = 0 only.  It takes the fewer
+        terms: the window (`_window`), or the sum below hi less that below
+        lo.  Below lo is the window from 0 or, at k = 0, 1, lo's point
+        (`_point`); below hi is the family's k-th total less the window
+        from hi, or hi-1's point with its level.  The totals are `count`
+        for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for k = 2,
+        formed on first use, so a spectrum whose squared masses are all
+        summed directly never forms it."""
         lo, hi = max(lo, 0), max(min(hi, self.size), lo, 0)
-        if 2 * (hi - lo) <= self.size:
+        kept = self._points if k < 2 else ()
+        near = [min(abs(x - j) for j in kept) for x in (lo, hi - 1)] if kept else [math.inf] * 2
+        ends = lo, self.size - hi
+        if hi - lo <= min(ends[0], near[0]) + min(ends[1], near[1]):
             return self._window(lo, hi, k)
+        below = self._point(lo)[k] if near[0] < ends[0] else lo and self._window(0, lo, k)
+        if near[1] < ends[1]:
+            return sum(self._point(hi - 1)[k::2]) - below
         total = self._squares if k == 2 else (self.count, self.den)[k]
-        return total - sum(self._window(a, b, k) for a, b in ((0, lo), (hi, self.size)) if a < b)
+        return total - (hi < self.size and self._window(hi, self.size, k)) - below
+
+    @cached_property
+    def _points(self) -> dict:  # level index: (count, mass below it, mult, mass)
+        return {}
+
+    def keep(self, i: int, below: tuple[int, int], level: tuple[int, int]) -> None:
+        """Keep level i's point, below the count and mass below it and level
+        = level(i), past _POINTS dropping the least recently read; i >= z."""
+        if i >= self.z:
+            self._points.pop(i, None)
+            self._points[i] = (*below, *level)
+            if len(self._points) > _POINTS:
+                del self._points[next(iter(self._points))]
+
+    def _point(self, x: int) -> tuple[int, int, int, int]:
+        """Level x's point (x >= z) from the nearest kept one, a: a's if x
+        = a, else a's sums plus the gap's at k = 0, 1, each a `_series`
+        started at a's term whose P gives x's, kept.  Below a, the series
+        runs over the mirror image, term n-l with v and u swapped, from a
+        down to x, so the gap is its sum less t_a plus t_x."""
+        a = min(self._points, key=lambda j: abs(j - x))
+        self._points[a] = point = self._points.pop(a)  # now the most recently read
+        if a == x:
+            return point
+        n, fa, fx, below, level = self.n, a - self.z, x - self.z, [], []
+        for k in (0, 1):
+            t, v, u = point[2 + k], self.alpha**k, self.div * self.beta**k
+            lo, hi, v, u = (fa, fx, v, u) if fa < fx else (n - fa, n - fx, u, v)
+            P, Q, T = _series(lo, hi, n, v, u, True)  # T, P over Q: t_lo..t_(hi-1), t_hi
+            Q *= u ** (hi - 1 - lo)
+            s, tx = big_divmod(t * T, Q)[0], big_divmod(t * P, Q * u)[0]
+            below.append(point[k] + (s if fa < fx else t - s - tx))
+            level.append(tx)
+        self.keep(x, below, level)
+        return self._points[x]
 
     @cached_property
     def _squares(self) -> int:
@@ -314,7 +370,7 @@ class CompressedSpectrum:
             return zero
         if n + 1 - hi < lo:  # nearer the top: the mirror image, from l = n down
             lo, hi, v, u = n + 1 - hi, n + 1 - lo, u, v
-        Q, T = _series(lo, hi, n, v, u)
+        _, Q, T = _series(lo, hi, n, v, u)
         return zero + big_divmod(math.comb(n, lo) * T, Q)[0] * v**lo * u ** (n - hi + 1)
 
     def _moment_floor(self, lo: int, hi: int, k: int, p: int) -> int:

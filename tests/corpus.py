@@ -1,6 +1,6 @@
 """The differential corpus: every smoothed entropy over one kept grid, hashed.
 
-    PYTHONPATH=src python tests/corpus.py [--subset]
+    PYTHONPATH=src python tests/corpus.py [--subset] [--fresh]
 
 Each call's float and every field of its witness (lazy fields read), or its
 EpsilonTooLargeError's x and y, go into one SHA-256 digest, all in hex.  The
@@ -11,6 +11,9 @@ exactly, both or neither (then only its enclosure is read).  The routes are
 not hashed.  It exits 1 when the digest is not the one recorded below, so a
 change that moves a float or a witness shows here; one that does so on
 purpose records the new digests in this one place.  `--subset` keeps n <= 1000.
+The grid reuses each point's three spectra across its budgets and scans, so
+a scan may start from the points an earlier one kept; `--fresh` builds new
+spectra for every call, so none does, and must print the same digest.
 
 The grid: d in {2, 3, 5} at n in {10, 37, 100, 333, 1000, 2500, 6000} and
 d in {64, 1000} at n in {10, 100, 1000, 5000}; five beta0 (those above 1/d);
@@ -34,6 +37,9 @@ SMALL_D, SMALL_N = (2, 3, 5), (10, 37, 100, 333, 1000, 2500, 6000)
 LARGE_D, LARGE_N = (64, 1000), (10, 100, 1000, 5000)
 BETA0S = (F(49, 50), F(9, 10), F(99, 100), F(8911, 10000), F(24, 25))
 EPSILON = F(1, 100)
+BUILDERS = {"eve": eve_spectrum, "xe": xe_spectrum, "cond": conditional_spectrum}
+SCANS = ((s2_smooth, "eve"), (s2_smooth, "xe"), (s2_smooth, "cond"), (s0_smooth, "eve"),
+         (h0_smooth, "cond"))
 
 # (calls, SHA-256) of the full grid and of the subset
 RECORDED = {
@@ -69,8 +75,9 @@ def _s2_route(routes: Counter, trace: list):
            f"{' + '.join(reads) or 'enclosure only'}"] += 1
 
 
-def run(subset: bool = False) -> tuple[int, str, Counter]:
-    """(calls, digest, s2 routes) over the grid, or its n <= 1000 part."""
+def run(subset: bool = False, fresh: bool = False) -> tuple[int, str, Counter]:
+    """(calls, digest, s2 routes) over the grid, or its n <= 1000 part,
+    each call on its point's spectra or, if fresh, on new ones."""
     digest, calls, routes, trace = hashlib.sha256(), 0, Counter(), []
     inner = smooth._purity_log2
 
@@ -83,12 +90,10 @@ def run(subset: bool = False) -> tuple[int, str, Counter]:
     try:
         for d, n, beta0 in points(subset):
             p = ProtocolParams(d=d, n=n, beta0=beta0, epsilon=EPSILON)
-            eve, xe, cond = eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)
-            at_point = [(s2_smooth, "eve", eve), (s2_smooth, "xe", xe),
-                        (s2_smooth, "cond", cond), (s0_smooth, "eve", eve),
-                        (h0_smooth, "cond", cond)]
+            kept = {name: build(p) for name, build in BUILDERS.items()}
             for eps in (p.epsilon_prime, F(1, 10**6), F(1, 100)):
-                for fn, spec_name, spec in at_point:
+                for fn, spec_name in SCANS:
+                    spec = BUILDERS[spec_name](p) if fresh else kept[spec_name]
                     try:
                         bits, sol = fn(spec, eps)
                         out = [_hex(bits)] + [f"{f.name}={_hex(getattr(sol, f.name))}"
@@ -107,7 +112,7 @@ def run(subset: bool = False) -> tuple[int, str, Counter]:
 
 def main(argv: list[str]) -> int:
     subset = "--subset" in argv
-    calls, digest, routes = run(subset)
+    calls, digest, routes = run(subset, "--fresh" in argv)
     print(f"{calls} calls, sha256 {digest}")
     for route, count in sorted(routes.items()):
         print(f"  s2 {route}: {count}")

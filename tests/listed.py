@@ -2,7 +2,7 @@
 
 `ListedSpectrum(value_nums, mults, den)` stores every level of a spectrum
 in two lists, checked level by level, and reads them with the interface
-the scans use (`level`, `step_level`, `moment`, `_moment_floor`,
+the scans use (`level`, `step_level`, `moment`, `keep`, `_moment_floor`,
 `log_moment`, `levels`, `size`, `zero_mult`, `den`, `total_dim`, `g` and
 the factor tables).  Each sum is a plain Python sum over the lists, taken
 on the shorter side by the package's own `moment`, so a
@@ -84,8 +84,13 @@ class ListedSpectrum:
         """level(i + step): explicit levels are read, not stepped."""
         return self.level(i + step)
 
-    # the package's shorter-side rule, over the plain sums below
+    # the package's rule over the plain sums below; explicit levels keep
+    # no points, so it is the shorter-side rule
     moment = CompressedSpectrum.moment
+    _points = ()
+
+    def keep(self, i: int, below, level) -> None:
+        """Explicit levels are read, not kept."""
 
     def _window(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 of the levels:

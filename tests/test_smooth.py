@@ -366,33 +366,45 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
     """The record of fn(spec, eps): its `result`, or its
     EpsilonTooLargeError as (x, y), and what its scans read.  `searches`
     has an entry per `_last_fit` call (reverse, taken, fits, closed-form
-    `level` reads, `step_level` steps and the windows it summed), and
-    `guesses` one per `_guess` call (reverse, `log_moment` reads and exact
-    reads: `level`, `step_level` or a summed window).  `windows` lists
-    every window `moment` sums term by term (`_window`, the shorter side
-    of the window asked for) as (lo, hi, k, the k of each `math.comb` it
-    takes); `residues` lists so every residue pass (`_moment_mod`), and
-    `enclosures` every `_moment_enc` call, its prec after k.
-    `forced` maps a guess's index to the count that guess returns in place
-    of its own; a forced guess is recorded too.  `read` names witness
-    fields read after fn returns, still recorded: `returned` counts the
-    windows summed before they are read."""
+    `level` reads, `step_level` steps, the windows it summed, the gaps it
+    summed from kept points, its kept-point hits, the points `kept` as it
+    starts and the `last` level it takes), and `guesses` one per `_guess`
+    call (reverse, `log_moment` reads and exact reads: `level`,
+    `step_level`, a summed window or a point).  `windows` lists
+    every window `moment` sums term by term from an end or directly
+    (`_window`) as (lo, hi, k, the k of each `math.comb` it takes);
+    `residues` lists so every residue pass (`_moment_mod`), and
+    `enclosures` every `_moment_enc` call, its prec after k.  `gaps`
+    lists every point summed from a kept one (`_point`) as (the kept
+    point, the point, the `math.comb`s taken), and `hits` counts the
+    points read as kept, by `moment` or by `level`, which then reads no
+    closed form.  `forced` maps a guess's index to the count that guess
+    returns in place of its own; a forced guess is recorded too.  `read`
+    names witness fields read after fn returns, still recorded:
+    `returned` counts the windows summed before they are read."""
     search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
     names = [name for name in ("level", "step_level", "_window", "_moment_mod", "_moment_enc",
-                               "log_moment") if hasattr(spec, name)]
+                               "log_moment", "_point") if hasattr(spec, name)]
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
     rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[], residues=[],
-                                 enclosures=[]), []
+                                 enclosures=[], gaps=[], hits=0), []
     logs = {"_window": (rec.windows, 3), "_moment_mod": (rec.residues, 3),
             "_moment_enc": (rec.enclosures, 4)}  # each log and the arguments it keeps
+    kept = getattr(spec, "_points", ())
 
     def counted(name, *args):
+        if name in ("level", "_point") and args[0] in kept:
+            if name == "_point":
+                rec.hits += 1
+            return reads[name](*args)  # a hit: its `_point` call is the one counted
         counts[name] += 1
-        start = len(combs)
+        start, near = len(combs), min(kept, key=lambda j: abs(j - args[0]), default=None)
         value = reads[name](*args)
         if name in logs:
-            log, kept = logs[name]
-            log.append((*args[:kept], combs[start:]))
+            log, kept_args = logs[name]
+            log.append((*args[:kept_args], combs[start:]))
+        if name == "_point":
+            rec.gaps.append((near, args[0], combs[start:]))
         return value
 
     def recorded_comb(n, k):
@@ -400,11 +412,13 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
         return comb(n, k)
 
     def searched(spec, reverse, fits, taken=0):
-        before, start = dict(counts), len(rec.windows)
+        before, start, gaps, hits = dict(counts), len(rec.windows), len(rec.gaps), rec.hits
+        points = list(kept)  # the points kept as it starts
         found = search(spec, reverse, fits, taken)
         rec.searches.append(SimpleNamespace(
             reverse=reverse, taken=taken, fits=fits, reads=counts["level"] - before["level"],
-            steps=counts["step_level"] - before["step_level"], windows=rec.windows[start:]))
+            steps=counts["step_level"] - before["step_level"], windows=rec.windows[start:],
+            gaps=rec.gaps[gaps:], hits=rec.hits - hits, kept=points, last=found[0]))
         return found
 
     def guessed(spec, reverse, fits):
@@ -434,32 +448,43 @@ def test_s2_corrects_forced_misses(guess):
     either side's window sum.  b_minus lies above half the levels at 49/50
     and below it at 8911/10000, so the guesses next to it ("below",
     "above") start from the complement in both directions at one and from
-    the bottom sum in both directions at the other."""
+    the bottom sum in both directions at the other, on a fresh spectrum.
+    On a family that keeps points from another budget's scan, they start
+    from the nearest of those, and s2 returns the same."""
     cases = []
     for beta0 in (F(49, 50), F(8911, 10000)):
-        family = xe_spectrum(params(n=120, beta0=beta0))
-        for spec in (family, ListedSpectrum.from_levels(family.levels)):
+        family = partial(xe_spectrum, params(n=120, beta0=beta0))
+        for fresh in (family, partial(ListedSpectrum.from_levels, family().levels)):
+            spec = fresh()
             b = s2_smooth(spec, F(1, 640000))[1].b_minus
             assert (2 * (b + 1) > spec.size) == (beta0 == F(49, 50))
             below = spec.levels[:b]
             tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
             for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
-                cases.append((spec, eps, s2_smooth(spec, eps)))
-    for spec, eps, want in cases:
-        b, m = want[1].b_minus, spec.size
+                cases.append((fresh, eps, s2_smooth(fresh(), eps)))
+    gaps = []
+    for fresh, eps, want in cases:
+        b, m = want[1].b_minus, fresh().size
         assert 3 <= b <= m - 4
         forced = {"bottom": 0, "top": m - 1, "below": b - 3, "above": b + 3}[guess]
         complement = 2 * (forced + 1) > m
         if guess in ("below", "above"):
             assert complement == (2 * (b + 1) > m)
         # s2 guesses its bottom boundary first
-        rec = _instrumented(s2_smooth, spec, eps, forced={0: forced + 1})
+        rec = _instrumented(s2_smooth, fresh(), eps, forced={0: forced + 1})
         assert rec.result == want
         assert [g.reverse for g in rec.guesses] == [False, True]  # then the top scan
         side = (forced + 1, m) if complement else (0, forced + 1)
         # a guess of all m levels is the family's totals: no window is summed
         summed = [(*side, k) for k in (0, 1)] if side[0] < side[1] else []
         assert [w[:3] for w in rec.searches[0].windows] == summed
+        spec = fresh()
+        s2_smooth(spec, F(1, 10**9))  # keeps its boundaries' points, b_minus below b
+        rec = _instrumented(s2_smooth, spec, eps, forced={0: forced + 1})
+        assert rec.result == want
+        gaps += rec.searches[0].gaps
+    if guess in ("below", "above"):  # each family case sums a gap from a kept point
+        assert len(gaps) == 4 and all(not combs for *_, combs in gaps)
 
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
@@ -505,21 +530,26 @@ def test_walked_boundaries_correct_forced_misses():
     their explicit rebuilds.  Each boundary lies past half the levels in
     some cases (beta0 = 3/5) and below it in others (8911/10000), so the
     guesses next to it sum the complement in some and the guessed levels in
-    others."""
+    others.  Each search starts from a fresh spectrum and, on the families,
+    again from one that keeps the points of a scan at the other budget."""
     sides = {s0_smooth: set(), s2_smooth: set()}
+    budgets = (F(1, 100), F(1, 2))
     for beta0 in (F(3, 5), F(8911, 10000)):
-        for family in (eve_spectrum(params(n=120, beta0=beta0)),
-                       xe_spectrum(params(n=120, beta0=beta0))):
-            for spec in (family, ListedSpectrum.from_levels(family.levels)):
-                for eps, fn in itertools.product((F(1, 100), F(1, 2)), sides):
-                    searches = _instrumented(fn, spec, eps).searches
+        for build in (eve_spectrum, xe_spectrum):
+            family = partial(build, params(n=120, beta0=beta0))
+            for fresh in (family, partial(ListedSpectrum.from_levels, family().levels)):
+                for eps, fn in itertools.product(budgets, sides):
+                    searches = _instrumented(fn, fresh(), eps).searches
                     assert all(s.taken for s in searches)  # every boundary is guessed
                     [top] = [s for s in searches if s.reverse]  # searched from the top
-                    want, m = smooth._last_fit(spec, True, top.fits), spec.size
+                    want, m = smooth._last_fit(fresh(), True, top.fits), fresh().size
                     true = m - want[0]  # levels taken from the top
                     assert 4 <= true <= m - 3
                     sides[fn].add(2 * true > m)
-                    for taken in (1, true - 3, true + 3, m):
+                    for taken, other in itertools.product((1, true - 3, true + 3, m), budgets):
+                        spec = fresh()
+                        if other != eps:  # a scan at the other budget keeps its points
+                            _scan(fn, spec, other)
                         assert smooth._last_fit(spec, True, top.fits, taken) == want
     assert sides == {s0_smooth: {True, False}, s2_smooth: {True, False}}
 
@@ -575,6 +605,28 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
     assert len(logs) == 4
     assert all(s.reads == 1 for s in logs)
     assert sum(len(s.windows) for s in logs) == 8
+
+
+def test_later_budgets_start_from_kept_points():
+    """Cost guard: at eps-scan's n=1e4 point, once s0 (eve), s2 (xe) and
+    h0 (cond) have scanned at budget 1/100, each scan at 10^-6 on the same
+    spectra sums every boundary's count and mass from the nearest kept
+    point, over at most the levels between that point and the boundary it
+    finds, and sums no window from an end: no window takes a `math.comb`,
+    and no level is read in closed form."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
+                             (s2_smooth, xe_spectrum, [False, True]),
+                             (h0_smooth, conditional_spectrum, [True])):
+        spec = build(p)
+        fn(spec, F(1, 100))
+        rec = _instrumented(fn, spec, F(1, 10**6))
+        assert [s.reverse for s in rec.searches] == sides
+        assert [w for w in rec.windows if w[2] < 2] == []
+        for s in rec.searches:
+            nearest = min(abs(s.last - j) for j in s.kept)
+            assert s.reads == 0 and s.windows == [] and (s.gaps or s.hits)
+            assert all(abs(x - a) <= nearest and not combs for a, x, combs in s.gaps)
 
 
 def test_s2_forced_far_miss_steps_to_the_boundary():

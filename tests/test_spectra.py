@@ -324,9 +324,12 @@ def test_walk_outside_the_levels_yields_nothing(rebuild, reverse):
 def test_series_matches_fraction_sum(lo, length, n, v, u):
     """Binary splitting (ranges longer than one leaf included) equals the
     term-by-term sum over l of u^(hi-1-l) times the product of
-    (n-r)*v/(r+1) over r = lo..l-1, and Q = hi!/lo!."""
+    (n-r)*v/(r+1) over r = lo..l-1, Q = hi!/lo!, and P, formed only if
+    asked, is the product of (n-r)*v over r = lo..hi-1."""
     hi = lo + length
-    Q, T = _series(lo, hi, n, v, u)
+    P, Q, T = _series(lo, hi, n, v, u, True)
+    assert _series(lo, hi, n, v, u)[1:] == (Q, T)
+    assert P == math.prod((n - r) * v for r in range(lo, hi))
     want, term = F(0), F(1)
     for l in range(lo, hi):
         want += term * u ** (hi - 1 - l)
@@ -468,6 +471,46 @@ def test_log_moment_where_no_float_holds_the_ratio(p):
     for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
         size = spec.size
         _log_moments_match(spec, [(i, j) for i in range(size + 1) for j in range(i, size + 1)])
+
+
+def _kept_read(data, size):
+    """One read a kept point can serve, drawn: ("moment", lo, hi, k) for
+    k = 0, 1 over any window, ("level", i), or a scan (s0, s2 or h0) at a
+    budget from 0 to 99/100 as small as 10^-30."""
+    kind = data.draw(st.sampled_from(["moment", "level", "scan"]))
+    if kind == "moment":
+        lo, hi = (data.draw(st.integers(-1, size + 1)) for _ in range(2))
+        return kind, lo, hi, data.draw(st.integers(0, 1))
+    if kind == "level":
+        return kind, data.draw(st.integers(0, size - 1))
+    eps = F(data.draw(st.integers(0, 99)), 10 ** data.draw(st.integers(2, 30)))
+    return kind, data.draw(st.sampled_from([s0_smooth, s2_smooth, h0_smooth])), eps
+
+
+def _read(spec, read):
+    kind, *args = read
+    if kind == "moment":
+        return spec.moment(*args)
+    if kind == "level":
+        return spec.level(*args)
+    return _outcome(args[0], spec, args[1])
+
+
+@given(valid_params(max_n=200), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kept_points_read_as_a_fresh_spectrum(p, data):
+    """Whatever points a spectrum keeps, from the scans' boundary searches
+    and the reads they serve, each read returns what the same read returns
+    on a fresh spectrum: window sums at k = 0, 1, levels and the scans'
+    floats and witnesses, in any order.  No spectrum keeps more than
+    _POINTS points, and its `levels` are a fresh spectrum's."""
+    for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
+        spec = build(p)
+        for _ in range(data.draw(st.integers(1, 12))):
+            read = _kept_read(data, spec.size)
+            assert _read(spec, read) == _read(build(p), read)
+            assert len(spec._points) <= spectra._POINTS
+        assert spec.levels == build(p).levels
 
 
 def _windows(spec, data):
