@@ -31,13 +31,13 @@ cost times den is an integer, within eps iff at most tq.  The support cut
 gives back strings of its last level (mult, w) at lam_b = w/(mult*den*g).
 Each is first guessed in floats (`_guess`) as the same test in logs, sums
 through `_log_add`, by bisecting on how many levels the scan takes over
-the logs of window sums (`log_moment`).  The search sums the guessed
-levels in one window, reads the last of them (`level`), corrects the guess
-by recurrence steps to the neighbouring levels (`step_level`) and keeps
-the boundary's point (`keep`).  A later search of the spectrum, at another
-budget, sums from the nearest kept point and reads its level there, in no
-closed form.  Since s_r grows with r, the comparisons at the boundary
-certify what a full scan would find, and no level is scanned to.
+the logs of window sums (`log_moment`).  The search reads the last
+guessed level's point (`point`), the count and mass below it and its
+level, and corrects the guess by the points of the neighbouring levels.
+The spectrum decides how each point is read (`spectra`): a later search,
+at another budget, reads its points from those an earlier one kept.  Since
+s_r grows with r, the comparisons at the boundary certify what a full
+scan would find, and no level is scanned to.
 
 No full-width gcd runs on the way to the floats.  The witness rationals
 (s_b, x, y and the purity) are built as Fractions only when a field is
@@ -217,23 +217,20 @@ def _last_fit(spec: CompressedSpectrum, reverse: bool, fits, taken: int = 0):
     0 (down from m-1 if `reverse`), and the count C and mass W it took, i's
     included.  Level i is taken iff fits(mult, w, C, W) holds on the count
     and mass taken before it; fits holds at the first level and, once false,
-    stays false.  A guess of `taken` levels (at least the first) sums them in
-    one window at k = 0, 1.  One read (`level`) of the last guessed level
-    follows, off a point the window kept or else in closed form, then steps
-    (`step_level`) drop levels that do not fit and take next ones that do,
-    one per level the guess missed.  Level i's point is kept (`keep`)."""
+    stays false.  The last of a guess of `taken` levels (at least the first)
+    is read as a point (`point`), whose sums below it give C and W: those
+    below plus its level, or from the top the totals less those below.
+    Then points at i -+ 1 drop levels that do not fit and ones at i +- 1
+    take next ones that do, one per level the guess missed."""
     m, step = spec.size, -1 if reverse else 1
-    taken = max(taken, 1)
-    i = m - taken if reverse else taken - 1  # the last level guessed
-    lo, hi = (i, m) if reverse else (0, i + 1)
-    C, W, level = spec.moment(lo, hi, 0), spec.moment(lo, hi, 1), spec.level(i)
+    i = m - max(taken, 1) if reverse else max(taken, 1) - 1  # the last level guessed
+    C, W, *level = spec.point(i)
+    C, W = (spec.count - C, spec.den - W) if reverse else (C + level[0], W + level[1])
     while not fits(*level, C - level[0], W - level[1]):  # guessed too far
-        C, W, i, level = C - level[0], W - level[1], i - step, spec.step_level(i, level, -step)
-    while 0 <= i + step < m and fits(*(nxt := spec.step_level(i, level, step)), C, W):
+        C, W, i, level = C - level[0], W - level[1], i - step, spec.point(i - step)[2:]
+    while 0 <= i + step < m and fits(*(nxt := spec.point(i + step)[2:]), C, W):
         C, W, i, level = C + nxt[0], W + nxt[1], i + step, nxt  # guessed too short
-    below = (spec.count - C, spec.den - W) if reverse else (C - level[0], W - level[1])
-    spec.keep(i, below, level)
-    return i, C, W, level
+    return i, C, W, tuple(level)
 
 
 def _support_cut(spec: CompressedSpectrum, budget) -> tuple[int, int, int]:

@@ -25,39 +25,36 @@ states den's primes (trial division of alpha + div*beta up to
 levels are P(X|Y)'s repeated d^n times.  At beta0 = 1 every spectrum is the
 family at n = 0: one level of value 1, for rho_XE over a zero level.  What a
 scan reads is per copy; `levels` and `total_dim` count all copies.  Nothing
-of size O(n) is stored.  A scan reads one level in closed form and steps to
-its neighbours by recurrence, so it costs only the levels it reads:
-`level(i)` is the (multiplicity, mass) of level i, one `math.comb` and two
-powers unless i is kept (below), and `step_level(i, level, +-1)` is level
-i+-1 from level i's, one big-by-small product and one exact division for
-each of the two.  The pairs `levels` are `level(i)` for every i.  A window
-of levels is not read level by level: `moment(lo, hi, k)` is the k-th
-moment sum of mult * num^k over the window, so k = 0, 1, 2 give its count,
-mass and squared mass.  Every read of a window takes it one way
-(`_family`): clamped to the levels, as terms C(n, l) * v^l * u^(n-l) with
-v = alpha^k and u = div*beta^k above the zero level.  They form a
-hypergeometric series in l, which `_series` evaluates by binary splitting
-over the ratio (n-l)*v/(l+1), with u as a weight; one exact division
-(`kernel.big_divmod`) closes it before the window's common factor v^lo *
-u^(n-hi+1) is multiplied back in.  A window nearer the family's top is
-summed as its mirror image, term n-l with v and u swapped, so its
-`math.comb` is C(n, min(lo, n+1-hi)).  A spectrum keeps the points its
-boundary searches reach (`keep`), at most `_POINTS`: a level's index, the
-count and mass below it and the level.  `moment` sums a window from the
-nearest known points, the fewer terms: term by term, or as the sum below
-its end less that below its start.  The family's ends are known, with the
-k-th totals (the binomial theorem's) below its top, so with no point kept
-this is the shorter side.  At k = 0, 1 a gap from a kept point is the same
-series started at its level's term, with no `math.comb` and no n-th power,
-and the series' far end is the level there, which is kept with its sums,
-so `level` reads it in no closed form.  Three more reads serve floats that
-need not sum a window exactly: `log_moment(lo, hi, k)`, its natural log
-for k = 0, 1 from the terms nearest their mode, which predicts where a
-scan stops; `_moment_mod`, the sum modulo a power of each of a few primes
-past the power every term holds (`_moment_floor`), in one pass of the
-terms' recurrence; and `_moment_enc`, an enclosure (`kernel._Enc`) to a
-given number of bits, summed from its largest term outward until a
-geometric bound on what is left falls below them.
+of size O(n) is stored.  `level(i)` is the (multiplicity, mass) of level
+i in closed form, one `math.comb` and two powers, and the pairs `levels`
+are `level(i)` for every i.  A window of levels is not read level by
+level: `moment(lo, hi, k)` is the k-th moment sum of mult * num^k over the
+window, so k = 0, 1, 2 give its count, mass and squared mass, summed on
+its shorter side: the window itself, or the k-th total (the binomial
+theorem's) less the windows from the family's ends.  Every read of a
+window takes it one way (`_family`): clamped to the levels, as terms
+C(n, l) * v^l * u^(n-l) with v = alpha^k and u = div*beta^k above the
+zero level.  They form a hypergeometric series in l, which `_series`
+evaluates by binary splitting over the ratio (n-l)*v/(l+1), with u as a
+weight; one exact division (`kernel.big_divmod`) closes it before the
+window's common factor v^lo * u^(n-hi+1) is multiplied back in.  A window
+nearer the family's top is summed as its mirror image, term n-l with v
+and u swapped, so its `math.comb` is C(n, min(lo, n+1-hi)).  A scan reads
+levels one way, as points: `point(i)` is the count and mass below level i
+and its level, so it costs only the levels it reads.  A spectrum keeps
+every point read, at most `_POINTS`.  One no farther from i than the
+family's nearer end gives i's by the gap between them (`_gap`), the same
+series at k = 0, 1 started at the kept level's term, with no `math.comb`
+and no n-th power, whose far end is i's level; a gap of one level is one
+recurrence step.  Else i's sums are read from that end (`moment`) and
+its level in closed form.  Three more reads serve floats that need not
+sum a window exactly: `log_moment(lo, hi, k)`, its natural log for k = 0,
+1 from the terms nearest their mode, which predicts where a scan stops;
+`_moment_mod`, the sum modulo a power of each of a few primes past the
+power every term holds (`_moment_floor`), in one pass of the terms'
+recurrence; and `_moment_enc`, an enclosure (`kernel._Enc`) to a given
+number of bits, summed from its largest term outward until a geometric
+bound on what is left falls below them.
 
 An exact point costs time that grows faster than the bit length of its
 spectra's n-th powers, so each builder refuses, before forming any, a point
@@ -90,10 +87,11 @@ __all__ = [
 # refused at once.
 MAX_POWER_BITS = 2**23
 
-# Points a spectrum keeps (`CompressedSpectrum.keep`), the least recently
-# read dropped past this.  A point is four ints: at n=2e4 one takes 42 KB
-# (eve, d=2, beta0=49/50) to 196 KB (d=1000, 99/100), so 1.6 MB for 8, and
-# no admitted point's ints pass MAX_POWER_BITS bits, so 8 never pass 32 MiB.
+# Points a spectrum keeps (`CompressedSpectrum.point`): every one read, a
+# search's neighbour reads included, the least recently read dropped past
+# this.  A point is four ints: at n=2e4 one takes 42 KB (eve, d=2, beta0=49/50)
+# to 196 KB (d=1000, 99/100), so 1.6 MB for 8, and no admitted point's ints
+# pass MAX_POWER_BITS bits, so 8 never pass 32 MiB.
 _POINTS = 8
 
 
@@ -218,10 +216,11 @@ class CompressedSpectrum:
     the zero level.  Any n, alpha, beta, div, zero_mult or g that is not an
     int (a bool included) is refused.
 
-    Scans read levels through `level(i)`, the (multiplicity, mass) of level
-    i, which raises IndexError for an i outside [0, size), and step to the
-    next through `step_level`; the mass is multiplicity * numerator, so a
-    level's numerator is mass // multiplicity.  `moment(lo, hi, k)` sums
+    `level(i)` is the (multiplicity, mass) of level i, which raises
+    IndexError for an i outside [0, size), and scans read levels through
+    `point(i)`, the count and mass below level i and then its level; the
+    mass is multiplicity * numerator, so a level's numerator is mass //
+    multiplicity.  `moment(lo, hi, k)` sums
     mult * num^k over a window of levels, clamped to them.  `size` is the
     number of levels and `zero_mult` the multiplicity of a zero level at
     index 0 (0 when there is none).  A grouped probability distribution is
@@ -251,96 +250,75 @@ class CompressedSpectrum:
                 for m, w in map(self.level, range(self.size))]
 
     def level(self, i: int) -> tuple[int, int]:
-        """(multiplicity, mass) of level i: a kept point's (`keep`), else in
-        closed form, one `math.comb` and two powers.  A scan reads one level
-        so, and its neighbours by `step_level`."""
+        """(multiplicity, mass) of level i in closed form: one `math.comb`
+        and two powers."""
         if not 0 <= i < self.size:
             raise IndexError(f"level {i} outside 0..{self.size - 1}")
-        if i in self._points:
-            return self._point(i)[2:]
         if i < self.z:
             return self.zero_mult, 0
         n, l = self.n, i - self.z
         mult = math.comb(n, l) * self.div ** (n - l)
         return mult, mult * self.alpha**l * self.beta ** (n - l)
 
-    def step_level(self, i: int, level: tuple[int, int], step: int) -> tuple[int, int]:
-        """level(i + step) for step = +-1, from level = level(i).  Family
-        levels l and l+1 have multiplicities in the ratio (l+1)*div : n-l and
-        masses in the ratio (l+1)*div*beta : (n-l)*alpha, so each is one
-        big-by-small product and one exact division.  A step to or from the
-        zero level reads the level it steps to."""
-        j = i + step
-        if not 0 <= j < self.size:
-            raise IndexError(f"level {j} outside 0..{self.size - 1}")
-        if j < self.z:
-            return self.zero_mult, 0
-        if i < self.z:  # l = 0: numerator beta^n, multiplicity div^n
-            mult = self.div**self.n
-            return mult, mult * self.beta**self.n
-        (mult, mass), l = level, min(i, j) - self.z  # the step joins l and l+1
-        a, b = self.n - l, (l + 1) * self.div  # mult(l+1) = mult(l) * a / b
-        if step > 0:
-            return mult * a // b, mass * (a * self.alpha) // (b * self.beta)
-        return mult * b // a, mass * (b * self.beta) // (a * self.alpha)
+    def point(self, i: int) -> tuple[int, int, int, int]:
+        """Level i's point: (count below it, mass below it, *level(i)).
+        The zero level's is (0, 0, zero_mult, 0).  Every other point read
+        is kept, past _POINTS dropping the least recently read.  A kept
+        point a no farther from i than the family's nearer end (min(i,
+        size - i) levels) gives i's by the gap between them (`_gap`); else
+        the sums are read from that end (`moment`) and the level in closed
+        form, which raises IndexError for an i outside [0, size)."""
+        if 0 <= i < self.z:
+            return 0, 0, self.zero_mult, 0
+        points = self._points
+        a = min(points, key=lambda j: abs(j - i), default=None)
+        if a is None or abs(a - i) > min(i, self.size - i):
+            point = self.moment(0, i, 0), self.moment(0, i, 1), *self.level(i)
+        else:  # a, now the most recently read; i is kept only where it is a
+            points[a] = point = points.pop(a)
+            point = point if a == i else self._gap(a, point, i)
+        points[i] = point
+        if len(points) > _POINTS:
+            del points[next(iter(points))]
+        return point
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
         levels), scaled by den^k: k = 0, 1, 2 give count, mass and squared
-        mass.  A zero level counts toward k = 0 only.  It takes the fewer
-        terms: the window (`_window`), or the sum below hi less that below
-        lo.  Below lo is the window from 0 or, at k = 0, 1, lo's point
-        (`_point`); below hi is the family's k-th total less the window
-        from hi, or hi-1's point with its level.  The totals are `count`
-        for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for k = 2,
-        formed on first use, so a spectrum whose squared masses are all
-        summed directly never forms it."""
+        mass.  A zero level counts toward k = 0 only.  It sums the shorter
+        side: a window of at most half the levels directly (`_window`),
+        and a wider one as the family's k-th total less the windows below
+        lo and from hi, which reach an end of the family.  The totals are
+        `count` for k = 0, den for k = 1 and (alpha^2 + div*beta^2)^n for
+        k = 2, formed on first use, so a spectrum whose squared masses are
+        all summed directly never forms it."""
         lo, hi = max(lo, 0), max(min(hi, self.size), lo, 0)
-        kept = self._points if k < 2 else ()
-        near = [min(abs(x - j) for j in kept) for x in (lo, hi - 1)] if kept else [math.inf] * 2
-        ends = lo, self.size - hi
-        if hi - lo <= min(ends[0], near[0]) + min(ends[1], near[1]):
+        if 2 * (hi - lo) <= self.size:
             return self._window(lo, hi, k)
-        below = self._point(lo)[k] if near[0] < ends[0] else lo and self._window(0, lo, k)
-        if near[1] < ends[1]:
-            return sum(self._point(hi - 1)[k::2]) - below
         total = self._squares if k == 2 else (self.count, self.den)[k]
-        return total - (hi < self.size and self._window(hi, self.size, k)) - below
+        return total - sum(self._window(a, b, k) for a, b in ((0, lo), (hi, self.size)) if a < b)
 
     @cached_property
-    def _points(self) -> dict:  # level index: (count, mass below it, mult, mass)
+    def _points(self) -> dict:  # level index: its point
         return {}
 
-    def keep(self, i: int, below: tuple[int, int], level: tuple[int, int]) -> None:
-        """Keep level i's point, below the count and mass below it and level
-        = level(i), past _POINTS dropping the least recently read; i >= z."""
-        if i >= self.z:
-            self._points.pop(i, None)
-            self._points[i] = (*below, *level)
-            if len(self._points) > _POINTS:
-                del self._points[next(iter(self._points))]
-
-    def _point(self, x: int) -> tuple[int, int, int, int]:
-        """Level x's point (x >= z) from the nearest kept one, a: a's if x
-        = a, else a's sums plus the gap's at k = 0, 1, each a `_series`
-        started at a's term whose P gives x's, kept.  Below a, the series
-        runs over the mirror image, term n-l with v and u swapped, from a
-        down to x, so the gap is its sum less t_a plus t_x."""
-        a = min(self._points, key=lambda j: abs(j - x))
-        self._points[a] = point = self._points.pop(a)  # now the most recently read
-        if a == x:
-            return point
-        n, fa, fx, below, level = self.n, a - self.z, x - self.z, [], []
+    def _gap(self, a: int, point: tuple, x: int) -> tuple[int, int, int, int]:
+        """Level x's point from level a's (both past the zero level): a's
+        sums plus the gap's at k = 0, 1.  Its term past a's is one recurrence
+        step from a's level, and the rest a `_series` from there, whose P
+        gives x's level.  Below a, it runs over the mirror image, term n-l
+        with v and u swapped, from a down to x: its sum less t_a plus t_x."""
+        n, fa, fx, out = self.n, a - self.z, x - self.z, [0, 0, 0, 0]
         for k in (0, 1):
             t, v, u = point[2 + k], self.alpha**k, self.div * self.beta**k
             lo, hi, v, u = (fa, fx, v, u) if fa < fx else (n - fa, n - fx, u, v)
-            P, Q, T = _series(lo, hi, n, v, u, True)  # T, P over Q: t_lo..t_(hi-1), t_hi
-            Q *= u ** (hi - 1 - lo)
-            s, tx = big_divmod(t * T, Q)[0], big_divmod(t * P, Q * u)[0]
-            below.append(point[k] + (s if fa < fx else t - s - tx))
-            level.append(tx)
-        self.keep(x, below, level)
-        return self._points[x]
+            s, tx = t, t * ((n - lo) * v) // ((lo + 1) * u)  # t_lo, and t_(lo+1) by a step
+            if hi > lo + 1:  # over t_(lo+1): t_(lo+1)..t_(hi-1), and t_hi
+                P, Q, T = _series(lo + 1, hi, n, v, u, True)
+                Q *= u ** (hi - 1 - lo)
+                s, tx = s + big_divmod(tx * T * u, Q)[0], big_divmod(tx * P, Q)[0]
+            out[k], out[2 + k] = point[k] + (s if fa < fx else t - s - tx), tx
+        return tuple(out)
 
     @cached_property
     def _squares(self) -> int:

@@ -2,9 +2,9 @@
 
 `ListedSpectrum(value_nums, mults, den)` stores every level of a spectrum
 in two lists, checked level by level, and reads them with the interface
-the scans use (`level`, `step_level`, `moment`, `keep`, `_moment_floor`,
-`log_moment`, `levels`, `size`, `zero_mult`, `den`, `total_dim`, `g` and
-the factor tables).  Each sum is a plain Python sum over the lists, taken
+the scans use (`level`, `point`, `moment`, `_moment_floor`, `log_moment`,
+`levels`, `size`, `zero_mult`, `den`, `count`, `total_dim`, `g` and the
+factor tables).  Each sum is a plain Python sum over the lists, taken
 on the shorter side by the package's own `moment`, so a
 `CompressedSpectrum` rebuilt through `ListedSpectrum.from_levels(spec.levels)`
 checks the closed forms, and the scans' results on it check theirs.  It
@@ -80,17 +80,13 @@ class ListedSpectrum:
             raise IndexError(f"level {i} outside 0..{self.size - 1}")
         return self.mults[i], self.mults[i] * self.value_nums[i]
 
-    def step_level(self, i: int, level: tuple[int, int], step: int) -> tuple[int, int]:
-        """level(i + step): explicit levels are read, not stepped."""
-        return self.level(i + step)
+    def point(self, i: int) -> tuple[int, int, int, int]:
+        """(count below level i, mass below it, *level(i)), summed."""
+        mult, mass = self.level(i)
+        return self.moment(0, i, 0), self.moment(0, i, 1), mult, mass
 
-    # the package's rule over the plain sums below; explicit levels keep
-    # no points, so it is the shorter-side rule
+    # the package's shorter-side rule over the plain sums below
     moment = CompressedSpectrum.moment
-    _points = ()
-
-    def keep(self, i: int, below, level) -> None:
-        """Explicit levels are read, not kept."""
 
     def _window(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 of the levels:

@@ -364,47 +364,50 @@ def test_s2_matches_reference_bottom_walk(p, rebuild, data):
 
 def _instrumented(fn, spec, eps, forced=None, read=()):
     """The record of fn(spec, eps): its `result`, or its
-    EpsilonTooLargeError as (x, y), and what its scans read.  `searches`
-    has an entry per `_last_fit` call (reverse, taken, fits, closed-form
-    `level` reads, `step_level` steps, the windows it summed, the gaps it
-    summed from kept points, its kept-point hits, the points `kept` as it
-    starts and the `last` level it takes), and `guesses` one per `_guess`
-    call (reverse, `log_moment` reads and exact reads: `level`,
-    `step_level`, a summed window or a point).  `windows` lists
-    every window `moment` sums term by term from an end or directly
-    (`_window`) as (lo, hi, k, the k of each `math.comb` it takes);
+    EpsilonTooLargeError as (x, y), and what its scans read.  `points`
+    lists every point read (`point`) as (i, kind, the windows it summed),
+    kind "end" where it sums windows from an end of the family (`moment`)
+    and reads one closed-form `level`, "gap" where it sums the gap from a
+    kept point (`_gap`), "hit" where it is kept and "zero" for the zero
+    level.  `searches` has an entry per `_last_fit` call (reverse, taken,
+    fits, its `points`, their count `reads`, the `ends` (end reads),
+    windows, gaps and hits among them, the points `kept` as it starts and
+    the `last` level it takes), and `guesses` one per `_guess` call
+    (reverse, `log_moment` reads and exact reads: a point, a level, a
+    summed window or a gap).  `windows` lists every window summed term by
+    term (`_window`) as (lo, hi, k, the k of each `math.comb` it takes);
     `residues` lists so every residue pass (`_moment_mod`), and
-    `enclosures` every `_moment_enc` call, its prec after k.  `gaps`
-    lists every point summed from a kept one (`_point`) as (the kept
-    point, the point, the `math.comb`s taken), and `hits` counts the
-    points read as kept, by `moment` or by `level`, which then reads no
-    closed form.  `forced` maps a guess's index to the count that guess
-    returns in place of its own; a forced guess is recorded too.  `read`
-    names witness fields read after fn returns, still recorded:
-    `returned` counts the windows summed before they are read."""
+    `enclosures` every `_moment_enc` call, its prec after k.  `gaps` lists
+    every gap as (the kept point, the point, the `math.comb`s taken).
+    `forced` maps a guess's index to the count that guess returns in place
+    of its own; a forced guess is recorded too.  `read` names witness
+    fields read after fn returns, still recorded: `returned` counts the
+    windows summed before they are read."""
     search, guess, comb, forced = smooth._last_fit, smooth._guess, math.comb, forced or {}
-    names = [name for name in ("level", "step_level", "_window", "_moment_mod", "_moment_enc",
-                               "log_moment", "_point") if hasattr(spec, name)]
+    names = [name for name in ("point", "level", "_window", "_gap", "_moment_mod",
+                               "_moment_enc", "log_moment") if hasattr(spec, name)]
     reads, counts = {name: getattr(spec, name) for name in names}, dict.fromkeys(names, 0)
-    rec, combs = SimpleNamespace(searches=[], guesses=[], windows=[], residues=[],
-                                 enclosures=[], gaps=[], hits=0), []
+    rec, combs = SimpleNamespace(searches=[], guesses=[], points=[], windows=[], residues=[],
+                                 enclosures=[], gaps=[]), []
     logs = {"_window": (rec.windows, 3), "_moment_mod": (rec.residues, 3),
             "_moment_enc": (rec.enclosures, 4)}  # each log and the arguments it keeps
     kept = getattr(spec, "_points", ())
 
     def counted(name, *args):
-        if name in ("level", "_point") and args[0] in kept:
-            if name == "_point":
-                rec.hits += 1
-            return reads[name](*args)  # a hit: its `_point` call is the one counted
         counts[name] += 1
-        start, near = len(combs), min(kept, key=lambda j: abs(j - args[0]), default=None)
+        start, windows, before = len(combs), len(rec.windows), dict(counts)
+        hit = name == "point" and args[0] in kept
         value = reads[name](*args)
         if name in logs:
             log, kept_args = logs[name]
             log.append((*args[:kept_args], combs[start:]))
-        if name == "_point":
-            rec.gaps.append((near, args[0], combs[start:]))
+        if name == "_gap":
+            rec.gaps.append((args[0], args[2], combs[start:]))
+        if name == "point":
+            kind = ("gap" if counts.get("_gap", 0) > before.get("_gap", 0) else
+                    "end" if counts["level"] > before["level"] else "hit" if hit else "zero")
+            rec.points.append(SimpleNamespace(i=args[0], kind=kind,
+                                              windows=rec.windows[windows:]))
         return value
 
     def recorded_comb(n, k):
@@ -412,13 +415,14 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
         return comb(n, k)
 
     def searched(spec, reverse, fits, taken=0):
-        before, start, gaps, hits = dict(counts), len(rec.windows), len(rec.gaps), rec.hits
-        points = list(kept)  # the points kept as it starts
+        start, gaps, points = len(rec.points), len(rec.gaps), list(kept)
         found = search(spec, reverse, fits, taken)
+        read = rec.points[start:]
         rec.searches.append(SimpleNamespace(
-            reverse=reverse, taken=taken, fits=fits, reads=counts["level"] - before["level"],
-            steps=counts["step_level"] - before["step_level"], windows=rec.windows[start:],
-            gaps=rec.gaps[gaps:], hits=rec.hits - hits, kept=points, last=found[0]))
+            reverse=reverse, taken=taken, fits=fits, points=read, reads=len(read),
+            ends=sum(r.kind == "end" for r in read), windows=[w for r in read for w in r.windows],
+            gaps=rec.gaps[gaps:], hits=sum(r.kind == "hit" for r in read), kept=points,
+            last=found[0]))
         return found
 
     def guessed(spec, reverse, fits):
@@ -445,12 +449,12 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
 @pytest.mark.parametrize("guess", ["bottom", "top", "below", "above"])
 def test_s2_corrects_forced_misses(guess):
     """A wrong float guess, too low or too high, is corrected exactly from
-    either side's window sum.  b_minus lies above half the levels at 49/50
-    and below it at 8911/10000, so the guesses next to it ("below",
-    "above") start from the complement in both directions at one and from
-    the bottom sum in both directions at the other, on a fresh spectrum.
-    On a family that keeps points from another budget's scan, they start
-    from the nearest of those, and s2 returns the same."""
+    the guessed level's point.  b_minus lies above half the levels at
+    49/50 and below it at 8911/10000, so on a fresh spectrum the point of
+    a guess next to it ("below", "above") sums the levels from the top in
+    one and from the bottom in the other.  On a family that keeps points
+    from another budget's scan, that point is one of those or summed from
+    the nearest, with no `math.comb`, and s2 returns the same."""
     cases = []
     for beta0 in (F(49, 50), F(8911, 10000)):
         family = partial(xe_spectrum, params(n=120, beta0=beta0))
@@ -462,40 +466,43 @@ def test_s2_corrects_forced_misses(guess):
             tie = spec.levels[b][0] * sum(m for _, m in below) - sum(v * m for v, m in below)
             for eps in (F(1, 640000), tie):  # tie: raising the levels below b costs eps
                 cases.append((fresh, eps, s2_smooth(fresh(), eps)))
-    gaps = []
+    firsts, gaps = [], []
     for fresh, eps, want in cases:
         b, m = want[1].b_minus, fresh().size
         assert 3 <= b <= m - 4
         forced = {"bottom": 0, "top": m - 1, "below": b - 3, "above": b + 3}[guess]
-        complement = 2 * (forced + 1) > m
+        from_top = 2 * forced > m
         if guess in ("below", "above"):
-            assert complement == (2 * (b + 1) > m)
+            assert from_top == (2 * (b + 1) > m)
         # s2 guesses its bottom boundary first
         rec = _instrumented(s2_smooth, fresh(), eps, forced={0: forced + 1})
         assert rec.result == want
         assert [g.reverse for g in rec.guesses] == [False, True]  # then the top scan
-        side = (forced + 1, m) if complement else (0, forced + 1)
-        # a guess of all m levels is the family's totals: no window is summed
-        summed = [(*side, k) for k in (0, 1)] if side[0] < side[1] else []
-        assert [w[:3] for w in rec.searches[0].windows] == summed
+        side = (forced, m) if from_top else (0, forced)
+        first = rec.searches[0].points[0]  # the guessed level's point; xe's zero level sums none
+        assert first.i == forced and first.kind in ("end", "zero")
+        summed = [(*side, k) for k in (0, 1)] if first.kind == "end" else []
+        assert [w[:3] for w in first.windows] == summed
         spec = fresh()
         s2_smooth(spec, F(1, 10**9))  # keeps its boundaries' points, b_minus below b
         rec = _instrumented(s2_smooth, spec, eps, forced={0: forced + 1})
         assert rec.result == want
-        gaps += rec.searches[0].gaps
-    if guess in ("below", "above"):  # each family case sums a gap from a kept point
-        assert len(gaps) == 4 and all(not combs for *_, combs in gaps)
+        firsts.append((not isinstance(spec, ListedSpectrum), rec.searches[0].points[0].kind))
+        gaps += rec.gaps
+    if guess in ("below", "above"):  # each family case reads its guess from a kept point
+        assert all((kind in ("gap", "hit")) == family for family, kind in firsts)
+        assert all(not combs for *_, combs in gaps)
 
 
 def test_s2_bottom_boundary_walks_a_handful_of_levels():
     """Cost guard: the bottom boundary of the n=1e4 anchor point (about
     6,500 levels up) is found without reading the levels up to it.  Both
-    searches, the top scan's included, read at most 5 single levels, in
-    closed form or by a recurrence step."""
+    searches, the top scan's included, read at most 5 levels' points
+    (`point`)."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     rec = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
     assert rec.result[1].b_minus == 6487
-    assert sum(s.reads + s.steps for s in rec.searches) <= 5
+    assert sum(s.reads for s in rec.searches) <= 5
 
 
 def test_s2_bottom_sums_take_the_shorter_side():
@@ -557,10 +564,10 @@ def test_walked_boundaries_correct_forced_misses():
 def _read_past_guesses(fn, spec, eps):
     """(reverse, levels read past the guess) for each boundary search of
     fn(spec, eps), and whether each sums its guess in one count window and
-    one mass window.  A search reads the last guessed level and the next
-    one, which certify the guess, and one more per level it missed; a read
-    is a closed-form `level` or a `step_level` step."""
-    return [(s.reverse, s.reads + s.steps - 2, [k for _, _, k, _ in s.windows] == [0, 1])
+    one mass window.  A search reads the points of the last guessed level
+    and the next one, which certify the guess, and one more per level it
+    missed."""
+    return [(s.reverse, s.reads - 2, [k for _, _, k, _ in s.windows] == [0, 1])
             for s in _instrumented(fn, spec, eps).searches]
 
 
@@ -580,7 +587,8 @@ def test_guessed_boundaries_walk_a_handful_of_levels():
 def test_searches_read_one_level_and_sum_from_the_nearer_end():
     """Cost guard: at the n=1e4 anchor each of the four boundary searches
     (the support cut on eve and on cond, both s2 boundaries on xe) makes
-    one closed-form `level` read and steps to every other level it reads.
+    one end read, its count and mass windows from an end and one
+    closed-form `level`, and reads every other point from a kept one.
     Each window takes its one `math.comb` at the family end nearer to it:
     C(n, 0) for the eight windows anchored at an end, and C(n, min(lo,
     n+1-hi)) in family indices for the residue pass over s2's middle, which
@@ -603,7 +611,7 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
             assert 0 < n + 1 - hi < lo
             assert [w[2:] for w in rec.enclosures] == [(2, smooth._GUARD, [hi - 1])]
     assert len(logs) == 4
-    assert all(s.reads == 1 for s in logs)
+    assert all(s.ends == 1 for s in logs)
     assert sum(len(s.windows) for s in logs) == 8
 
 
@@ -612,8 +620,7 @@ def test_later_budgets_start_from_kept_points():
     h0 (cond) have scanned at budget 1/100, each scan at 10^-6 on the same
     spectra sums every boundary's count and mass from the nearest kept
     point, over at most the levels between that point and the boundary it
-    finds, and sums no window from an end: no window takes a `math.comb`,
-    and no level is read in closed form."""
+    finds: no read is an end read, and no read takes a `math.comb`."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
                              (s2_smooth, xe_spectrum, [False, True]),
@@ -625,14 +632,14 @@ def test_later_budgets_start_from_kept_points():
         assert [w for w in rec.windows if w[2] < 2] == []
         for s in rec.searches:
             nearest = min(abs(s.last - j) for j in s.kept)
-            assert s.reads == 0 and s.windows == [] and (s.gaps or s.hits)
+            assert s.ends == 0 and s.windows == [] and (s.gaps or s.hits)
             assert all(abs(x - a) <= nearest and not combs for a, x, combs in s.gaps)
 
 
 def test_s2_forced_far_miss_steps_to_the_boundary():
     """A guess of one level for s2's bottom boundary at the n=1e4 anchor,
-    about 6,500 levels short, is corrected by recurrence steps after one
-    closed-form read, and s2 returns the witness it returns unforced."""
+    about 6,500 levels short, is corrected by one-level gaps after one end
+    read, and s2 returns the witness it returns unforced."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     want = s2_smooth(xe_spectrum(p), p.epsilon_prime)
     # s2 guesses its bottom boundary first
@@ -640,8 +647,8 @@ def test_s2_forced_far_miss_steps_to_the_boundary():
     assert rec.result == want
     assert [g.reverse for g in rec.guesses] == [False, True] and len(rec.searches) == 2
     bottom = rec.searches[0]
-    assert bottom.reads == 1
-    assert bottom.steps == want[1].b_minus + 1  # to levels 1..b_minus and the first unfit
+    assert bottom.ends == 1  # at l = 0, past xe's zero level
+    assert bottom.reads == want[1].b_minus + 2  # levels 0..b_minus and the first unfit
 
 
 def test_guesses_bisect_over_log_moments():

@@ -1,6 +1,8 @@
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -401,20 +403,31 @@ def test_sums_match_direct_sums_past_the_division_limit(monkeypatch):
 @example(params(d=5, n=6, beta0=F(3, 5)))
 @example(params(d=7, n=4, beta0=F(5, 7)))
 @settings(max_examples=80, deadline=None)
-def test_step_reads_the_neighbouring_level(p):
-    """step_level(i, level(i), +-1) is level(i +- 1) on eve, xe and cond:
-    up from the bottom and down from the top, into and out of xe's zero
-    level, and at d = 5, 7, where div > 1 on every spectrum and beta > 1.
-    A step past either end raises IndexError, as level does."""
-    for spec in (eve_spectrum(p), xe_spectrum(p), conditional_spectrum(p)):
-        read = rows(spec)
-        for i in range(spec.size):
-            for step in (-1, 1):
-                if 0 <= i + step < spec.size:
-                    assert spec.step_level(i, read[i], step) == read[i + step]
-                else:
-                    with pytest.raises(IndexError):
-                        spec.step_level(i, read[i], step)
+def test_point_reads_the_sums_below_and_the_level(p):
+    """point(i) is (moment(0, i, 0), moment(0, i, 1), *level(i)) on eve, xe
+    and cond and their explicit rebuilds: on a fresh spectrum, read up from
+    the bottom and down from the top, each from its neighbour's kept point,
+    into and out of xe's zero level, and on the families from a kept point
+    at any level; at d = 5, 7, div > 1 on every spectrum and beta > 1.  A
+    point outside [0, size) raises IndexError, as level does."""
+    for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
+        family = partial(build, p)
+        for fresh in (partial(ListedSpectrum.from_levels, family().levels), family):
+            spec = fresh()
+            size = spec.size
+            want = [(spec.moment(0, i, 0), spec.moment(0, i, 1), *spec.level(i))
+                    for i in range(size)]
+            assert [fresh().point(i) for i in range(size)] == want
+            up, down = fresh(), fresh()
+            assert [up.point(i) for i in range(size)] == want
+            assert [down.point(i) for i in reversed(range(size))] == want[::-1]
+            for i in (-1, size):
+                with pytest.raises(IndexError):
+                    spec.point(i)
+        for a, i in itertools.product(range(size), repeat=2):  # the family's
+            spec = family()
+            spec.point(a)
+            assert spec.point(i) == want[i]
 
 
 @given(valid_params(max_n=40))
@@ -474,14 +487,14 @@ def test_log_moment_where_no_float_holds_the_ratio(p):
 
 
 def _kept_read(data, size):
-    """One read a kept point can serve, drawn: ("moment", lo, hi, k) for
-    k = 0, 1 over any window, ("level", i), or a scan (s0, s2 or h0) at a
-    budget from 0 to 99/100 as small as 10^-30."""
-    kind = data.draw(st.sampled_from(["moment", "level", "scan"]))
+    """One read drawn: ("moment", lo, hi, k) for k = 0, 1 over any window,
+    ("level", i), ("point", i), or a scan (s0, s2 or h0) at a budget from
+    0 to 99/100 as small as 10^-30."""
+    kind = data.draw(st.sampled_from(["moment", "level", "point", "scan"]))
     if kind == "moment":
         lo, hi = (data.draw(st.integers(-1, size + 1)) for _ in range(2))
         return kind, lo, hi, data.draw(st.integers(0, 1))
-    if kind == "level":
+    if kind in ("level", "point"):
         return kind, data.draw(st.integers(0, size - 1))
     eps = F(data.draw(st.integers(0, 99)), 10 ** data.draw(st.integers(2, 30)))
     return kind, data.draw(st.sampled_from([s0_smooth, s2_smooth, h0_smooth])), eps
@@ -491,8 +504,8 @@ def _read(spec, read):
     kind, *args = read
     if kind == "moment":
         return spec.moment(*args)
-    if kind == "level":
-        return spec.level(*args)
+    if kind in ("level", "point"):
+        return getattr(spec, kind)(*args)
     return _outcome(args[0], spec, args[1])
 
 
@@ -500,9 +513,9 @@ def _read(spec, read):
 @settings(max_examples=40, deadline=None)
 def test_kept_points_read_as_a_fresh_spectrum(p, data):
     """Whatever points a spectrum keeps, from the scans' boundary searches
-    and the reads they serve, each read returns what the same read returns
-    on a fresh spectrum: window sums at k = 0, 1, levels and the scans'
-    floats and witnesses, in any order.  No spectrum keeps more than
+    and its own point reads, each read returns what the same read returns
+    on a fresh spectrum: window sums at k = 0, 1, levels, points and the
+    scans' floats and witnesses, in any order.  No spectrum keeps more than
     _POINTS points, and its `levels` are a fresh spectrum's."""
     for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
         spec = build(p)
