@@ -41,13 +41,22 @@ window's common factor v^lo * u^(n-hi+1) is multiplied back in.  A window
 nearer the family's top is summed as its mirror image, term n-l with v
 and u swapped, so its `math.comb` is C(n, min(lo, n+1-hi)).  A scan reads
 levels one way, as points: `point(i)` is the count and mass below level i
-and its level, so it costs only the levels it reads.  A spectrum keeps
-every point read, at most `_POINTS`.  One no farther from i than the
-family's nearer end gives i's by the gap between them (`_gap`), the same
-series at k = 0, 1 started at the kept level's term, with no `math.comb`
-and no n-th power, whose far end is i's level; a gap of one level is one
-recurrence step.  Else i's sums are read from that end (`moment`) and
-its level in closed form.  Three more reads serve floats that need not
+and its level, so it costs only the levels it reads.  Points are kept per
+term family (n, v, u) at k = 0 and 1, not per spectrum: a family's store
+maps an index l to the sum of its terms below l and term l, so every beta0
+at one (d, n) shares the k = 0 store, and rho_XE and P(X|Y), which differ
+only in the zero level and g that `point` adds, share both.  The stores
+sit in one registry of at most `_FAMILIES` families, the least recently
+used dropped first, each store keeping at most `_POINTS` points, the
+least recently read dropped first.  A spectrum takes its two stores on
+its first read and keeps them while it lives.  Each k of i's point is a
+kept one, else read by the gap from the kept point nearest i if that is
+no farther than the family's nearer end (`_gap`): the same series started
+at the kept level's term, with no `math.comb` and no n-th power, whose
+far end is i's level; a gap of one level is one recurrence step.  Else
+its sum is read from that end (`moment`) and its term in closed form,
+the k = 1 term as the k = 0 term times alpha^l * beta^(n-l), so one
+`math.comb` serves both.  Three more reads serve floats that need not
 sum a window exactly: `log_moment(lo, hi, k)`, its natural log for k = 0,
 1 from the terms nearest their mode, which predicts where a scan stops;
 `_moment_mod`, the sum modulo a power of each of a few primes past the
@@ -64,6 +73,7 @@ whose largest n-th power would exceed `MAX_POWER_BITS` bits.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -87,12 +97,28 @@ __all__ = [
 # refused at once.
 MAX_POWER_BITS = 2**23
 
-# Points a spectrum keeps (`CompressedSpectrum.point`): every one read, a
-# search's neighbour reads included, the least recently read dropped past
-# this.  A point is four ints: at n=2e4 one takes 42 KB (eve, d=2, beta0=49/50)
-# to 196 KB (d=1000, 99/100), so 1.6 MB for 8, and no admitted point's ints
-# pass MAX_POWER_BITS bits, so 8 never pass 32 MiB.
-_POINTS = 8
+# Point stores the registry keeps (`_store`), one per term family (n, v, u),
+# the least recently used dropped past _FAMILIES, and points per store, the
+# least recently read dropped past _POINTS.  A stored point is two ints, the
+# sum below a level and its term: at n=2e4 one takes at most 34 KB (d=2,
+# beta0=49/50) to 138 KB (d=1000, 99/100), so the registry holds at most
+# about 18 MB there.  No admitted point's ints pass MAX_POWER_BITS bits (1
+# MiB), so it never passes 8 * 16 * 2 MiB = 256 MiB; a spectrum keeps its
+# own two stores alive past their eviction.
+_FAMILIES = 8
+_POINTS = 16
+_registry: dict = {}  # (n, v, u): {index l: (sum of the terms below l, term l)}
+_lock = threading.Lock()  # guards the registry and every store
+
+
+def _store(n: int, v: int, u: int) -> dict:
+    """The point store of the term family (n, v, u), empty when new."""
+    with _lock:
+        store = _registry.pop((n, v, u), None)
+        _registry[n, v, u] = store = {} if store is None else store
+        if len(_registry) > _FAMILIES:
+            del _registry[next(iter(_registry))]
+    return store
 
 
 def _refuse_oversized(n: int, *bases: int) -> None:
@@ -262,25 +288,36 @@ class CompressedSpectrum:
 
     def point(self, i: int) -> tuple[int, int, int, int]:
         """Level i's point: (count below it, mass below it, *level(i)).
-        The zero level's is (0, 0, zero_mult, 0).  Every other point read
-        is kept, past _POINTS dropping the least recently read.  A kept
-        point a no farther from i than the family's nearer end (min(i,
-        size - i) levels) gives i's by the gap between them (`_gap`); else
-        the sums are read from that end (`moment`) and the level in closed
-        form, which raises IndexError for an i outside [0, size)."""
+        The zero level's is (0, 0, zero_mult, 0).  Each k = 0, 1 is read
+        from its family's store (`_stores`) at family index l: a kept
+        point, else the gap (`_gap`) from the kept point a nearest l if that
+        is no farther than the family's nearer end (min(i, size - i)
+        levels), else the sum from that end (`moment`) and the term in
+        closed form, which raises IndexError for an i outside [0, size).
+        Every point read is kept in both stores as the most recently read,
+        with a just before it."""
         if 0 <= i < self.z:
             return 0, 0, self.zero_mult, 0
-        points = self._points
-        a = min(points, key=lambda j: abs(j - i), default=None)
-        if a is None or abs(a - i) > min(i, self.size - i):
-            point = self.moment(0, i, 0), self.moment(0, i, 1), *self.level(i)
-        else:  # a, now the most recently read; i is kept only where it is a
-            points[a] = point = points.pop(a)
-            point = point if a == i else self._gap(a, point, i)
-        points[i] = point
-        if len(points) > _POINTS:
-            del points[next(iter(points))]
-        return point
+        l, reach, reads = i - self.z, min(i, self.size - i), []
+        for k, store in enumerate(self._stores):
+            with _lock:
+                a = min(store, key=lambda j: abs(j - l), default=None)
+                kept = store.pop(a) if a is not None and abs(a - l) <= reach else None
+                if kept:
+                    store[a] = kept
+            reads.append(kept if a == l or not kept else self._gap(k, a, kept, l))
+        if None in reads:  # an end read: one `math.comb` for both terms
+            mult, mass = (self.level(i) if reads[0] is None else
+                          (reads[0][1], reads[0][1] * self.alpha**l * self.beta ** (self.n - l)))
+            reads = [read or (self.moment(0, i, k) - (self.zero_mult if k == 0 else 0), term)
+                     for k, (read, term) in enumerate(zip(reads, (mult, mass)))]
+        with _lock:
+            for store, read in zip(self._stores, reads):
+                store[l] = read
+                if len(store) > _POINTS:
+                    del store[next(iter(store))]
+        (C, t0), (W, t1) = reads
+        return self.zero_mult + C, W, t0, t1
 
     def moment(self, lo: int, hi: int, k: int) -> int:
         """Sum of mult * num^k over level indices lo..hi-1 (clamped to the
@@ -299,26 +336,26 @@ class CompressedSpectrum:
         return total - sum(self._window(a, b, k) for a, b in ((0, lo), (hi, self.size)) if a < b)
 
     @cached_property
-    def _points(self) -> dict:  # level index: its point
-        return {}
+    def _stores(self) -> tuple[dict, dict]:
+        """The point stores of its k = 0 and k = 1 term families, C(n, l)
+        * v^l * u^(n-l) with v = alpha^k and u = div*beta^k (`_store`)."""
+        return tuple(_store(self.n, self.alpha**k, self.div * self.beta**k) for k in (0, 1))
 
-    def _gap(self, a: int, point: tuple, x: int) -> tuple[int, int, int, int]:
-        """Level x's point from level a's (both past the zero level): a's
-        sums plus the gap's at k = 0, 1.  Its term past a's is one recurrence
-        step from a's level, and the rest a `_series` from there, whose P
-        gives x's level.  Below a, it runs over the mirror image, term n-l
+    def _gap(self, k: int, a: int, kept: tuple, x: int) -> tuple[int, int]:
+        """Family index x's (sum below, term) at k from index a's kept
+        pair: a's sum plus the gap's.  Its term past a's is one recurrence
+        step from a's term, and the rest a `_series` from there, whose P
+        gives x's term.  Below a, it runs over the mirror image, term n-l
         with v and u swapped, from a down to x: its sum less t_a plus t_x."""
-        n, fa, fx, out = self.n, a - self.z, x - self.z, [0, 0, 0, 0]
-        for k in (0, 1):
-            t, v, u = point[2 + k], self.alpha**k, self.div * self.beta**k
-            lo, hi, v, u = (fa, fx, v, u) if fa < fx else (n - fa, n - fx, u, v)
-            s, tx = t, t * ((n - lo) * v) // ((lo + 1) * u)  # t_lo, and t_(lo+1) by a step
-            if hi > lo + 1:  # over t_(lo+1): t_(lo+1)..t_(hi-1), and t_hi
-                P, Q, T = _series(lo + 1, hi, n, v, u, True)
-                Q *= u ** (hi - 1 - lo)
-                s, tx = s + big_divmod(tx * T * u, Q)[0], big_divmod(tx * P, Q)[0]
-            out[k], out[2 + k] = point[k] + (s if fa < fx else t - s - tx), tx
-        return tuple(out)
+        n, (below, t) = self.n, kept
+        v, u = self.alpha**k, self.div * self.beta**k
+        lo, hi, v, u = (a, x, v, u) if a < x else (n - a, n - x, u, v)
+        s, tx = t, t * ((n - lo) * v) // ((lo + 1) * u)  # t_lo, and t_(lo+1) by a step
+        if hi > lo + 1:  # over t_(lo+1): t_(lo+1)..t_(hi-1), and t_hi
+            P, Q, T = _series(lo + 1, hi, n, v, u, True)
+            Q *= u ** (hi - 1 - lo)
+            s, tx = s + big_divmod(tx * T * u, Q)[0], big_divmod(tx * P, Q)[0]
+        return below + (s if a < x else t - s - tx), tx
 
     @cached_property
     def _squares(self) -> int:

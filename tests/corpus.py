@@ -11,9 +11,12 @@ exactly, both or neither (then only its enclosure is read).  The routes are
 not hashed.  It exits 1 when the digest is not the one recorded below, so a
 change that moves a float or a witness shows here; one that does so on
 purpose records the new digests in this one place.  `--subset` keeps n <= 1000.
-The grid reuses each point's three spectra across its budgets and scans, so
-a scan may start from the points an earlier one kept; `--fresh` builds new
-spectra for every call, so none does, and must print the same digest.
+The grid reuses each point's three spectra across its budgets and scans, and
+spectra of one term family share its point stores (`spectra._registry`), so
+a scan may start from the points an earlier one kept; `--fresh` empties the
+registry and builds new spectra for every call, so none does and every
+first point is read from an end of its family, and must print the same
+digest.
 
 The grid: d in {2, 3, 5} at n in {10, 37, 100, 333, 1000, 2500, 6000} and
 d in {64, 1000} at n in {10, 100, 1000, 5000}; five beta0 (those above 1/d);
@@ -29,7 +32,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 
-from finitekey import smooth
+from finitekey import smooth, spectra
 from finitekey.smooth import EpsilonTooLargeError, h0_smooth, s0_smooth, s2_smooth
 from finitekey.spectra import ProtocolParams, conditional_spectrum, eve_spectrum, xe_spectrum
 
@@ -93,6 +96,9 @@ def run(subset: bool = False, fresh: bool = False) -> tuple[int, str, Counter]:
             kept = {name: build(p) for name, build in BUILDERS.items()}
             for eps in (p.epsilon_prime, F(1, 10**6), F(1, 100)):
                 for fn, spec_name in SCANS:
+                    if fresh:
+                        with spectra._lock:
+                            spectra._registry.clear()
                     spec = BUILDERS[spec_name](p) if fresh else kept[spec_name]
                     try:
                         bits, sol = fn(spec, eps)

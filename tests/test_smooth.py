@@ -12,12 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import forget_points
 from listed import ListedSpectrum
 from oracle import brute_h0, brute_s0, expand, waterfill_scan
 from test_spectra import _windows, valid_params
 from finitekey import smooth
 from finitekey.kernel import _strip, log2_bits
-from finitekey.keyrate import key_length
+from finitekey.keyrate import THRESHOLD_TOL, key_length
 from finitekey.smooth import (
     EpsilonTooLargeError,
     RankTrimResult,
@@ -29,6 +30,7 @@ from finitekey.smooth import (
     s2_smooth,
 )
 from finitekey.spectra import (
+    CompressedSpectrum,
     ProtocolParams,
     conditional_spectrum,
     eve_spectrum,
@@ -366,19 +368,20 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
     """The record of fn(spec, eps): its `result`, or its
     EpsilonTooLargeError as (x, y), and what its scans read.  `points`
     lists every point read (`point`) as (i, kind, the windows it summed),
-    kind "end" where it sums windows from an end of the family (`moment`)
-    and reads one closed-form `level`, "gap" where it sums the gap from a
-    kept point (`_gap`), "hit" where it is kept and "zero" for the zero
+    kind "end" where it sums a window from an end of the family (`moment`)
+    for a count or a mass, "gap" where it sums none but a gap from a kept
+    point (`_gap`), "hit" where both are kept and "zero" for the zero
     level.  `searches` has an entry per `_last_fit` call (reverse, taken,
     fits, its `points`, their count `reads`, the `ends` (end reads),
-    windows, gaps and hits among them, the points `kept` as it starts and
-    the `last` level it takes), and `guesses` one per `_guess` call
+    windows, gaps and hits among them, the levels `kept` in either of the
+    spectrum's point stores as it starts and the `last` level it takes),
+    and `guesses` one per `_guess` call
     (reverse, `log_moment` reads and exact reads: a point, a level, a
     summed window or a gap).  `windows` lists every window summed term by
     term (`_window`) as (lo, hi, k, the k of each `math.comb` it takes);
     `residues` lists so every residue pass (`_moment_mod`), and
     `enclosures` every `_moment_enc` call, its prec after k.  `gaps` lists
-    every gap as (the kept point, the point, the `math.comb`s taken).
+    every gap as (the kept level, the level, the `math.comb`s taken).
     `forced` maps a guess's index to the count that guess returns in place
     of its own; a forced guess is recorded too.  `read` names witness
     fields read after fn returns, still recorded: `returned` counts the
@@ -391,21 +394,20 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
                                  enclosures=[], gaps=[]), []
     logs = {"_window": (rec.windows, 3), "_moment_mod": (rec.residues, 3),
             "_moment_enc": (rec.enclosures, 4)}  # each log and the arguments it keeps
-    kept = getattr(spec, "_points", ())
+    z, stores = getattr(spec, "z", 0), getattr(spec, "_stores", ())
 
     def counted(name, *args):
         counts[name] += 1
         start, windows, before = len(combs), len(rec.windows), dict(counts)
-        hit = name == "point" and args[0] in kept
         value = reads[name](*args)
         if name in logs:
             log, kept_args = logs[name]
             log.append((*args[:kept_args], combs[start:]))
-        if name == "_gap":
-            rec.gaps.append((args[0], args[2], combs[start:]))
+        if name == "_gap":  # family indices, as levels
+            rec.gaps.append((args[1] + z, args[3] + z, combs[start:]))
         if name == "point":
-            kind = ("gap" if counts.get("_gap", 0) > before.get("_gap", 0) else
-                    "end" if counts["level"] > before["level"] else "hit" if hit else "zero")
+            kind = ("zero" if args[0] < z else "end" if len(rec.windows) > windows else
+                    "gap" if counts.get("_gap", 0) > before.get("_gap", 0) else "hit")
             rec.points.append(SimpleNamespace(i=args[0], kind=kind,
                                               windows=rec.windows[windows:]))
         return value
@@ -415,7 +417,8 @@ def _instrumented(fn, spec, eps, forced=None, read=()):
         return comb(n, k)
 
     def searched(spec, reverse, fits, taken=0):
-        start, gaps, points = len(rec.points), len(rec.gaps), list(kept)
+        start, gaps, points = len(rec.points), len(rec.gaps), sorted(
+            {l + z for store in stores for l in store})
         found = search(spec, reverse, fits, taken)
         read = rec.points[start:]
         rec.searches.append(SimpleNamespace(
@@ -474,7 +477,7 @@ def test_s2_corrects_forced_misses(guess):
         from_top = 2 * forced > m
         if guess in ("below", "above"):
             assert from_top == (2 * (b + 1) > m)
-        # s2 guesses its bottom boundary first
+        forget_points()  # s2 guesses its bottom boundary first
         rec = _instrumented(s2_smooth, fresh(), eps, forced={0: forced + 1})
         assert rec.result == want
         assert [g.reverse for g in rec.guesses] == [False, True]  # then the top scan
@@ -579,6 +582,7 @@ def test_guessed_boundaries_walk_a_handful_of_levels():
     for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
                              (h0_smooth, conditional_spectrum, [True]),
                              (s2_smooth, xe_spectrum, [False, True])):
+        forget_points()  # xe shares cond's stores
         log = _read_past_guesses(fn, build(p), p.epsilon_prime)
         assert [reverse for reverse, _, _ in log] == sides
         assert all(past <= 3 and summed for _, past, summed in log)
@@ -598,6 +602,7 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
     n, logs = p.n, []
     for fn, build in ((s0_smooth, eve_spectrum), (h0_smooth, conditional_spectrum),
                       (s2_smooth, xe_spectrum)):
+        forget_points()  # xe shares cond's stores
         spec = build(p)
         rec = _instrumented(fn, spec, p.epsilon_prime)
         logs += rec.searches
@@ -617,23 +622,101 @@ def test_searches_read_one_level_and_sum_from_the_nearer_end():
 
 def test_later_budgets_start_from_kept_points():
     """Cost guard: at eps-scan's n=1e4 point, once s0 (eve), s2 (xe) and
-    h0 (cond) have scanned at budget 1/100, each scan at 10^-6 on the same
-    spectra sums every boundary's count and mass from the nearest kept
-    point, over at most the levels between that point and the boundary it
-    finds: no read is an end read, and no read takes a `math.comb`."""
+    h0 (cond) have scanned at budget 1/100, each scan at 10^-6, on the same
+    spectra and again on new ones of the same families, sums every
+    boundary's count and mass from the nearest kept point, over at most the
+    levels between that point and the boundary it finds: no read is an end
+    read, and no read takes a `math.comb`."""
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
-    for fn, build, sides in ((s0_smooth, eve_spectrum, [True]),
-                             (s2_smooth, xe_spectrum, [False, True]),
-                             (h0_smooth, conditional_spectrum, [True])):
+    for rebuilt, (fn, build, sides) in itertools.product(
+            (False, True), ((s0_smooth, eve_spectrum, [True]),
+                            (s2_smooth, xe_spectrum, [False, True]),
+                            (h0_smooth, conditional_spectrum, [True]))):
+        if fn is s0_smooth:  # each round starts from no kept point
+            forget_points()
         spec = build(p)
         fn(spec, F(1, 100))
-        rec = _instrumented(fn, spec, F(1, 10**6))
+        rec = _instrumented(fn, build(p) if rebuilt else spec, F(1, 10**6))
         assert [s.reverse for s in rec.searches] == sides
         assert [w for w in rec.windows if w[2] < 2] == []
         for s in rec.searches:
             nearest = min(abs(s.last - j) for j in s.kept)
             assert s.ends == 0 and s.windows == [] and (s.gaps or s.hits)
             assert all(abs(x - a) <= nearest and not combs for a, x, combs in s.gaps)
+
+
+def test_h0_reads_its_cut_from_a_point_s2_kept():
+    """Cost guard: at the n=1e4 anchor, h0 on cond after s2 on xe, whose
+    families are cond's, reads its support cut from a point that s2 kept:
+    its search makes no end read, and its first read is a gap from a level
+    kept as it starts."""
+    p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
+    s2_smooth(xe_spectrum(p), p.epsilon_prime)
+    [cut] = _instrumented(h0_smooth, conditional_spectrum(p), p.epsilon_prime).searches
+    assert cut.ends == 0 and cut.windows == []
+    assert cut.points[0].kind == "gap" and cut.gaps[0][0] in cut.kept
+
+
+def _point_reads(p):
+    """key_length(p)'s result and what its spectra's points read: the k of
+    every window a point sums from an end of its family (`moment`), and of
+    every `math.comb` a point takes, where a closed-form `level` takes one
+    for a count (k = 0) and a window one for its k."""
+    cls, comb = CompressedSpectrum, math.comb
+    point, level, window = cls.point, cls.level, cls._window
+    depth, ks, windows, combs = [0], [], [], []
+
+    def counted(spec, i):
+        depth[0] += 1
+        try:
+            return point(spec, i)
+        finally:
+            depth[0] -= 1
+
+    def read(method, k, spec, *args):
+        if depth[0] and method is window:
+            windows.append(k)
+        ks.append(k)
+        try:
+            return method(spec, *args)
+        finally:
+            ks.pop()
+
+    def recorded_comb(n, k):
+        if depth[0]:
+            combs.append(ks[-1])
+        return comb(n, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, "point", counted)
+        patch.setattr(cls, "level", lambda spec, i: read(level, 0, spec, i))
+        patch.setattr(cls, "_window", lambda spec, lo, hi, k: read(window, k, spec, lo, hi, k))
+        patch.setattr(math, "comb", recorded_comb)
+        return key_length(p), windows, combs
+
+
+@pytest.mark.parametrize("second", ["next lattice point", "second epsilon"])
+def test_key_length_reads_the_counts_an_earlier_call_kept(second):
+    """Cost guard: after key_length at (2, 3993, 24/25, eps = 1/100), a call
+    at the next error rate of `threshold_error_rate`'s lattice shares every
+    count family: its points sum no count window from an end and take no
+    `math.comb` for a count, and only the masses, of a new family, are
+    summed from an end.  A call at a second eps, 10^-6, shares every family
+    and sums no window from an end at all.  Each returns what it returns
+    on a fresh registry."""
+    first = ProtocolParams(d=2, n=3993, beta0=F(24, 25), epsilon=F(1, 100))
+    beta0, eps = ((first.beta0 - THRESHOLD_TOL, first.epsilon) if second == "next lattice point"
+                  else (first.beta0, F(1, 10**6)))
+    p = ProtocolParams(d=2, n=3993, beta0=beta0, epsilon=eps)
+    want = key_length(p)
+    forget_points()
+    key_length(first)
+    result, windows, combs = _point_reads(p)
+    assert result == want
+    if second == "next lattice point":
+        assert windows and set(windows) == set(combs) == {1}
+    else:
+        assert windows == combs == []
 
 
 def test_s2_forced_far_miss_steps_to_the_boundary():
@@ -1135,6 +1218,7 @@ def test_s2_without_guard_bits_sums_the_middle(monkeypatch):
     p = ProtocolParams(d=2, n=10_000, beta0=F(49, 50), epsilon=F(1, 100))
     want = s2_smooth(xe_spectrum(p), p.epsilon_prime)[0]
     monkeypatch.setattr(smooth, "_GUARD", 0)
+    forget_points()
     rec = _instrumented(s2_smooth, xe_spectrum(p), p.epsilon_prime)
     assert rec.result[0] == want
     assert type(rec.result[1].__dict__["purity"]) is F
@@ -1168,6 +1252,7 @@ def test_s2_reads_a_wide_middle_from_its_residues(monkeypatch):
     p = ProtocolParams(d=3, n=3000, beta0=F(19, 20), epsilon=F(1, 100))
     want = s2_smooth(xe_spectrum(p), p.epsilon_prime)[0]
     monkeypatch.setattr(smooth, "_CHEAP", 0)
+    forget_points()
     spec = xe_spectrum(p)
     rec = _instrumented(s2_smooth, spec, p.epsilon_prime)
     bits, sol = rec.result

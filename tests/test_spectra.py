@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from functools import partial
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import forget_points
 from listed import ListedSpectrum
 from finitekey import cli, kernel, spectra
 from finitekey.asymptotic import asymptotic_rate
@@ -509,21 +512,76 @@ def _read(spec, read):
     return _outcome(args[0], spec, args[1])
 
 
-@given(valid_params(max_n=200), st.data())
+def _unshared(build, p):
+    """build(p) with point stores of its own: it reads as a fresh spectrum
+    whatever the registry keeps."""
+    spec = build(p)
+    spec._stores = ({}, {})
+    return spec
+
+
+@st.composite
+def _two_beta0s(draw, max_n):
+    """Two ProtocolParams at one (d, n), which differ only in beta0."""
+    p = draw(valid_params(max_n=max_n))
+    q = draw(valid_params(max_n=1, d=p.d))
+    return p, ProtocolParams(d=p.d, n=p.n, beta0=q.beta0, epsilon=p.epsilon)
+
+
+@given(_two_beta0s(max_n=200), st.integers(1, spectra._FAMILIES),
+       st.integers(1, spectra._POINTS), st.data())
 @settings(max_examples=40, deadline=None)
-def test_kept_points_read_as_a_fresh_spectrum(p, data):
-    """Whatever points a spectrum keeps, from the scans' boundary searches
-    and its own point reads, each read returns what the same read returns
-    on a fresh spectrum: window sums at k = 0, 1, levels, points and the
-    scans' floats and witnesses, in any order.  No spectrum keeps more than
-    _POINTS points, and its `levels` are a fresh spectrum's."""
-    for build in (eve_spectrum, xe_spectrum, conditional_spectrum):
-        spec = build(p)
-        for _ in range(data.draw(st.integers(1, 12))):
+def test_kept_points_read_as_a_fresh_spectrum(ps, families, points, data):
+    """Whatever points the family stores keep, from the scans' boundary
+    searches and from point reads, each read returns what the same read
+    returns on a fresh spectrum: window sums at k = 0, 1, levels, points
+    and the scans' floats and witnesses, in any order, interleaved over
+    eve, xe and cond at two beta0 of one (d, n), which share their k = 0
+    stores (xe and cond share both).  Under caps from 1 up, the registry
+    never holds more than _FAMILIES stores nor a store more than _POINTS
+    points, and every spectrum's `levels` are a fresh spectrum's."""
+    forget_points()  # what an earlier example kept, under other caps
+    specs = [(build, p, build(p)) for p in ps
+             for build in (eve_spectrum, xe_spectrum, conditional_spectrum)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_FAMILIES", families)
+        patch.setattr(spectra, "_POINTS", points)
+        for _ in range(data.draw(st.integers(1, 24))):
+            build, p, spec = data.draw(st.sampled_from(specs))
             read = _kept_read(data, spec.size)
-            assert _read(spec, read) == _read(build(p), read)
-            assert len(spec._points) <= spectra._POINTS
+            assert _read(spec, read) == _read(_unshared(build, p), read)
+            assert len(spectra._registry) <= families
+            assert all(len(store) <= points
+                       for store in (*spectra._registry.values(), *spec._stores))
+    for build, p, spec in specs:
         assert spec.levels == build(p).levels
+
+
+@given(st.integers(2, 3), st.integers(1, 120),
+       st.lists(st.integers(1, 30), min_size=4, max_size=8),
+       st.integers(1, spectra._FAMILIES), st.integers(1, spectra._POINTS))
+@settings(max_examples=10, deadline=None)
+def test_key_length_from_threads_reads_the_serial_results(d, n, errors, families, points):
+    """`key_length` run from 4 threads at once over one (d, n), four times
+    over each error rate, returns the serial results.  Every thread reads and
+    drops the same family stores, under caps from 1 up and with threads
+    switched every microsecond: a point one thread drops another reads
+    again, and no read raises or returns another value."""
+    ps = [ProtocolParams(d=d, n=n, beta0=1 - F(e, 100), epsilon=F(1, 100)) for e in errors]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_FAMILIES", families)
+        patch.setattr(spectra, "_POINTS", points)
+        forget_points()
+        want = [key_length(p) for p in ps]
+        forget_points()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(key_length, ps * 4, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+    assert got == want * 4
 
 
 def _windows(spec, data):
